@@ -46,7 +46,8 @@ def main():
     g_naive = sample_graph_naive(w, l_n, seed=7)
     print(f"fast sampler:  {g_fast.total_arcs} arcs, {g_fast.total_loops} loops")
     print(f"naive sampler: {g_naive.total_arcs} arcs (independent draw, same law)")
-    print(f"arc multiset of the fast sample: {g_fast.arcs}")
+    arcs = zip(g_fast.src.tolist(), g_fast.dst.tolist(), g_fast.mult.tolist())
+    print(f"arc multiset (src, dst, multiplicity) of the fast sample: {list(arcs)}")
 
     # identical seeds give identical graphs; the two samplers share the
     # law but not the stream, so they differ realization by realization

@@ -21,7 +21,7 @@ def main():
     tau = 3.5
     model = critical_pareto_mirrored(tau)
     mom = moments(model)
-    print(f"critically tuned Pareto tau={tau}: xmin={model.xmin:.4f}")
+    print(f"critically tuned Pareto tau={tau}: xmin={model.capacity.xmin:.4f}")
     print(f"  mu={mom.mu:.4f}, E[c^2]={mom.rho:.4f}, ratio={mom.rho / mom.mu:.6f}")
     print(f"  predicted exponent alpha = {theoretical_alpha(model):.3f}")
 

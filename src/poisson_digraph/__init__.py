@@ -60,15 +60,12 @@ from .scaling import (
 from .streams import AliasTable, derive_seed, stream
 from .structure import (
     ComponentSummary,
-    DegreeVector,
     backward_cluster,
     backward_cluster_size,
     component_summary,
     degree_arrays,
-    degrees,
     forward_cluster,
     forward_cluster_size,
-    strong_class,
     strong_components,
     weak_components,
 )
@@ -81,10 +78,8 @@ from .weights import (
     MirroredCapacity,
     Moments,
     NormalizerMode,
-    OrientedNR,
     ParetoMarginal,
     ParetoMirrored,
-    WeightPair,
     WeightSequence,
     capacity_marginal,
     critical_pareto_mirrored,
@@ -107,10 +102,8 @@ __all__ = [
     "MirroredCapacity",
     "Moments",
     "NormalizerMode",
-    "OrientedNR",
     "ParetoMarginal",
     "ParetoMirrored",
-    "WeightPair",
     "WeightSequence",
     "capacity_marginal",
     "critical_pareto_mirrored",
@@ -143,15 +136,12 @@ __all__ = [
     "sample_randomly_oriented_nr",
     # structure
     "ComponentSummary",
-    "DegreeVector",
     "backward_cluster",
     "backward_cluster_size",
     "component_summary",
     "degree_arrays",
-    "degrees",
     "forward_cluster",
     "forward_cluster_size",
-    "strong_class",
     "strong_components",
     "weak_components",
     # analysis

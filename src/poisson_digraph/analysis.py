@@ -20,14 +20,13 @@ from .digraph import MultiDigraph
 from .structure import degree_arrays
 from .streams import stream
 from .weights import (
-    Constant,
     ConstantMarginal,
     IndependentProduct,
     NormalizerMode,
     WeightModel,
     WeightSequence,
+    _pairs_from_uniforms,
     capacity_marginal,
-    is_mirrored,
     moments,
     normalizer,
     sample_weights,
@@ -91,23 +90,20 @@ def mixing_pairs(model: WeightModel, size: int, seed: int) -> tuple[np.ndarray, 
     means exact; otherwise ``size`` i.i.d. pairs are drawn from a stream
     independent of the graph-weight stream.
     """
-    if isinstance(model, Constant):
-        atom = np.array([model.c])
-        return atom, atom
-    if isinstance(model, IndependentProduct) and all(
-        isinstance(m, ConstantMarginal) for m in (model.marginal_in, model.marginal_out)
-    ):
-        return np.array([model.marginal_in.value]), np.array([model.marginal_out.value])
-    if is_mirrored(model) and isinstance(capacity_marginal(model), ConstantMarginal):
-        atom = np.array([capacity_marginal(model).value])
-        return atom, atom
+    if _degenerate(model):
+        return _pairs_from_uniforms(model, np.zeros((1, 2)))
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    u = stream(seed, "mixing").random((size, 2))
+    return _pairs_from_uniforms(model, stream(seed, "mixing").random((size, 2)))
+
+
+def _degenerate(model: WeightModel) -> bool:
+    """True when every marginal of the model is a ConstantMarginal."""
     if isinstance(model, IndependentProduct):
-        return model.marginal_in.from_uniform(u[:, 0]), model.marginal_out.from_uniform(u[:, 1])
-    cap = capacity_marginal(model).from_uniform(u[:, 0])
-    return cap, cap
+        marginals = (model.marginal_in, model.marginal_out)
+    else:
+        marginals = (capacity_marginal(model),)
+    return all(isinstance(m, ConstantMarginal) for m in marginals)
 
 
 @dataclass(frozen=True)
@@ -258,10 +254,12 @@ def conditional_degree_params(
 ) -> ConditionalDegreeParams:
     if not (l_n > 0 and math.isfinite(l_n)):
         raise ValueError(f"normalizer must be positive and finite, got {l_n}")
-    pair = w.pair(v)
-    lam_in = pair.w_in * (w.sum_out - pair.w_out) / l_n
-    lam_out = pair.w_out * (w.sum_in - pair.w_in) / l_n
-    lam_total = lam_in + lam_out + pair.w_in * pair.w_out / l_n
+    if not 1 <= v <= w.n:
+        raise ValueError(f"vertex {v} out of range 1..{w.n}")
+    w_in, w_out = float(w.w_in[v - 1]), float(w.w_out[v - 1])
+    lam_in = w_in * (w.sum_out - w_out) / l_n
+    lam_out = w_out * (w.sum_in - w_in) / l_n
+    lam_total = lam_in + lam_out + w_in * w_out / l_n
     return ConditionalDegreeParams(lam_in=lam_in, lam_out=lam_out, lam_total=lam_total)
 
 
@@ -375,10 +373,9 @@ def loop_test(
         )
     expected = mom.rho / mom.mu
     rng = stream(seed, "loop-test")
-    wi_atom, wo_atom = mixing_pairs(model, 1, seed) if _degenerate(model) else (None, None)
     totals = np.empty(reps, dtype=np.int64)
-    if wi_atom is not None:
-        w = WeightSequence(np.full(n, wi_atom[0]), np.full(n, wo_atom[0]))
+    if _degenerate(model):
+        w = WeightSequence(*_pairs_from_uniforms(model, np.zeros((n, 2))))
         rate = w.sum_products / normalizer(w, mom.mu, mode)
         totals[:] = rng.poisson(rate, size=reps)
     else:
@@ -388,7 +385,7 @@ def loop_test(
             u = rng.random((hi - lo, n, 2))
             rates = np.empty(hi - lo)
             for r in range(hi - lo):
-                w = _weights_from_uniforms(model, u[r])
+                w = WeightSequence(*_pairs_from_uniforms(model, u[r]))
                 rates[r] = w.sum_products / normalizer(w, mom.mu, mode)
             totals[lo:hi] = rng.poisson(rates)
     chi2 = poisson_chisquare(totals, expected)
@@ -402,22 +399,6 @@ def loop_test(
         passed=chi2.pvalue >= alpha and abs(z) <= 3.0,
         reps=reps,
     )
-
-
-def _degenerate(model: WeightModel) -> bool:
-    # mixing_pairs collapses to a single atom only for constant models
-    wi, _ = mixing_pairs(model, 2, 0)
-    return wi.size == 1
-
-
-def _weights_from_uniforms(model: WeightModel, u: np.ndarray) -> WeightSequence:
-    if isinstance(model, IndependentProduct):
-        return WeightSequence(
-            model.marginal_in.from_uniform(u[:, 0]),
-            model.marginal_out.from_uniform(u[:, 1]),
-        )
-    cap = capacity_marginal(model).from_uniform(u[:, 0])
-    return WeightSequence(cap, cap)
 
 
 # -- chi-square and empirical-TV helpers --------------------------------------

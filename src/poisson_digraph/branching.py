@@ -55,6 +55,11 @@ class ConvergenceError(RuntimeError):
         self.last_iterate = last_iterate
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 def _fixed_point(step: Callable, start, tol: float, max_iter: int):
     """Iterate ``step`` from ``start`` until successive values differ < tol.
 
@@ -90,8 +95,7 @@ def solve_extinction(
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     mom = moments(model)
     if mom.rho / mom.mu <= 1.0:
         return 1.0
@@ -220,6 +224,7 @@ def survival_fractions(
         raise ValueError(
             f"configuration must be one of {CONFIGURATIONS}, got {configuration!r}"
         )
+    _check_tol(tol)
     mom = moments(model)
     ratio_in = mom.nu_in / mom.mu
     ratio_out = mom.nu_out / mom.mu

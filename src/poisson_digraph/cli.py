@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -60,8 +61,8 @@ class IOFailure(Exception):
 class RunConfig:
     """All tunables of one CLI invocation; absent fields stay None.
 
-    Round-trips losslessly through JSON; unknown fields are rejected on
-    input so configuration typos fail loudly.
+    Round-trips losslessly through JSON; unknown fields and values of the
+    wrong JSON type are rejected on input so configuration typos fail loudly.
     """
 
     model: str | None = None
@@ -105,9 +106,23 @@ class RunConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for name, value in data.items():
+            # every field is declared "T | None"
+            if value is not None and not _json_fits(value, typing.get_args(hints[name])[0]):
+                raise ValueError(f"config field {name!r} has the wrong type: {value!r}")
         if data.get("n_list") is not None:
-            data["n_list"] = tuple(int(x) for x in data["n_list"])
+            data["n_list"] = tuple(data["n_list"])
         return cls(**data)
+
+
+def _json_fits(value, kind) -> bool:
+    """Whether a decoded JSON value has the type a RunConfig field declares."""
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, list) and all(_json_fits(x, int) for x in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 # -- config resolution helpers ------------------------------------------------

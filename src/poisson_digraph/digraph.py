@@ -1,9 +1,9 @@
 """Directed multigraph container and the tab-separated edge-list format.
 
 Vertices are indexed 1..n.  Arcs are held as parallel (src, dst, mult)
-arrays sorted by (src, dst) with strictly positive multiplicities; a dict
-view and CSR-style adjacency are built lazily for traversal.  Instances are
-treated as immutable once constructed.
+arrays sorted by (src, dst) with strictly positive multiplicities; CSR-style
+adjacency is built lazily for traversal.  Instances are treated as
+immutable once constructed.
 """
 
 from __future__ import annotations
@@ -58,24 +58,7 @@ class MultiDigraph:
         z = np.zeros(0, dtype=np.int64)
         return cls(n, z, z, z)
 
-    @classmethod
-    def from_arc_dict(cls, n: int, arcs: dict[tuple[int, int], int]) -> "MultiDigraph":
-        if not arcs:
-            return cls.empty(n)
-        src = np.fromiter((k[0] for k in arcs), dtype=np.int64, count=len(arcs))
-        dst = np.fromiter((k[1] for k in arcs), dtype=np.int64, count=len(arcs))
-        mult = np.fromiter(arcs.values(), dtype=np.int64, count=len(arcs))
-        return cls(n, src, dst, mult)
-
     # -- views ------------------------------------------------------------
-
-    @cached_property
-    def arcs(self) -> dict[tuple[int, int], int]:
-        """Sparse multiplicity map {(src, dst): mult}, all values >= 1."""
-        return {
-            (int(s), int(d)): int(m)
-            for s, d, m in zip(self.src, self.dst, self.mult)
-        }
 
     @property
     def total_arcs(self) -> int:
@@ -89,8 +72,18 @@ class MultiDigraph:
     def total_loops(self) -> int:
         return int(self.mult[self.loop_mask].sum())
 
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        """Sorted arc codes src * (n + 1) + dst, one per distinct arc."""
+        return self.src * (self.n + 1) + self.dst
+
     def multiplicity(self, v: int, u: int) -> int:
-        return self.arcs.get((v, u), 0)
+        """Number of arcs from v to u; 0 for an absent pair or a vertex outside 1..n."""
+        if not (1 <= v <= self.n and 1 <= u <= self.n):
+            return 0
+        code = v * (self.n + 1) + u
+        i = int(np.searchsorted(self._codes, code))
+        return int(self.mult[i]) if i < self._codes.size and self._codes[i] == code else 0
 
     @cached_property
     def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:

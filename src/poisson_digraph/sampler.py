@@ -54,6 +54,11 @@ def _check_l(l_n: float) -> None:
         raise ValueError(f"normalizer L must be positive and finite, got {l_n}")
 
 
+def _unit_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> MultiDigraph:
+    """The graph with one arc per (src, dst) row, duplicates merged."""
+    return MultiDigraph(n, src, dst, np.ones(src.size, dtype=np.int64))
+
+
 def sample_graph_naive(
     w: WeightSequence,
     l_n: float,
@@ -106,7 +111,7 @@ def sample_graph_fast(w: WeightSequence, l_n: float, seed: int) -> MultiDigraph:
         return MultiDigraph.empty(w.n)
     src = AliasTable(w.w_out).sample(rng, k) + 1
     dst = AliasTable(w.w_in).sample(rng, k) + 1
-    return MultiDigraph(w.n, src, dst, np.ones(k, dtype=np.int64))
+    return _unit_arcs(w.n, src, dst)
 
 
 # -- growth by one vertex -----------------------------------------------------
@@ -217,9 +222,30 @@ class SumParts:
     second: MultiDigraph
 
 
-def _require_mirrored(w: WeightSequence) -> None:
+def _capacities(w: WeightSequence, l_n: float | None) -> tuple[np.ndarray, float]:
+    """The capacity array of mirrored weights and L (default: their sum)."""
     if not w.is_mirrored():
         raise ValueError("sum constructions need mirrored capacities (w_in == w_out)")
+    if l_n is None:
+        l_n = w.sum_in
+    _check_l(l_n)
+    return w.w_in, l_n
+
+
+def _sum_parts(cap1: np.ndarray, cap2: np.ndarray, l_n: float, seed: int, tag: str) -> SumParts:
+    """Arc sum of two undirected samples at capacities cap1 and cap2.
+
+    The first points toward higher indices and draws from stream
+    (seed, tag, 1), the second toward lower indices from (seed, tag, 2).
+    """
+    n = cap1.size
+    s1, d1 = _nr_oriented_arcs(cap1, l_n, "higher", stream(seed, tag, 1))
+    s2, d2 = _nr_oriented_arcs(cap2, l_n, "lower", stream(seed, tag, 2))
+    return SumParts(
+        graph=_unit_arcs(n, np.concatenate([s1, s2]), np.concatenate([d1, d2])),
+        first=_unit_arcs(n, s1, d1),
+        second=_unit_arcs(n, s2, d2),
+    )
 
 
 def oriented_sum_parts(
@@ -232,23 +258,8 @@ def oriented_sum_parts(
     arc-summed graph follows the direct mirrored law exactly, loops
     included (each constituent carries half the diagonal rate).
     """
-    _require_mirrored(capacity_weights)
-    cap = capacity_weights.w_in
-    if l_n is None:
-        l_n = capacity_weights.sum_in
-    _check_l(l_n)
-    n = capacity_weights.n
-    s1, d1 = _nr_oriented_arcs(cap, l_n, "higher", stream(seed, "oriented-sum", 1))
-    s2, d2 = _nr_oriented_arcs(cap, l_n, "lower", stream(seed, "oriented-sum", 2))
-    first = MultiDigraph(n, s1, d1, np.ones(s1.size, dtype=np.int64))
-    second = MultiDigraph(n, s2, d2, np.ones(s2.size, dtype=np.int64))
-    graph = MultiDigraph(
-        n,
-        np.concatenate([s1, s2]),
-        np.concatenate([d1, d2]),
-        np.ones(s1.size + s2.size, dtype=np.int64),
-    )
-    return SumParts(graph=graph, first=first, second=second)
+    cap, l_n = _capacities(capacity_weights, l_n)
+    return _sum_parts(cap, cap, l_n, seed, "oriented-sum")
 
 
 def sample_oriented_sum(
@@ -270,14 +281,10 @@ def sample_randomly_oriented_nr(
     diagonal rate cap_v^2 / l_n, again matching the direct law; the coin
     flip on a loop has no observable effect.
     """
-    _require_mirrored(capacity_weights)
-    cap = capacity_weights.w_in
-    if l_n is None:
-        l_n = capacity_weights.sum_in
-    _check_l(l_n)
+    cap, l_n = _capacities(capacity_weights, l_n)
     rng = stream(seed, "randomly-oriented")
     src, dst = _nr_oriented_arcs(2.0 * cap, 2.0 * l_n, "uniform", rng)
-    return MultiDigraph(capacity_weights.n, src, dst, np.ones(src.size, dtype=np.int64))
+    return _unit_arcs(capacity_weights.n, src, dst)
 
 
 # -- independent-sum construction ---------------------------------------------
@@ -307,20 +314,9 @@ def independent_sum_parts(model1, model2, n: int, seed: int) -> SumParts:
     mu1, mu2 = m1.mean(), m2.mean()
     if not math.isclose(mu1, mu2, rel_tol=1e-9):
         raise ValueError(f"constituent means must agree, got {mu1} vs {mu2}")
-    l_n = mu1 * n
     cap1 = m1.from_uniform(stream(seed, "indep-capacity", 1).random(n))
     cap2 = m2.from_uniform(stream(seed, "indep-capacity", 2).random(n))
-    s1, d1 = _nr_oriented_arcs(cap1, l_n, "higher", stream(seed, "indep-sum", 1))
-    s2, d2 = _nr_oriented_arcs(cap2, l_n, "lower", stream(seed, "indep-sum", 2))
-    first = MultiDigraph(n, s1, d1, np.ones(s1.size, dtype=np.int64))
-    second = MultiDigraph(n, s2, d2, np.ones(s2.size, dtype=np.int64))
-    graph = MultiDigraph(
-        n,
-        np.concatenate([s1, s2]),
-        np.concatenate([d1, d2]),
-        np.ones(s1.size + s2.size, dtype=np.int64),
-    )
-    return SumParts(graph=graph, first=first, second=second)
+    return _sum_parts(cap1, cap2, mu1 * n, seed, "indep-sum")
 
 
 def sample_independent_sum(model1, model2, n: int, seed: int) -> MultiDigraph:

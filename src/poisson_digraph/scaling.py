@@ -161,6 +161,10 @@ def scaling_exponent_experiment(
         raise ValueError("sizes must be distinct")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if sources < 1:
+        raise ValueError(f"sources must be >= 1, got {sources}")
+    if bootstrap < 1:
+        raise ValueError(f"bootstrap must be >= 1, got {bootstrap}")
     mu = moments(model).mu
     tasks = [
         (i, r, derive_seed(seed, "scaling", n, r))

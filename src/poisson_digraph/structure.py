@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -20,29 +19,16 @@ from scipy.sparse.csgraph import connected_components
 from .digraph import MultiDigraph
 
 __all__ = [
-    "DegreeVector",
     "degree_arrays",
-    "degrees",
     "forward_cluster",
     "backward_cluster",
     "forward_cluster_size",
     "backward_cluster_size",
-    "strong_class",
     "ComponentSummary",
     "strong_components",
     "weak_components",
     "component_summary",
 ]
-
-
-class DegreeVector(NamedTuple):
-    d_in: int
-    d_out: int
-    loops: int
-
-    @property
-    def total(self) -> int:
-        return self.d_in + self.d_out + self.loops
 
 
 @dataclass(frozen=True)
@@ -72,15 +58,6 @@ def degree_arrays(g: MultiDigraph) -> DegreeArrays:
         d_out=d_out.astype(np.int64),
         loops=loops.astype(np.int64),
     )
-
-
-def degrees(g: MultiDigraph) -> list[DegreeVector]:
-    """Per-vertex degree vectors in vertex order 1..n."""
-    arr = degree_arrays(g)
-    return [
-        DegreeVector(int(i), int(o), int(l))
-        for i, o, l in zip(arr.d_in, arr.d_out, arr.loops)
-    ]
 
 
 # -- reachability -------------------------------------------------------------
@@ -143,11 +120,6 @@ def backward_cluster_size(g: MultiDigraph, v: int) -> int:
     _check_vertex(g, v)
     indptr, nbrs = g._in_csr
     return int(_reach_mask(indptr, nbrs, v - 1, g.n).sum())
-
-
-def strong_class(g: MultiDigraph, v: int) -> set[int]:
-    """The strong component of v as forward(v) intersected with backward(v)."""
-    return forward_cluster(g, v) & backward_cluster(g, v)
 
 
 # -- components ---------------------------------------------------------------

@@ -356,10 +356,10 @@ def _check_pareto_tail(seed: int) -> CheckResult:
     slope = float(np.polyfit(np.log(ks), np.log(tail), 1)[0])
     return _below(
         "pareto-tail-slope",
-        abs(slope - (-(model.tau - 1.0))),
+        abs(slope - (-(model.capacity.tau - 1.0))),
         0.35,
         slope=slope,
-        expected=-(model.tau - 1.0),
+        expected=-(model.capacity.tau - 1.0),
         k_range=[int(ks[0]), int(ks[-1])],
     )
 

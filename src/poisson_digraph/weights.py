@@ -16,7 +16,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,10 +29,8 @@ __all__ = [
     "IndependentProduct",
     "MirroredCapacity",
     "ParetoMirrored",
-    "OrientedNR",
     "WeightModel",
     "Moments",
-    "WeightPair",
     "WeightSequence",
     "NormalizerMode",
     "moments",
@@ -117,17 +114,6 @@ Marginal = ConstantMarginal | ParetoMarginal
 
 
 @dataclass(frozen=True)
-class Constant:
-    """Both weights equal c at every vertex."""
-
-    c: float
-
-    def __post_init__(self):
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"constant weight must be positive and finite, got {self.c}")
-
-
-@dataclass(frozen=True)
 class IndependentProduct:
     """Independent in- and out-weight marginals with a common mean."""
 
@@ -144,55 +130,41 @@ class IndependentProduct:
 
 @dataclass(frozen=True)
 class MirroredCapacity:
-    """w_in = w_out = capacity draw, a single marginal per vertex."""
+    """w_in = w_out = capacity draw, a single marginal per vertex.
+
+    With mirrored weights and the capacity-sum normalizer this is the
+    Norros-Reittu capacity model oriented into a digraph.
+    """
 
     capacity: Marginal
 
 
-@dataclass(frozen=True)
-class ParetoMirrored:
-    """Mirrored Pareto capacities, shorthand for MirroredCapacity(Pareto)."""
-
-    tau: float
-    xmin: float = 1.0
-
-    def __post_init__(self):
-        ParetoMarginal(self.tau, self.xmin)  # validate
-
-    @property
-    def capacity(self) -> ParetoMarginal:
-        return ParetoMarginal(self.tau, self.xmin)
+def Constant(c: float) -> MirroredCapacity:
+    """Both weights equal c at every vertex."""
+    return MirroredCapacity(ConstantMarginal(c))
 
 
-@dataclass(frozen=True)
-class OrientedNR:
-    """Mirrored capacity model intended for the capacity-sum normalizer."""
-
-    capacity: Marginal
+def ParetoMirrored(tau: float, xmin: float = 1.0) -> MirroredCapacity:
+    """Mirrored Pareto capacities with density exponent tau and scale xmin."""
+    return MirroredCapacity(ParetoMarginal(tau, xmin))
 
 
-WeightModel = Constant | IndependentProduct | MirroredCapacity | ParetoMirrored | OrientedNR
-
-_MIRRORED_KINDS = (Constant, MirroredCapacity, ParetoMirrored, OrientedNR)
+WeightModel = IndependentProduct | MirroredCapacity
 
 
 def is_mirrored(model: WeightModel) -> bool:
     """True when the model forces w_in == w_out at every vertex."""
-    return isinstance(model, _MIRRORED_KINDS)
+    return isinstance(model, MirroredCapacity)
 
 
 def capacity_marginal(model: WeightModel) -> Marginal:
     """The single capacity marginal of a mirrored model."""
-    if isinstance(model, Constant):
-        return ConstantMarginal(model.c)
-    if isinstance(model, (MirroredCapacity, OrientedNR)):
-        return model.capacity
-    if isinstance(model, ParetoMirrored):
+    if isinstance(model, MirroredCapacity):
         return model.capacity
     raise ValueError(f"model {model!r} has no single capacity marginal")
 
 
-def critical_pareto_mirrored(tau: float) -> ParetoMirrored:
+def critical_pareto_mirrored(tau: float) -> MirroredCapacity:
     """Mirrored Pareto model rescaled so E[W^2] / E[W] = 1.
 
     Requires tau > 3; the tuning constant is xmin = (tau - 3) / (tau - 2).
@@ -221,9 +193,6 @@ class Moments:
 
 def moments(model: WeightModel) -> Moments:
     """Exact moments of a weight model from the marginal formulas."""
-    if isinstance(model, Constant):
-        c = model.c
-        return Moments(mu=c, nu_in=c**2, nu_out=c**2, rho=c**2)
     if isinstance(model, IndependentProduct):
         mu = model.marginal_in.mean()
         return Moments(
@@ -232,24 +201,14 @@ def moments(model: WeightModel) -> Moments:
             nu_out=model.marginal_out.second_moment(),
             rho=model.marginal_in.mean() * model.marginal_out.mean(),
         )
-    if is_mirrored(model):
-        cap = capacity_marginal(model)
+    if isinstance(model, MirroredCapacity):
+        cap = model.capacity
         nu = cap.second_moment()
         return Moments(mu=cap.mean(), nu_in=nu, nu_out=nu, rho=nu)
     raise TypeError(f"unknown weight model {model!r}")
 
 
 # -- weight sequences ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightPair:
-    w_in: float
-    w_out: float
-
-    def __post_init__(self):
-        if not (self.w_in > 0 and self.w_out > 0):
-            raise ValueError(f"weights must be positive, got {self}")
 
 
 class WeightSequence:
@@ -279,12 +238,6 @@ class WeightSequence:
     def __len__(self) -> int:
         return self.n
 
-    def pair(self, v: int) -> WeightPair:
-        """Weight pair of vertex v (1-based)."""
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return WeightPair(w_in=float(self.w_in[v - 1]), w_out=float(self.w_out[v - 1]))
-
     def prefix(self, n: int) -> "WeightSequence":
         """The first n pairs as a new sequence."""
         if not 1 <= n <= self.n:
@@ -293,36 +246,6 @@ class WeightSequence:
 
     def is_mirrored(self) -> bool:
         return bool(np.array_equal(self.w_in, self.w_out))
-
-    def check_sums(self, rel_tol: float = 1e-9) -> None:
-        """Assert the cached sums match a fresh reduction."""
-        for cached, fresh in (
-            (self.sum_in, float(self.w_in.sum())),
-            (self.sum_out, float(self.w_out.sum())),
-            (self.sum_products, float((self.w_in * self.w_out).sum())),
-        ):
-            if not math.isclose(cached, fresh, rel_tol=rel_tol):
-                raise AssertionError(f"cached sum {cached} drifted from {fresh}")
-
-    def to_tsv(self, path: str | Path) -> None:
-        """Write (index, w_in, w_out) rows, indices 1-based."""
-        lines = ["# index\tw_in\tw_out"]
-        for i in range(self.n):
-            lines.append(f"{i + 1}\t{float(self.w_in[i])!r}\t{float(self.w_out[i])!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_tsv(cls, path: str | Path) -> "WeightSequence":
-        w_in, w_out = [], []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-            w_in.append(float(parts[1]))
-            w_out.append(float(parts[2]))
-        return cls(np.array(w_in), np.array(w_out))
 
     def __repr__(self) -> str:
         return f"WeightSequence(n={self.n}, sum_in={self.sum_in:.6g}, sum_out={self.sum_out:.6g})"
@@ -350,17 +273,20 @@ def sample_weights(model: WeightModel, n: int, seed: int) -> WeightSequence:
     # each vertex consumes exactly one row of uniforms regardless of model,
     # which is what makes prefixes stable across n
     u = stream(seed, "weights").random((n, 2))
-    if isinstance(model, Constant):
-        w = np.full(n, model.c, dtype=np.float64)
-        return WeightSequence(w, w)
+    return WeightSequence(*_pairs_from_uniforms(model, u))
+
+
+def _pairs_from_uniforms(model: WeightModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w_in, w_out) from an (m, 2) array of uniforms, one row per pair.
+
+    Column 0 drives w_in (the capacity of a mirrored model) and column 1
+    drives w_out; a mirrored model returns the same array twice.
+    """
     if isinstance(model, IndependentProduct):
-        return WeightSequence(
-            model.marginal_in.from_uniform(u[:, 0]),
-            model.marginal_out.from_uniform(u[:, 1]),
-        )
-    if is_mirrored(model):
-        cap = capacity_marginal(model).from_uniform(u[:, 0])
-        return WeightSequence(cap, cap)
+        return model.marginal_in.from_uniform(u[:, 0]), model.marginal_out.from_uniform(u[:, 1])
+    if isinstance(model, MirroredCapacity):
+        cap = model.capacity.from_uniform(u[:, 0])
+        return cap, cap
     raise TypeError(f"unknown weight model {model!r}")
 
 
@@ -430,22 +356,24 @@ def _expect_keys(d: dict, allowed: set, optional: set = frozenset()) -> None:
         raise ValueError(f"missing fields {sorted(missing)} in {d!r}")
 
 
+# a mirrored model is written as the dict of its capacity marginal under
+# the model kind; "mirrored-capacity" and "oriented-nr" are input aliases
+_MIRRORED_KIND = {"constant": "constant", "pareto": "pareto-mirrored"}
+_MARGINAL_KIND = {v: k for k, v in _MIRRORED_KIND.items()}
+_CAPACITY_ALIASES = ("mirrored-capacity", "oriented-nr")
+
+
 def model_to_json(model: WeightModel) -> str:
     """Serialize a model to a canonical one-line JSON object."""
-    if isinstance(model, Constant):
-        obj = {"kind": "constant", "c": model.c}
-    elif isinstance(model, IndependentProduct):
+    if isinstance(model, IndependentProduct):
         obj = {
             "kind": "independent-product",
             "marginal_in": _marginal_to_dict(model.marginal_in),
             "marginal_out": _marginal_to_dict(model.marginal_out),
         }
-    elif isinstance(model, ParetoMirrored):
-        obj = {"kind": "pareto-mirrored", "tau": model.tau, "xmin": model.xmin}
     elif isinstance(model, MirroredCapacity):
-        obj = {"kind": "mirrored-capacity", "capacity": _marginal_to_dict(model.capacity)}
-    elif isinstance(model, OrientedNR):
-        obj = {"kind": "oriented-nr", "capacity": _marginal_to_dict(model.capacity)}
+        obj = _marginal_to_dict(model.capacity)
+        obj["kind"] = _MIRRORED_KIND[obj["kind"]]
     else:
         raise TypeError(f"unknown weight model {model!r}")
     return json.dumps(obj, sort_keys=True)
@@ -457,24 +385,17 @@ def model_from_json(text: str | dict) -> WeightModel:
     if not isinstance(d, dict):
         raise ValueError("model JSON must be an object")
     kind = d.get("kind")
-    if kind == "constant":
-        _expect_keys(d, {"kind", "c"})
-        return Constant(float(d["c"]))
+    if kind in _MARGINAL_KIND:
+        return MirroredCapacity(_marginal_from_dict({**d, "kind": _MARGINAL_KIND[kind]}))
+    if kind in _CAPACITY_ALIASES:
+        _expect_keys(d, {"kind", "capacity"})
+        return MirroredCapacity(_marginal_from_dict(d["capacity"]))
     if kind == "independent-product":
         _expect_keys(d, {"kind", "marginal_in", "marginal_out"})
         return IndependentProduct(
             _marginal_from_dict(d["marginal_in"]),
             _marginal_from_dict(d["marginal_out"]),
         )
-    if kind == "pareto-mirrored":
-        _expect_keys(d, {"kind", "tau", "xmin"}, optional={"xmin"})
-        return ParetoMirrored(float(d["tau"]), float(d.get("xmin", 1.0)))
-    if kind == "mirrored-capacity":
-        _expect_keys(d, {"kind", "capacity"})
-        return MirroredCapacity(_marginal_from_dict(d["capacity"]))
-    if kind == "oriented-nr":
-        _expect_keys(d, {"kind", "capacity"})
-        return OrientedNR(_marginal_from_dict(d["capacity"]))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -497,24 +418,17 @@ def parse_model(text: str) -> WeightModel:
         constant:C
         pareto-mirrored:TAU[,XMIN]
         mirrored-capacity:MARGINAL     e.g. mirrored-capacity:pareto:3.5,1
-        oriented-nr:MARGINAL
+        oriented-nr:MARGINAL           (alias of mirrored-capacity)
         independent-product:MARGINAL|MARGINAL   (in side first)
     """
     text = text.strip()
     if text.startswith("{"):
         return model_from_json(text)
     head, _, rest = text.partition(":")
-    if head == "constant":
-        return Constant(float(rest))
-    if head == "pareto-mirrored":
-        parts = rest.split(",")
-        if len(parts) not in (1, 2):
-            raise ValueError(f"pareto-mirrored takes tau[,xmin], got {rest!r}")
-        return ParetoMirrored(float(parts[0]), float(parts[1]) if len(parts) == 2 else 1.0)
-    if head == "mirrored-capacity":
+    if head in _MARGINAL_KIND:
+        return MirroredCapacity(_parse_marginal_compact(f"{_MARGINAL_KIND[head]}:{rest}"))
+    if head in _CAPACITY_ALIASES:
         return MirroredCapacity(_parse_marginal_compact(rest))
-    if head == "oriented-nr":
-        return OrientedNR(_parse_marginal_compact(rest))
     if head == "independent-product":
         sides = rest.split("|")
         if len(sides) != 2:

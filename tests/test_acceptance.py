@@ -76,6 +76,7 @@ def _pair_counts(sampler, w, l_n, reps, seed0):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_1_sampler_exactness():
     """Both samplers against the exact product-Poisson arc law at n in {2, 3}."""
     # 56 histograms are each held to the 1% level, so replicate seed ranges
@@ -105,6 +106,7 @@ def test_criterion_1_sampler_exactness():
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_sum_construction_equivalence():
     """Oriented-sum, coin-flip-oriented at doubled capacity, and direct
     mirrored sampling share total-arc and per-pair laws."""
@@ -158,6 +160,7 @@ def test_criterion_2_sum_construction_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_evolution_consistency():
     """Thinning-growth chain 2 -> 5 vs direct sampling at 5: total-arc law."""
     reps = 100_000

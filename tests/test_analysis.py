@@ -177,6 +177,9 @@ def test_conditional_degree_params_by_hand():
     assert p.lam_in == pytest.approx(1.0 * (7.0 - 3.0) / 5.0)
     assert p.lam_out == pytest.approx(3.0 * (3.0 - 1.0) / 5.0)
     assert p.lam_total == pytest.approx(0.8 + 1.2 + 3.0 / 5.0)
+    for v in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            conditional_degree_params(w, 5.0, v=v)
 
 
 def test_conditional_degree_params_single_vertex():

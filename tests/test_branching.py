@@ -195,6 +195,13 @@ def test_plain_configuration_flags_conjecture():
     assert rep.zeta == pytest.approx(rep.zeta_weak, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_survival_fractions_rejects_nonpositive_tol(tol):
+    for configuration in ("mirrored-sum", "plain"):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            survival_fractions(Constant(2.0), configuration, tol=tol)
+
+
 def test_configuration_validation():
     with pytest.raises(ValueError, match="configuration"):
         survival_fractions(Constant(2.0), configuration="bogus")

@@ -38,6 +38,13 @@ def test_sample_is_byte_reproducible(tmp_path):
     assert a.stdout == b.stdout
     assert "# n=100" in a.stdout
     assert "# seed=7" in a.stdout
+    assert '# model={"c": 2.0, "kind": "constant"}' in a.stdout.splitlines()
+    pareto = run_cli("sample", "--model", "pareto-mirrored:3.5,1", "--n", "10")
+    header = '# model={"kind": "pareto-mirrored", "tau": 3.5, "xmin": 1.0}'
+    assert header in pareto.stdout.splitlines()
+    # capacity aliases name the same model and are written back canonically
+    alias = run_cli("sample", "--model", "oriented-nr:pareto:3.5,1", "--n", "10")
+    assert alias.stdout == pareto.stdout
     c = run_cli("sample", "--model", "constant:2", "--n", "100", "--seed", "8")
     assert c.stdout != a.stdout
     out = tmp_path / "g.tsv"
@@ -134,6 +141,13 @@ def test_survival_constant_two(tmp_path):
     assert payload["pi_conjectural"] is False
 
 
+def test_survival_rejects_nonpositive_tol():
+    for tol in ("0", "-1"):
+        res = run_cli("survival", "--model", "constant:2", "--tol", tol)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: tol must be positive")
+
+
 def test_survival_plain_default():
     res = run_cli("survival", "--model", "constant:2")
     payload = json.loads(res.stdout)
@@ -197,6 +211,14 @@ def test_scaling_model_and_tau_are_exclusive():
     assert res.returncode == 2
 
 
+def test_scaling_rejects_nonpositive_counts():
+    args = ("scaling", "--tau", "3.5", "--critical", "--n-list", "128,256", "--reps", "2")
+    for flag in ("--sources", "--bootstrap"):
+        res = run_cli(*args, flag, "0")
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: {flag[2:]} must be >= 1")
+
+
 def test_verify_graph_mode(tmp_path):
     out = tmp_path / "g.tsv"
     run_cli("sample", "--model", "constant:2", "--n", "30000", "--seed", "6", "--out", str(out))
@@ -230,6 +252,11 @@ def test_config_file_unknown_field_exits_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "constant:2", "n": 30, "wat": 1}))
     assert run_cli("sample", "--config-file", str(cfg)).returncode == 2
+    for field, value in (("n_list", 5), ("n", "abc")):
+        cfg.write_text(json.dumps({"model": "constant:2", field: value}))
+        res = run_cli("sample", "--config-file", str(cfg))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: config field '{field}' has the wrong type")
 
 
 def test_config_file_missing_exits_three(tmp_path):
@@ -242,6 +269,9 @@ def test_run_config_json_round_trip():
     assert back == cfg
     with pytest.raises(ValueError):
         RunConfig.from_json('{"no_such_field": 3}')
+    for bad in ('{"n": true}', '{"n": 2.5}', '{"tol": "1e-9"}', '{"n_list": [64, "128"]}'):
+        with pytest.raises(ValueError, match="wrong type"):
+            RunConfig.from_json(bad)
 
 
 @pytest.mark.slow

@@ -9,6 +9,7 @@ from poisson_digraph.digraph import (
     read_edge_list,
     write_edge_list,
 )
+from graph_helpers import arc_dict, graph_from_arcs
 
 
 def test_duplicate_arcs_are_merged():
@@ -18,15 +19,18 @@ def test_duplicate_arcs_are_merged():
         np.array([2, 2, 3, 2]),
         np.array([1, 2, 1, 3]),
     )
-    assert g.arcs == {(1, 2): 6, (2, 3): 1}
+    assert arc_dict(g) == {(1, 2): 6, (2, 3): 1}
     assert g.total_arcs == 7
     assert g.multiplicity(1, 2) == 6
     assert g.multiplicity(2, 1) == 0
+    assert g.multiplicity(2, 3) == 1
+    assert g.multiplicity(3, 3) == 0
+    assert g.multiplicity(1, 4) == 0  # outside 1..n
 
 
 def test_zero_multiplicity_dropped():
     g = MultiDigraph(2, np.array([1, 2]), np.array([2, 1]), np.array([0, 5]))
-    assert g.arcs == {(2, 1): 5}
+    assert arc_dict(g) == {(2, 1): 5}
 
 
 def test_vertex_range_validation():
@@ -41,7 +45,7 @@ def test_vertex_range_validation():
 
 
 def test_loops_counted_once():
-    g = MultiDigraph.from_arc_dict(3, {(1, 1): 2, (1, 2): 1, (3, 3): 1})
+    g = graph_from_arcs(3, {(1, 1): 2, (1, 2): 1, (3, 3): 1})
     assert g.total_loops == 3
     assert g.total_arcs == 4
     assert np.array_equal(g.loop_mask, g.src == g.dst)
@@ -51,7 +55,7 @@ def test_empty_graph():
     g = MultiDigraph.empty(4)
     assert g.n == 4
     assert g.total_arcs == 0
-    assert g.arcs == {}
+    assert arc_dict(g) == {}
 
 
 def test_equality_ignores_input_order():
@@ -63,14 +67,17 @@ def test_equality_ignores_input_order():
     assert a != MultiDigraph.empty(3)
 
 
-def test_from_arc_dict_round_trip():
+def test_multiplicity_matches_arc_map():
     arcs = {(1, 2): 3, (2, 2): 1, (5, 1): 2}
-    g = MultiDigraph.from_arc_dict(5, arcs)
-    assert g.arcs == arcs
+    g = graph_from_arcs(5, arcs)
+    assert arc_dict(g) == arcs
+    for v in range(1, 6):
+        for u in range(1, 6):
+            assert g.multiplicity(v, u) == arcs.get((v, u), 0)
 
 
 def test_edge_list_file_round_trip(tmp_path):
-    g = MultiDigraph.from_arc_dict(4, {(1, 2): 2, (3, 3): 1, (4, 1): 5})
+    g = graph_from_arcs(4, {(1, 2): 2, (3, 3): 1, (4, 1): 5})
     path = tmp_path / "g.tsv"
     write_edge_list(g, path, meta={"seed": 7, "l_n": 8.0, "model": {"kind": "constant", "c": 2.0}})
     back, meta = read_edge_list(path)
@@ -81,7 +88,7 @@ def test_edge_list_file_round_trip(tmp_path):
 
 
 def test_edge_list_text_is_deterministic():
-    g = MultiDigraph.from_arc_dict(3, {(2, 1): 1, (1, 3): 2})
+    g = graph_from_arcs(3, {(2, 1): 1, (1, 3): 2})
     assert edge_list_text(g, {"seed": 0}) == edge_list_text(g, {"seed": 0})
     assert "# n=3" in edge_list_text(g)
 
@@ -103,11 +110,11 @@ def test_read_requires_n_somewhere(tmp_path):
         read_edge_list(path)
     g, _ = read_edge_list(path, n=5)
     assert g.n == 5
-    assert g.arcs == {(1, 2): 1}
+    assert arc_dict(g) == {(1, 2): 1}
 
 
 def test_header_n_flag_override(tmp_path):
-    g = MultiDigraph.from_arc_dict(3, {(1, 2): 1})
+    g = graph_from_arcs(3, {(1, 2): 1})
     path = tmp_path / "g.tsv"
     write_edge_list(g, path)
     bigger, _ = read_edge_list(path, n=10)
@@ -115,7 +122,7 @@ def test_header_n_flag_override(tmp_path):
 
 
 def test_csr_views_match_arcs():
-    g = MultiDigraph.from_arc_dict(4, {(1, 2): 2, (1, 3): 1, (4, 1): 1, (2, 2): 1})
+    g = graph_from_arcs(4, {(1, 2): 2, (1, 3): 1, (4, 1): 1, (2, 2): 1})
     indptr, nbrs = g._out_csr
     out_1 = sorted(nbrs[indptr[0] : indptr[1]].tolist())
     assert out_1 == [1, 2]  # 0-based targets of vertex 1

@@ -50,6 +50,14 @@ def test_experiment_rejects_bad_input():
         scaling_exponent_experiment(Constant(1.0), (64,), reps=2)
 
 
+@pytest.mark.parametrize("option", ["sources", "bootstrap"])
+def test_experiment_rejects_nonpositive_counts(option):
+    with pytest.raises(ValueError, match=f"{option} must be >= 1"):
+        scaling_exponent_experiment(
+            critical_pareto_mirrored(3.5), (64, 128), reps=2, **{option: 0}
+        )
+
+
 def _tiny_run(threads=1, seed=3):
     return scaling_exponent_experiment(
         critical_pareto_mirrored(3.5),

@@ -17,15 +17,14 @@ from poisson_digraph.structure import (
     backward_cluster_size,
     component_summary,
     degree_arrays,
-    degrees,
     forward_cluster,
     forward_cluster_size,
-    strong_class,
     strong_components,
     weak_components,
 )
 from poisson_digraph.weights import ParetoMirrored, sample_weights
 from poisson_digraph.digraph import MultiDigraph
+from graph_helpers import arc_dict, graph_from_arcs
 
 
 def _closure(g):
@@ -49,6 +48,7 @@ def _random_graph(n, seed):
 def test_clusters_match_closure_oracle(seed):
     g = _random_graph(25, seed)
     reach = _closure(g)
+    strong = strong_components(g).strong_labels
     for v in (1, 7, 25):
         fwd = {u + 1 for u in np.nonzero(reach[v - 1])[0]}
         bwd = {u + 1 for u in np.nonzero(reach[:, v - 1])[0]}
@@ -56,7 +56,7 @@ def test_clusters_match_closure_oracle(seed):
         assert backward_cluster(g, v) == bwd
         assert forward_cluster_size(g, v) == len(fwd)
         assert backward_cluster_size(g, v) == len(bwd)
-        assert strong_class(g, v) == fwd & bwd
+        assert set((np.flatnonzero(strong == strong[v - 1]) + 1).tolist()) == fwd & bwd
 
 
 def test_reachability_is_reflexive_on_isolated_vertices():
@@ -64,7 +64,7 @@ def test_reachability_is_reflexive_on_isolated_vertices():
     for v in range(1, 6):
         assert forward_cluster(g, v) == {v}
         assert backward_cluster(g, v) == {v}
-        assert strong_class(g, v) == {v}
+    assert len(set(strong_components(g).strong_labels.tolist())) == 5
 
 
 def test_vertex_id_validation():
@@ -75,17 +75,15 @@ def test_vertex_id_validation():
 
 
 def test_three_cycle_is_one_strong_class():
-    g = MultiDigraph.from_arc_dict(3, {(1, 2): 1, (2, 3): 1, (3, 1): 1})
-    assert strong_class(g, 2) == {1, 2, 3}
+    g = graph_from_arcs(3, {(1, 2): 1, (2, 3): 1, (3, 1): 1})
     labels = strong_components(g).strong_labels
     assert len(set(labels.tolist())) == 1
 
 
 def test_directed_path_has_singleton_strong_classes():
-    g = MultiDigraph.from_arc_dict(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1})
+    g = graph_from_arcs(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1})
     assert forward_cluster(g, 1) == {1, 2, 3, 4}
     assert backward_cluster(g, 4) == {1, 2, 3, 4}
-    assert strong_class(g, 2) == {2}
     assert len(set(strong_components(g).strong_labels.tolist())) == 4
     assert len(set(weak_components(g).weak_labels.tolist())) == 1
 
@@ -114,10 +112,12 @@ def test_component_labels_match_closure_oracle(seed):
 
 
 def test_degrees_exclude_loops():
-    g = MultiDigraph.from_arc_dict(2, {(1, 1): 2, (1, 2): 3, (2, 1): 1})
-    d1, d2 = degrees(g)
-    assert (d1.d_in, d1.d_out, d1.loops, d1.total) == (1, 3, 2, 6)
-    assert (d2.d_in, d2.d_out, d2.loops, d2.total) == (3, 1, 0, 4)
+    g = graph_from_arcs(2, {(1, 1): 2, (1, 2): 3, (2, 1): 1})
+    arr = degree_arrays(g)
+    assert arr.d_in.tolist() == [1, 3]
+    assert arr.d_out.tolist() == [3, 1]
+    assert arr.loops.tolist() == [2, 0]
+    assert arr.total.tolist() == [6, 4]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -125,13 +125,14 @@ def test_degree_arrays_match_per_vertex(seed):
     g = _random_graph(40, 200 + seed)
     arr = degree_arrays(g)
     assert arr.d_in.sum() == arr.d_out.sum() == g.total_arcs - g.total_loops
-    per_vertex = degrees(g)
+    arcs = arc_dict(g)
     for v in (1, 13, 40):
-        d = per_vertex[v - 1]
+        d_in = sum(m for (s, d), m in arcs.items() if d == v and s != v)
+        d_out = sum(m for (s, d), m in arcs.items() if s == v and d != v)
         assert (arr.d_in[v - 1], arr.d_out[v - 1], arr.loops[v - 1]) == (
-            d.d_in,
-            d.d_out,
-            d.loops,
+            d_in,
+            d_out,
+            arcs.get((v, v), 0),
         )
 
 
@@ -147,7 +148,7 @@ def test_component_summary_invariants():
 
 
 def test_component_summary_json():
-    g = MultiDigraph.from_arc_dict(4, {(1, 2): 1, (2, 1): 1})
+    g = graph_from_arcs(4, {(1, 2): 1, (2, 1): 1})
     payload = json.loads(component_summary(g).to_json(topk=3))
     assert payload["n"] == 4
     assert payload["largest_strong"] == 2

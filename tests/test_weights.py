@@ -18,10 +18,8 @@ from poisson_digraph.weights import (
     IndependentProduct,
     MirroredCapacity,
     NormalizerMode,
-    OrientedNR,
     ParetoMarginal,
     ParetoMirrored,
-    WeightPair,
     WeightSequence,
     capacity_marginal,
     critical_pareto_mirrored,
@@ -107,7 +105,6 @@ def test_is_mirrored_and_capacity():
     assert is_mirrored(Constant(2.0))
     assert is_mirrored(ParetoMirrored(3.5, 1.0))
     assert is_mirrored(MirroredCapacity(ConstantMarginal(1.0)))
-    assert is_mirrored(OrientedNR(ConstantMarginal(1.0)))
     assert not is_mirrored(
         IndependentProduct(ConstantMarginal(2.0), ConstantMarginal(2.0))
     )
@@ -139,7 +136,7 @@ def test_critical_tuning():
         model = critical_pareto_mirrored(tau)
         mom = moments(model)
         assert mom.nu_in / mom.mu == pytest.approx(1.0, abs=1e-12)
-    assert critical_pareto_mirrored(3.5).xmin == pytest.approx(1.0 / 3.0)
+    assert critical_pareto_mirrored(3.5).capacity.xmin == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
         critical_pareto_mirrored(3.0)
 
@@ -176,27 +173,15 @@ def test_sample_weights_mean_concentrates():
 def test_weight_sequence_basics():
     w = WeightSequence(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     assert w.n == 2 and len(w) == 2
-    assert w.pair(1) == WeightPair(1.0, 3.0)
+    assert (w.w_in[0], w.w_out[0]) == (1.0, 3.0)
     assert w.sum_in == 3.0 and w.sum_out == 7.0
     assert w.sum_products == 1.0 * 3.0 + 2.0 * 4.0
-    w.check_sums()
     p = w.prefix(1)
     assert p.n == 1 and p.sum_in == 1.0
-    with pytest.raises(ValueError):
-        w.pair(3)
     with pytest.raises(ValueError):
         w.prefix(0)
     with pytest.raises(ValueError):
         WeightSequence(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
-
-
-def test_weight_sequence_tsv_round_trip(tmp_path):
-    w = sample_weights(ParetoMirrored(3.5, 1.0), 20, seed=2)
-    path = tmp_path / "weights.tsv"
-    w.to_tsv(path)
-    back = WeightSequence.from_tsv(path)
-    assert np.allclose(w.w_in, back.w_in)
-    assert np.allclose(w.w_out, back.w_out)
 
 
 # -- normalizer modes ---------------------------------------------------------
@@ -233,7 +218,7 @@ MODELS = [
     Constant(2.0),
     ParetoMirrored(3.5, 1.0),
     MirroredCapacity(ParetoMarginal(4.0, 0.5)),
-    OrientedNR(ConstantMarginal(1.5)),
+    MirroredCapacity(ConstantMarginal(1.5)),
     IndependentProduct(ConstantMarginal(2.0), ParetoMarginal(3.5, 1.2)),
 ]
 
@@ -241,6 +226,17 @@ MODELS = [
 def test_model_json_round_trip():
     for model in MODELS:
         assert model_from_json(model_to_json(model)) == model
+
+
+def test_model_json_canonical_forms():
+    assert model_to_json(Constant(2.0)) == '{"c": 2.0, "kind": "constant"}'
+    assert model_to_json(ParetoMirrored(3.5, 1.0)) == (
+        '{"kind": "pareto-mirrored", "tau": 3.5, "xmin": 1.0}'
+    )
+    # the capacity kinds are input aliases, written back in canonical form
+    for kind in ("mirrored-capacity", "oriented-nr"):
+        alias = {"kind": kind, "capacity": {"kind": "pareto", "tau": 3.5, "xmin": 1.0}}
+        assert model_from_json(alias) == ParetoMirrored(3.5, 1.0)
 
 
 def test_model_json_rejects_unknown_fields():
@@ -257,7 +253,10 @@ def test_parse_model_compact_forms():
     assert parse_model("mirrored-capacity:pareto:4,0.5") == MirroredCapacity(
         ParetoMarginal(4.0, 0.5)
     )
-    assert parse_model("oriented-nr:constant:2") == OrientedNR(ConstantMarginal(2.0))
+    assert parse_model("oriented-nr:constant:2") == MirroredCapacity(ConstantMarginal(2.0))
+    for alias in ("mirrored-capacity", "oriented-nr"):
+        assert parse_model(f"{alias}:constant:2") == parse_model("constant:2")
+        assert parse_model(f"{alias}:pareto:3.5,1") == parse_model("pareto-mirrored:3.5,1")
     assert parse_model("independent-product:constant:2|constant:2") == (
         IndependentProduct(ConstantMarginal(2.0), ConstantMarginal(2.0))
     )
