@@ -57,7 +57,7 @@ from .scaling import (
     scaling_exponent_experiment,
     theoretical_alpha,
 )
-from .streams import AliasTable, derive_seed, stream
+from .streams import derive_seed, stream
 from .structure import (
     ComponentSummary,
     backward_cluster,
@@ -115,7 +115,6 @@ __all__ = [
     "parse_model",
     "sample_weights",
     # streams
-    "AliasTable",
     "derive_seed",
     "stream",
     # graphs

@@ -7,7 +7,8 @@ command rerun with the same configuration and seed produces
 byte-identical output.
 
 Exit codes: 0 success or all checks passed, 1 check failure, 2 usage or
-configuration error, 3 I/O or file-format error.
+configuration error (a fixed-point solver that does not converge counts
+as one), 3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import degree_fit_test
-from .branching import CONFIGURATIONS, survival_fractions
+from .branching import CONFIGURATIONS, ConvergenceError, survival_fractions
 from .digraph import edge_list_text, read_edge_list
 from .sampler import evolve_chain, sample_graph_fast
 from .scaling import scaling_exponent_experiment
@@ -160,10 +161,10 @@ def _model(cfg: RunConfig):
 
 def _threads(cfg: RunConfig) -> int:
     if cfg.threads is not None:
-        return max(1, int(cfg.threads))
+        return int(cfg.threads)
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        return int(raw)
     except ValueError:
         raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
@@ -462,7 +463,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return args.handler(cfg)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IOFailure as exc:

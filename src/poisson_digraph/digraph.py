@@ -44,9 +44,9 @@ class MultiDigraph:
         codes = src * (n + 1) + dst
         order = np.argsort(codes, kind="stable")
         codes, src, dst, mult = codes[order], src[order], dst[order], mult[order]
-        uniq, start = np.unique(codes, return_index=True)
-        if uniq.size != codes.size:
-            mult = np.add.reduceat(mult, start) if codes.size else mult
+        start = np.flatnonzero(np.diff(codes, prepend=-1))
+        if start.size != codes.size:
+            mult = np.add.reduceat(mult, start)
             src, dst = src[start], dst[start]
         self.n = int(n)
         self.src = src

@@ -3,8 +3,11 @@
 Given realized weights and a normalizer L, every ordered vertex pair (v, u),
 diagonal included, carries an independent Poisson(w_out(v) * w_in(u) / L)
 arc count.  Two samplers realize this law: a quadratic per-pair reference
-sampler and a linear-time sampler that draws the Poisson total arc count and
-places arcs i.i.d. via alias tables (valid by Poisson superposition).
+sampler and a near-linear sampler that draws the Poisson total arc count K and
+places the K arcs i.i.d. (valid by Poisson superposition).  Endpoints come
+from one inverse-CDF lookup of sorted uniforms; pairing that sorted sample
+with a uniformly shuffled independent one gives the same law of arc
+multisets as two i.i.d. sequences.
 
 Also provided: one-vertex growth via Poisson thinning, and the mirrored-sum
 constructions (two opposedly oriented undirected samples, or one doubled
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import MultiDigraph
-from .streams import AliasTable, stream
+from .streams import stream
 from .weights import (
     Marginal,
     NormalizerMode,
@@ -69,7 +72,7 @@ def sample_graph_naive(
     """Reference sampler: one Poisson draw per ordered pair, O(n^2).
 
     Guarded at ``max_n`` vertices unless ``allow_large`` is set; intended as
-    the distributional oracle for the linear-time sampler.
+    the distributional oracle for the fast sampler.
     """
     _check_l(l_n)
     n = w.n
@@ -96,21 +99,34 @@ def sample_graph_naive(
     )
 
 
+def _draw_vertices(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` i.i.d. 1-based vertex ids with P(v) proportional to weights[v - 1], sorted.
+
+    Inverse CDF of sorted uniforms: the lookups walk the cumulative sums in
+    order.  u * total < total for every u in [0, 1), so no id exceeds n.
+    """
+    cdf = np.cumsum(weights)
+    return np.searchsorted(cdf, np.sort(rng.random(size)) * cdf[-1], side="right") + 1
+
+
 def sample_graph_fast(w: WeightSequence, l_n: float, seed: int) -> MultiDigraph:
-    """Linear-time sampler, O(n + number of arcs).
+    """Near-linear sampler, O(n + K log K) for K arcs.
 
     Draws the total arc count K ~ Poisson((sum w_out)(sum w_in) / L), then
     K sources i.i.d. proportional to w_out and K targets proportional to
-    w_in via alias tables.  Superposition and thinning of Poisson processes
-    make the per-pair counts independent Poissons with the product rates.
+    w_in.  Superposition and thinning of Poisson processes make the
+    per-pair counts independent Poissons with the product rates.  Both
+    endpoint samples come out sorted; shuffling the targets makes them an
+    i.i.d. sequence independent of the sources, so pairing them with the
+    sorted sources gives the same arc multiset law as two i.i.d. sequences.
     """
     _check_l(l_n)
     rng = stream(seed, "fast")
     k = int(rng.poisson(w.sum_out * w.sum_in / l_n))
     if k == 0:
         return MultiDigraph.empty(w.n)
-    src = AliasTable(w.w_out).sample(rng, k) + 1
-    dst = AliasTable(w.w_in).sample(rng, k) + 1
+    src = _draw_vertices(w.w_out, k, rng)
+    dst = rng.permutation(_draw_vertices(w.w_in, k, rng))
     return _unit_arcs(w.n, src, dst)
 
 
@@ -191,19 +207,19 @@ def _nr_oriented_arcs(
 
     Unordered pair {v, w}, v != w, carries Poisson(cap_v cap_w / l_n) edges
     and the diagonal Poisson(cap_v^2 / (2 l_n)), realized by drawing the
-    Poisson total (sum cap)^2 / (2 l_n) and both endpoints i.i.d.
-    proportional to cap.  Orientation: 'higher' and 'lower' point every
-    edge toward the higher / lower index (loops stay loops); 'uniform'
-    keeps the exchangeable endpoint order, which is a fair coin per edge.
+    total K ~ Poisson((sum cap)^2 / (2 l_n)) and both endpoints i.i.d.
+    proportional to cap: one sorted sample of 2K ids, shuffled into an
+    i.i.d. sequence and split into the two endpoint columns.  Orientation:
+    'higher' and 'lower' point every edge toward the higher / lower index
+    (loops stay loops); 'uniform' keeps the exchangeable endpoint order,
+    which is a fair coin per edge.
     """
     total = float(cap.sum()) ** 2 / (2.0 * l_n)
     k = int(rng.poisson(total))
     if k == 0:
         z = np.zeros(0, dtype=np.int64)
         return z, z
-    table = AliasTable(cap)
-    a = table.sample(rng, k) + 1
-    b = table.sample(rng, k) + 1
+    a, b = rng.permutation(_draw_vertices(cap, 2 * k, rng)).reshape(2, k)
     if orientation == "higher":
         return np.minimum(a, b), np.maximum(a, b)
     if orientation == "lower":

@@ -165,6 +165,8 @@ def scaling_exponent_experiment(
         raise ValueError(f"sources must be >= 1, got {sources}")
     if bootstrap < 1:
         raise ValueError(f"bootstrap must be >= 1, got {bootstrap}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     mu = moments(model).mu
     tasks = [
         (i, r, derive_seed(seed, "scaling", n, r))

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "derive_seed", "AliasTable"]
+__all__ = ["stream", "derive_seed"]
 
 
 def _tag_to_int(tag: str | int) -> int:
@@ -49,50 +49,3 @@ def derive_seed(seed: int, *tags: str | int) -> int:
     state = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
     return (int(state[0]) ^ (int(state[1]) << 1)) & 0x7FFFFFFFFFFFFFFF
 
-
-class AliasTable:
-    """Walker/Vose alias table for O(1) draws from a finite weighted law.
-
-    Construction is O(n) and deterministic; ``sample`` consumes exactly two
-    uniforms per draw from the supplied generator.
-    """
-
-    def __init__(self, weights: np.ndarray):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-d array")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive sum")
-        n = w.size
-        scaled = w * (n / total)
-        prob = np.ones(n, dtype=np.float64)
-        alias = np.arange(n, dtype=np.int64)
-        # explicit index stacks keep the construction order deterministic
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = g
-            scaled[g] = (scaled[g] + scaled[s]) - 1.0
-            if scaled[g] < 1.0:
-                small.append(g)
-            else:
-                large.append(g)
-        for i in small + large:
-            prob[i] = 1.0
-            alias[i] = i
-        self.n = n
-        self._prob = prob
-        self._alias = alias
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` indices in [0, n)."""
-        k = rng.integers(0, self.n, size=size)
-        u = rng.random(size)
-        return np.where(u < self._prob[k], k, self._alias[k])

@@ -148,6 +148,13 @@ def test_survival_rejects_nonpositive_tol():
         assert res.stderr.startswith("error: tol must be positive")
 
 
+def test_survival_near_criticality_is_a_configuration_error():
+    res = run_cli("survival", "--model", "constant:1.0001")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: no convergence")
+    assert "Traceback" not in res.stderr
+
+
 def test_survival_plain_default():
     res = run_cli("survival", "--model", "constant:2")
     payload = json.loads(res.stdout)
@@ -213,10 +220,17 @@ def test_scaling_model_and_tau_are_exclusive():
 
 def test_scaling_rejects_nonpositive_counts():
     args = ("scaling", "--tau", "3.5", "--critical", "--n-list", "128,256", "--reps", "2")
-    for flag in ("--sources", "--bootstrap"):
+    for flag in ("--sources", "--bootstrap", "--threads"):
         res = run_cli(*args, flag, "0")
         assert res.returncode == 2
         assert res.stderr.startswith(f"error: {flag[2:]} must be >= 1")
+    res = run_cli(*args, "--threads", "-3")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: threads must be >= 1")
+    for raw in ("0", "-3"):
+        res = run_cli(*args, env_extra={"POISSON_DIGRAPH_THREADS": raw})
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: threads must be >= 1")
 
 
 def test_verify_graph_mode(tmp_path):

@@ -50,7 +50,7 @@ def test_experiment_rejects_bad_input():
         scaling_exponent_experiment(Constant(1.0), (64,), reps=2)
 
 
-@pytest.mark.parametrize("option", ["sources", "bootstrap"])
+@pytest.mark.parametrize("option", ["sources", "bootstrap", "threads"])
 def test_experiment_rejects_nonpositive_counts(option):
     with pytest.raises(ValueError, match=f"{option} must be >= 1"):
         scaling_exponent_experiment(

@@ -180,8 +180,9 @@ def test_weight_sequence_basics():
     assert p.n == 1 and p.sum_in == 1.0
     with pytest.raises(ValueError):
         w.prefix(0)
-    with pytest.raises(ValueError):
-        WeightSequence(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+    for bad in ([], [1.0, -1.0], [np.inf, 1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            WeightSequence(np.array(bad), np.ones(len(bad)))
 
 
 # -- normalizer modes ---------------------------------------------------------
