@@ -14,8 +14,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
+# scipy.stats is imported inside the functions that use it: loading it is
+# most of the package's import time, and most commands never call them.
 from .digraph import MultiDigraph
 from .structure import degree_arrays
 from .streams import stream
@@ -65,6 +66,8 @@ def poisson_tv(u: float, lam: float) -> float:
     1e-12.  Rate 0 denotes the unit mass at zero, so
     poisson_tv(0, u) = 1 - exp(-u).
     """
+    from scipy import stats
+
     for r in (u, lam):
         if not (r >= 0 and math.isfinite(r)):
             raise ValueError(f"rates must be finite and nonnegative, got {r}")
@@ -138,6 +141,8 @@ def mixed_poisson_pmf(
     average of the conditional product pmfs over ``mc_samples`` weight
     pairs (seeded, fixed quadrature).
     """
+    from scipy import stats
+
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     w_in, w_out = mixing_pairs(model, mc_samples, seed)
@@ -162,6 +167,8 @@ def mixed_poisson_tail(
     seed: int = 0,
 ) -> np.ndarray:
     """Marginal tail P(d >= k) of the limiting in- or out-degree law."""
+    from scipy import stats
+
     if side not in ("in", "out"):
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
     w_in, w_out = mixing_pairs(model, mc_samples, seed)
@@ -420,6 +427,8 @@ def poisson_chisquare(
     Cells are merged left to right until each expected count reaches
     ``min_expected``; the final cell absorbs the upper tail.
     """
+    from scipy import stats
+
     samples = np.asarray(samples, dtype=np.int64)
     r = samples.size
     if r == 0:
@@ -463,6 +472,8 @@ def product_poisson_chisquare(
     coordinate pmfs on a grid covering all but 1e-9 of the mass, with all
     low-expectation cells and the off-grid remainder merged into one bin.
     """
+    from scipy import stats
+
     samples = np.asarray(samples, dtype=np.int64)
     if samples.ndim != 2:
         raise ValueError("samples must have shape (r, k)")

@@ -8,7 +8,10 @@ immutable once constructed.
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import warnings
 from functools import cached_property
 from pathlib import Path
 
@@ -17,6 +20,8 @@ import numpy as np
 __all__ = ["MultiDigraph", "edge_list_text", "write_edge_list", "read_edge_list"]
 
 _FORMAT_TAG = "poisson-digraph edge list v1"
+_INT64_MAX = 2**63 - 1
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 class MultiDigraph:
@@ -38,6 +43,9 @@ class MultiDigraph:
                 raise ValueError(f"vertex ids must lie in 1..{n}")
             if mult.min() < 0:
                 raise ValueError("multiplicities must be nonnegative")
+            # merged counts and total_arcs are int64 sums; max * size bounds them cheaply
+            if mult.max() > _INT64_MAX // mult.size and sum(mult.tolist()) > _INT64_MAX:
+                raise ValueError("total multiplicity exceeds 2**63 - 1")
         keep = mult > 0
         src, dst, mult = src[keep], dst[keep], mult[keep]
         # merge duplicates and fix a canonical (src, dst) order
@@ -135,9 +143,34 @@ def edge_list_text(g: MultiDigraph, meta: dict | None = None) -> str:
             value = json.dumps(value, sort_keys=True)
         lines.append(f"# {key}={value}")
     lines.append("# src\tdst\tmultiplicity")
-    for s, d, m in zip(g.src, g.dst, g.mult):
-        lines.append(f"{s}\t{d}\t{m}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _rows_text(g.src, g.dst, g.mult)
+
+
+def _rows_text(src: np.ndarray, dst: np.ndarray, mult: np.ndarray) -> str:
+    """'src<TAB>dst<TAB>mult' rows of nonnegative int64 arrays, in one numpy pass.
+
+    Each column fills a block of byte cells as wide as its largest value,
+    digits right-aligned and followed by a tab or newline; the cells left
+    of each value's leading digit are masked out.
+    """
+    if src.size == 0:
+        return ""
+    columns = (src, dst, mult)
+    widths = [len(str(int(col.max()))) for col in columns]
+    cells = np.empty((src.size, sum(widths) + 3), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    end = 0
+    for col, width, sep in zip(columns, widths, b"\t\t\n"):
+        q = col
+        for j in reversed(range(end, end + width)):
+            q, digit = np.divmod(q, 10)
+            cells[:, j] = digit + ord("0")
+            if j > end:
+                keep[:, j - 1] = q != 0
+        end += width
+        cells[:, end] = sep
+        end += 1
+    return cells[keep].tobytes().decode("ascii")
 
 
 def write_edge_list(g: MultiDigraph, path: str | Path, meta: dict | None = None) -> None:
@@ -148,39 +181,67 @@ def write_edge_list(g: MultiDigraph, path: str | Path, meta: dict | None = None)
 def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph, dict]:
     """Read an edge-list file; returns (graph, header metadata).
 
-    n is taken from the header unless supplied explicitly.  Malformed data
+    Data lines hold three whitespace-separated int64 fields; blank lines
+    are skipped, and a line whose first non-blank character is '#' is a
+    comment, read as ``key=value`` metadata when it has an '='.  n is
+    taken from the header unless supplied explicitly.  Malformed data
     lines raise ValueError naming the line number.
     """
+    # bytes, not str: loadtxt walks a file object line by line, and a
+    # StringIO would hold four bytes per character of the whole file
+    raw = Path(path).read_bytes()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     meta: dict[str, str] = {}
-    src, dst, mult = [], [], []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'src\\tdst\\tmultiplicity'")
-        try:
-            s, d, m = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        src.append(s)
-        dst.append(d)
-        mult.append(m)
+    at = raw.find(b"#")
+    while at >= 0:
+        start = raw.rfind(b"\n", 0, at) + 1
+        end = raw.find(b"\n", at)
+        end = len(raw) if end < 0 else end
+        if raw[start:at].decode("latin-1").strip():
+            raise _malformed_line(raw)  # a '#' after data on the same line
+        body = raw[at + 1 : end].decode().strip()
+        if "=" in body:
+            key, _, value = body.partition("=")
+            meta[key.strip()] = value.strip()
+        at = raw.find(b"#", end)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(
+                io.BytesIO(raw), dtype=np.int64, comments="#", ndmin=2, encoding="latin-1"
+            )
+    except ValueError:
+        raise _malformed_line(raw) from None
+    if rows.size and rows.shape[1] != 3:
+        raise _malformed_line(raw)
     if n is None:
         if "n" not in meta:
             raise ValueError("no n declared in header and none supplied")
         n = int(meta["n"])
-    g = MultiDigraph(
-        n,
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
-        np.array(mult, dtype=np.int64),
-    )
-    return g, meta
+    src, dst, mult = rows.reshape(-1, 3).T
+    return MultiDigraph(n, src, dst, mult), meta
+
+
+def _malformed_line(raw: bytes) -> ValueError:
+    """The error naming the first data line that is not three int64 fields.
+
+    Called only after ``raw`` failed the array parse, to report where; it
+    reads lines as loadtxt does (latin-1, any whitespace separates fields)
+    and returns no parsed values.
+    """
+    for lineno, line in enumerate(raw.decode("latin-1").split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 3:
+            return ValueError(
+                f"line {lineno}: expected 3 fields 'src dst multiplicity', got {len(fields)}"
+            )
+        for field in fields:
+            if not _INT_FIELD.fullmatch(field):
+                shown = field.encode("latin-1").decode(errors="replace")
+                return ValueError(f"line {lineno}: {shown!r} is not an integer")
+            if not -_INT64_MAX - 1 <= int(field) <= _INT64_MAX:
+                return ValueError(f"line {lineno}: {field} does not fit in int64")
+    return ValueError("malformed edge list")

@@ -74,6 +74,31 @@ def test_malformed_edge_list_exits_three(tmp_path):
     assert "line 2" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1\t2\t99999999999999999999\n", "line 2: "),
+        ("1\t2\t9223372036854775807\n1\t2\t1\n", "exceeds 2**63 - 1"),
+        (f"1\t2\t{2**62}\n2\t1\t{2**62}\n", "exceeds 2**63 - 1"),
+    ],
+    ids=["int64-overflow", "merged-overflow", "total-overflow"],
+)
+def test_oversized_multiplicity_exits_three(tmp_path, rows, message):
+    bad = tmp_path / "big.tsv"
+    bad.write_text("# n=3\n" + rows)
+    for args in (["components"], ["stats", "--model", "constant:2"]):
+        res = run_cli(*args, "--in", str(bad))
+        assert res.returncode == 3
+        assert res.stderr.startswith(f"error: {bad}: ")
+        assert message in res.stderr
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, poisson_digraph.cli; assert 'scipy.stats' not in sys.modules"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
 def test_headerless_file_needs_n_flag(tmp_path):
     headerless = tmp_path / "plain.tsv"
     headerless.write_text("1\t2\t1\n2\t3\t1\n")

@@ -1,5 +1,7 @@
 """Tests for the multigraph container and the edge-list file format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,19 @@ def test_vertex_range_validation():
         MultiDigraph(2, np.array([1]), np.array([2]), np.array([-1]))
     with pytest.raises(ValueError):
         MultiDigraph(0, np.array([], dtype=int), np.array([], dtype=int), np.array([], dtype=int))
+
+
+def test_multiplicity_overflow_is_rejected():
+    big = 2**62
+    # one pair merged past int64
+    with pytest.raises(ValueError, match="exceeds 2\\*\\*63 - 1"):
+        MultiDigraph(2, np.array([1, 1]), np.array([2, 2]), np.array([2**63 - 1, 1]))
+    # two distinct pairs whose total passes int64
+    with pytest.raises(ValueError, match="exceeds 2\\*\\*63 - 1"):
+        MultiDigraph(2, np.array([1, 2]), np.array([2, 1]), np.array([big, big]))
+    g = MultiDigraph(2, np.array([1, 2, 1]), np.array([2, 1, 2]), np.array([big, big - 2, 1]))
+    assert g.total_arcs == 2**63 - 1
+    assert g.multiplicity(1, 2) == big + 1
 
 
 def test_loops_counted_once():
@@ -91,6 +106,101 @@ def test_edge_list_text_is_deterministic():
     g = graph_from_arcs(3, {(2, 1): 1, (1, 3): 2})
     assert edge_list_text(g, {"seed": 0}) == edge_list_text(g, {"seed": 0})
     assert "# n=3" in edge_list_text(g)
+
+
+def _row_loop_text(g):
+    """Edge-list text rendered one f-string per row, the reference for the array writer."""
+    lines = ["# poisson-digraph edge list v1", f"# n={g.n}", "# src\tdst\tmultiplicity"]
+    for s, d, m in zip(g.src, g.dst, g.mult):
+        lines.append(f"{s}\t{d}\t{m}")
+    return "\n".join(lines) + "\n"
+
+
+def _random_graph():
+    rng = np.random.default_rng(5)
+    k = 2000
+    # multiplicities of every width from 1 to 15 digits, plus one of 2**62 (19 digits)
+    mult = 10 ** rng.integers(0, 15, k) + rng.integers(0, 10, k)
+    mult[0] = 2**62
+    return MultiDigraph(
+        10**6, rng.integers(1, 10**6 + 1, k), rng.integers(1, 10**6 + 1, k), mult
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _random_graph(),
+        MultiDigraph(1, np.array([1]), np.array([1]), np.array([3])),
+        MultiDigraph.empty(3),
+    ],
+    ids=["random", "single-loop", "empty"],
+)
+def test_edge_list_text_matches_row_loop(g, tmp_path):
+    text = edge_list_text(g)
+    assert text == _row_loop_text(g)
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    back, meta = read_edge_list(path)
+    assert back == g
+    assert meta["n"] == str(g.n)
+
+
+def test_read_skips_blank_lines_and_reads_comments_anywhere(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text(
+        "# n=4\n\n1\t2\t1\n   \n\t\n# mid=1\n2\t3\t2\n   #  spaced = a b \n4 4 1\n\n"
+    )
+    g, meta = read_edge_list(path)
+    assert arc_dict(g) == {(1, 2): 1, (2, 3): 2, (4, 4): 1}
+    assert meta == {"n": "4", "mid": "1", "spaced": "a b"}
+
+
+def test_read_crlf_line_endings(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"# n=3\r\n# seed=7\r\n1\t2\t1\r\n3\t3\t4\r\n")
+    g, meta = read_edge_list(path)
+    assert arc_dict(g) == {(1, 2): 1, (3, 3): 4}
+    assert meta == {"n": "3", "seed": "7"}
+
+
+def test_read_headerless_file_given_n(tmp_path):
+    path = tmp_path / "plain.tsv"
+    path.write_text("1\t2\t1\n2\t1\t3\n")
+    g, meta = read_edge_list(path, n=2)
+    assert arc_dict(g) == {(1, 2): 1, (2, 1): 3}
+    assert meta == {}
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1\t2",
+        "1\t2\t1\t4",
+        "1\t2\t1.5",
+        "1\t2\t99999999999999999999",
+        "1\t2\t1_0",
+        "1\t2\t\u0663",
+        "1\t2\t1 # trailing",
+    ],
+    ids=["two-columns", "four-columns", "non-integer", "int64-overflow", "underscore",
+         "non-ascii-digit", "trailing-comment"],
+)
+def test_read_names_the_malformed_line(tmp_path, row):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# n=3\n1\t2\t1\n\n# c\n{row}\n3\t1\t1\n")
+    with pytest.raises(ValueError, match="^line 5: "):
+        read_edge_list(path)
+
+
+@pytest.mark.parametrize("text", ["# n=3\n", "", "\n  \n\t\n"], ids=["header-only", "empty", "blank"])
+def test_read_data_less_file_is_empty_graph(tmp_path, text):
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, _ = read_edge_list(path, n=3)
+    assert g == MultiDigraph.empty(3)
 
 
 def test_read_reports_malformed_line_number(tmp_path):
