@@ -31,9 +31,7 @@ from .analysis import (
 )
 from .branching import (
     CONFIGURATIONS,
-    ConvergenceError,
     SurvivalReport,
-    nr_giant_fraction,
     solve_extinction,
     survival_fractions,
 )
@@ -60,11 +58,9 @@ from .scaling import (
 from .streams import derive_seed, stream
 from .structure import (
     ComponentSummary,
-    backward_cluster,
     backward_cluster_size,
     component_summary,
     degree_arrays,
-    forward_cluster,
     forward_cluster_size,
     strong_components,
     weak_components,
@@ -135,11 +131,9 @@ __all__ = [
     "sample_randomly_oriented_nr",
     # structure
     "ComponentSummary",
-    "backward_cluster",
     "backward_cluster_size",
     "component_summary",
     "degree_arrays",
-    "forward_cluster",
     "forward_cluster_size",
     "strong_components",
     "weak_components",
@@ -162,9 +156,7 @@ __all__ = [
     "product_poisson_chisquare",
     # branching
     "CONFIGURATIONS",
-    "ConvergenceError",
     "SurvivalReport",
-    "nr_giant_fraction",
     "solve_extinction",
     "survival_fractions",
     # scaling

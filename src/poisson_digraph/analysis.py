@@ -4,11 +4,13 @@ Contains the exact total-variation distance between Poisson laws, the
 mixed-Poisson degree prediction (joint in/out pmf and tail), goodness-of-fit
 tests for degrees and loop totals, conditional per-vertex degree rates at
 fixed weights, and a resampling test quantifying the dependence between the
-degrees of a fixed set of tracked vertices.
+degrees of a fixed set of tracked vertices.  Every limiting expectation is a
+weighted sum over the deterministic quadrature rule of one weight marginal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +25,8 @@ from .streams import stream
 from .weights import (
     ConstantMarginal,
     IndependentProduct,
+    Marginal,
+    MirroredCapacity,
     NormalizerMode,
     WeightModel,
     WeightSequence,
@@ -85,28 +89,80 @@ def poisson_tv(u: float, lam: float) -> float:
 
 # -- mixed-Poisson degree law -------------------------------------------------
 
+QUAD_NODES = 512
+# nodes are capped at 1e300, where 1 - exp(-x s) for s >= 1e-290, the
+# Poisson pmf and its tail have all saturated
+_NODE_CAP = 1e300
 
-def mixing_pairs(model: WeightModel, size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A quadrature sample (w_in, w_out) from the weight-pair law.
 
-    Degenerate models return a single atom, which makes downstream sample
-    means exact; otherwise ``size`` i.i.d. pairs are drawn from a stream
-    independent of the graph-weight stream.
+@functools.lru_cache(maxsize=64)
+def _quadrature(marginal: Marginal, size_biased: bool = False, n_nodes: int = QUAD_NODES):
+    """Nodes x, weights p: sum(p f(x)) ~ E[f(W)], or E[(W / mu) f(W)] if size_biased.
+
+    A ConstantMarginal is one exact atom.  For a Pareto marginal,
+    W = xmin (1 - u)^(-1/(tau - 1)) with 1 - u = t^m makes the expectation
+    an integral over t in (0, 1), taken by n_nodes-point Gauss-Legendre;
+    m = max(10, ceil(3 (tau - 1) / (tau - 2))) makes even the size-biased
+    integrand vanish like t^2 at 0.  Each weight is one power of t, so none
+    overflows however large its node.
     """
-    if _degenerate(model):
-        return _pairs_from_uniforms(model, np.zeros((1, 2)))
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    return _pairs_from_uniforms(model, stream(seed, "mixing").random((size, 2)))
+    if isinstance(marginal, ConstantMarginal):
+        return np.array([marginal.value]), np.ones(1)
+    tau, xmin = marginal.tau, marginal.xmin
+    m = max(10, math.ceil(3.0 * (tau - 1.0) / (tau - 2.0)))
+    log_t, g = _legendre(n_nodes)
+    nodes = np.exp(np.minimum(math.log(xmin) - m / (tau - 1.0) * log_t, math.log(_NODE_CAP)))
+    if size_biased:
+        power = m * (tau - 2.0) / (tau - 1.0) - 1.0
+        weights = (tau - 2.0) / (tau - 1.0) * m * g * np.exp(power * log_t)
+    else:
+        weights = m * g * np.exp((m - 1.0) * log_t)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=4)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log t, weights) of the n-point Gauss-Legendre rule on (0, 1).
+
+    Five Newton steps on P_n(cos theta) from theta = pi (k + 3/4) / (n + 1/2)
+    reach rounding; t = sin^2(theta / 2) keeps the nodes near 0 precise, and
+    elementwise numpy alone keeps the rule the same on every machine.
+    """
+    theta = np.pi * (np.arange(n) + 0.75) / (n + 0.5)
+    for step in range(6):
+        z = np.cos(theta)
+        p_prev, p = np.ones(n), z
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * z * p - (k - 1) * p_prev) / k
+        slope = n * (z * p - p_prev) / (z * z - 1.0) * np.sin(theta)  # -dP_n/dtheta
+        if step < 5:
+            theta = theta + p / slope
+    return 2.0 * np.log(np.sin(theta / 2.0)), 1.0 / slope**2
+
+
+def _marginals(model: WeightModel) -> tuple[Marginal, Marginal]:
+    """(in, out) marginal laws; both are the capacity law of a mirrored model."""
+    if isinstance(model, IndependentProduct):
+        return model.marginal_in, model.marginal_out
+    return capacity_marginal(model), capacity_marginal(model)
+
+
+def mixing_pairs(model: WeightModel, size: int = 0, seed: int = 0) -> tuple[np.ndarray, ...]:
+    """The rule (w_in, w_out, weights) of the weight-pair law, one node per pair.
+
+    A mirrored model's is its capacity rule, an independent product's the
+    outer product of its marginal rules.  ``size`` and ``seed`` are ignored.
+    """
+    (x_in, p_in), (x_out, p_out) = map(_quadrature, _marginals(model))
+    if isinstance(model, MirroredCapacity):
+        return x_in, x_out, p_in
+    return np.repeat(x_in, x_out.size), np.tile(x_out, x_in.size), np.outer(p_in, p_out).ravel()
 
 
 def _degenerate(model: WeightModel) -> bool:
     """True when every marginal of the model is a ConstantMarginal."""
-    if isinstance(model, IndependentProduct):
-        marginals = (model.marginal_in, model.marginal_out)
-    else:
-        marginals = (capacity_marginal(model),)
-    return all(isinstance(m, ConstantMarginal) for m in marginals)
+    return all(isinstance(m, ConstantMarginal) for m in _marginals(model))
 
 
 @dataclass(frozen=True)
@@ -132,54 +188,37 @@ class Pmf:
         return self.masses.shape[0] - 1
 
 
-def mixed_poisson_pmf(
-    model: WeightModel, kmax: int, mc_samples: int = 200_000, seed: int = 0
-) -> Pmf:
+def mixed_poisson_pmf(model: WeightModel, kmax: int, mc_samples: int = 0, seed: int = 0) -> Pmf:
     """Limiting joint degree pmf E[Poisson(w_in) x Poisson(w_out)].
 
-    Exact for models with a degenerate mixing law; otherwise a Monte Carlo
-    average of the conditional product pmfs over ``mc_samples`` weight
-    pairs (seeded, fixed quadrature).
+    A sum over the capacity rule for a mirrored model, the outer product of
+    two 1-d pmfs for an independent one.  ``mc_samples`` and ``seed`` are
+    accepted for compatibility and ignored.
     """
     from scipy import stats
 
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    w_in, w_out = mixing_pairs(model, mc_samples, seed)
     k = np.arange(kmax + 1)
-    joint = np.zeros((kmax + 1, kmax + 1))
-    chunk = max(1, 20_000_000 // (4 * (kmax + 1)))
-    for lo in range(0, w_in.size, chunk):
-        hi = min(w_in.size, lo + chunk)
-        pin = stats.poisson.pmf(k[None, :], w_in[lo:hi, None])
-        pout = stats.poisson.pmf(k[None, :], w_out[lo:hi, None])
-        joint += np.einsum("sj,sk->jk", pin, pout)
-    joint /= w_in.size
+    (x_in, p_in), (x_out, p_out) = map(_quadrature, _marginals(model))
+    pois_in = stats.poisson.pmf(k[None, :], x_in[:, None])
+    if isinstance(model, MirroredCapacity):
+        joint = (pois_in * p_in[:, None]).T @ pois_in
+    else:
+        joint = np.outer(p_in @ pois_in, p_out @ stats.poisson.pmf(k[None, :], x_out[:, None]))
     tail = max(0.0, 1.0 - float(joint.sum()))
     return Pmf(masses=joint, tail_mass=tail)
 
 
-def mixed_poisson_tail(
-    model: WeightModel,
-    ks: np.ndarray,
-    side: str = "in",
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-) -> np.ndarray:
+def mixed_poisson_tail(model: WeightModel, ks: np.ndarray, side: str = "in") -> np.ndarray:
     """Marginal tail P(d >= k) of the limiting in- or out-degree law."""
     from scipy import stats
 
     if side not in ("in", "out"):
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
-    w_in, w_out = mixing_pairs(model, mc_samples, seed)
-    w = w_in if side == "in" else w_out
+    x, p = _quadrature(_marginals(model)[side == "out"])
     ks = np.asarray(ks, dtype=np.int64)
-    acc = np.zeros(ks.size)
-    chunk = max(1, 20_000_000 // max(1, ks.size))
-    for lo in range(0, w.size, chunk):
-        hi = min(w.size, lo + chunk)
-        acc += stats.poisson.sf(ks[None, :] - 1, w[lo:hi, None]).sum(axis=0)
-    return acc / w.size
+    return p @ stats.poisson.sf(ks[None, :] - 1, x[:, None])
 
 
 # -- degree goodness of fit ---------------------------------------------------
@@ -201,7 +240,6 @@ def degree_fit_test(
     model: WeightModel,
     kmax: int = 50,
     threshold: float = 0.01,
-    mc_samples: int = 200_000,
     seed: int = 0,
 ) -> DegreeFitResult:
     """Compare the empirical joint (d_in, d_out) pmf to the mixed-Poisson limit.
@@ -209,7 +247,7 @@ def degree_fit_test(
     The statistic is the total variation on the truncated grid with all
     overflow lumped into one cell, a lower bound of the full TV.  Degrees
     exclude loops.  The comparison is asymptotic in n; a warning is issued
-    for n below 1000.
+    for n below 1000.  ``seed`` is accepted for compatibility and ignored.
     """
     if g.n < 1000:
         warnings.warn(
@@ -224,7 +262,7 @@ def degree_fit_test(
     emp /= g.n
     emp_grid = emp[: kmax + 1, : kmax + 1]
     emp_tail = float(1.0 - emp_grid.sum())
-    theory = mixed_poisson_pmf(model, kmax, mc_samples=mc_samples, seed=seed)
+    theory = mixed_poisson_pmf(model, kmax)
     statistic = 0.5 * (
         float(np.abs(emp_grid - theory.masses).sum()) + abs(emp_tail - theory.tail_mass)
     )

@@ -7,52 +7,41 @@ Poisson(its w_out) children.  Extinction probabilities are the minimal
 fixed points of the associated generating-function equations; survival
 fractions of graph-level clusters follow by averaging over the root weight.
 
-All expectations run over a fixed quadrature sample from the mixing law:
-a single atom for degenerate models (making the iteration a closed-form
-evaluation) and a seeded Monte Carlo sample otherwise.
+Every expectation is a sum over the quadrature rule of one weight marginal
+(``analysis._quadrature``), and every equation is solved for the survival
+probability s = 1 - q by a bracketed root (Brent's method), so a root
+near criticality keeps its relative precision.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, asdict
-from typing import Callable
+from dataclasses import dataclass, asdict, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import mixing_pairs
-from .weights import (
-    IndependentProduct,
-    Marginal,
-    MirroredCapacity,
-    WeightModel,
-    is_mirrored,
-    moments,
-)
+from .analysis import QUAD_NODES, _quadrature
+from .weights import IndependentProduct, Marginal, MirroredCapacity, WeightModel, moments
 
-__all__ = [
-    "ConvergenceError",
-    "SurvivalReport",
-    "CONFIGURATIONS",
-    "solve_extinction",
-    "survival_fractions",
-    "nr_giant_fraction",
-]
+__all__ = ["SurvivalReport", "CONFIGURATIONS", "solve_extinction", "survival_fractions"]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
-DEFAULT_MC_SAMPLES = 1_000_000
 
 CONFIGURATIONS = ("mirrored-sum", "independent-sum", "plain")
 
+# every equation here reads s = E[...] with E[...] <= 1, so its root lies
+# below _S_MAX; a root below _S_MIN is reported as 0
+_S_MAX = 2.0
+_S_MIN = 1e-290
+# brentq's smallest relative tolerance, four machine epsilons
+_RTOL_MIN = 4 * np.finfo(np.float64).eps
 
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration ran out of iterations; carries the last iterate."""
 
-    def __init__(self, message: str, last_iterate):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+class _Root(NamedTuple):
+    s: float
+    iterations: int
+    residual: float
 
 
 def _check_tol(tol: float) -> None:
@@ -60,108 +49,123 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive, got {tol}")
 
 
-def _fixed_point(step: Callable, start, tol: float, max_iter: int):
-    """Iterate ``step`` from ``start`` until successive values differ < tol.
+def _largest_root(f: Callable[[float], float], rtol: float) -> _Root:
+    """The positive root of the concave f(s) = E[...] - s, f(0) = 0, to relative tolerance rtol.
 
-    The maps used here are monotone in each coordinate, so iteration from
-    zero converges upward to the minimal fixed point.
+    f > 0 below the root, so the bracket's lower end steps down from _S_MAX
+    by factors of 2**16 until f turns positive; if it never does above
+    _S_MIN, the process is subcritical and s = 0.
     """
-    current = start
-    for _ in range(max_iter):
-        nxt = step(current)
-        gap = np.max(np.abs(np.asarray(nxt) - np.asarray(current)))
-        current = nxt
-        if gap < tol:
-            return current
-    raise ConvergenceError(
-        f"no convergence within {max_iter} iterations (tol={tol})", current
-    )
+    from scipy.optimize import brentq
+
+    hi, lo = _S_MAX, _S_MAX / 2**16
+    while not f(lo) > 0:
+        if lo < _S_MIN:
+            return _Root(0.0, 0, 0.0)
+        hi, lo = lo, lo / 2**16
+    s, info = brentq(f, lo, hi, xtol=_S_MIN, rtol=max(rtol, _RTOL_MIN), full_output=True)
+    return _Root(s, info.iterations, f(s))
+
+
+def _hit(x: np.ndarray, s: float) -> np.ndarray:
+    """1 - exp(-x s) per node, without cancellation for small x s."""
+    return -np.expm1(-x * s)
+
+
+def _rule(marginal: Marginal, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, plain weights and size-biased weights of one marginal's rule."""
+    x, p = _quadrature(marginal, False, n_nodes)
+    return x, p, _quadrature(marginal, True, n_nodes)[1]
+
+
+def _one_type(x: np.ndarray, c: np.ndarray, p: np.ndarray, tol: float) -> tuple[_Root, float]:
+    """The root of s = sum(c (1 - exp(-x s))) and the fraction sum(p (1 - exp(-x s))).
+
+    As sum(c) = 1, q = 1 - s >= sum(c exp(-x)); scaling tol by that bound
+    makes it bound the relative error of q as well as of s.
+    """
+    rtol = tol * min(1.0, float(c @ np.exp(-x)))
+    root = _largest_root(lambda s: float(c @ _hit(x, s)) - s, rtol)
+    return root, float(p @ _hit(x, root.s))
+
+
+def _nr_giant_fraction(capacity: Marginal, tol=DEFAULT_TOL, n_nodes=QUAD_NODES):
+    """Survival root and giant fraction of one undirected constituent.
+
+    Its degrees mix Poisson(C) over the capacity law, so the fraction is
+    E[1 - exp(-C s)] with s = E[(C / mu) (1 - exp(-C s))].
+    """
+    x, p, b = _rule(capacity, n_nodes)
+    return _one_type(x, b, p, tol)
+
+
+def _offspring_rule(model: WeightModel, direction: str, n_nodes: int):
+    """(x, c, p) with s = sum(c (1 - exp(-x s))) the survival equation.
+
+    Forward, q = E[(w_in / mu) exp(-w_out (1 - q))]: for a mirrored model c
+    is the size-biased capacity rule; an independent product drops the
+    factor E[w_in / mu] = 1, leaving the plain out-weight rule (in-weight
+    backward).  p, the root's weight law, is the plain rule.
+    """
+    if isinstance(model, MirroredCapacity):
+        x, p, b = _rule(model.capacity, n_nodes)
+        return x, b, p
+    marginal = model.marginal_out if direction == "forward" else model.marginal_in
+    x, p = _quadrature(marginal, False, n_nodes)
+    return x, p, p
 
 
 def solve_extinction(
-    model: WeightModel,
-    direction: str = "forward",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
+    model: WeightModel, direction: str = "forward", tol: float = DEFAULT_TOL, seed: int = 0
 ) -> float:
     """Extinction probability q of the forward or backward exploration.
 
     Solves q = E[(w_in / mu) exp(-w_out (1 - q))] for the forward
-    direction (roles swapped for backward) by monotone iteration from 0.
-    Returns 1 immediately when the size-biased mean offspring
-    E[w_in w_out] / mu is at most 1 (subcritical or critical).
+    direction (roles swapped for backward) for s = 1 - q, to relative
+    tolerance ``tol``.  Returns 1 when the size-biased mean offspring
+    E[w_in w_out] / mu is at most 1.  ``seed`` is accepted and ignored.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     _check_tol(tol)
-    mom = moments(model)
-    if mom.rho / mom.mu <= 1.0:
-        return 1.0
-    w_in, w_out = mixing_pairs(model, mc_samples, seed)
-    if direction == "backward":
-        w_in, w_out = w_out, w_in
-    # normalizing by the sample mean keeps q = 1 an exact fixed point of
-    # the empirical map
-    bias = w_in / w_in.mean()
-
-    def step(q: float) -> float:
-        return float(np.mean(bias * np.exp(-w_out * (1.0 - q))))
-
-    return min(_fixed_point(step, 0.0, tol, max_iter), 1.0)
+    return 1.0 - _one_type(*_offspring_rule(model, direction, QUAD_NODES), tol)[0].s
 
 
-def nr_giant_fraction(
-    capacity: Marginal,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Extinction probability and giant fraction of one undirected constituent.
-
-    The constituent with capacity law C has vertex degree mixing
-    Poisson(C), so its giant fraction is 1 - E[exp(-C (1 - q))] with q the
-    single-type extinction probability.  Returns (q, fraction).
-    """
-    model = MirroredCapacity(capacity)
-    q = solve_extinction(model, "forward", tol, max_iter, mc_samples, seed)
-    if q >= 1.0:
-        return 1.0, 0.0
-    cap, _ = mixing_pairs(model, mc_samples, seed)
-    return q, float(1.0 - np.mean(np.exp(-cap * (1.0 - q))))
-
-
-def _weak_union_fractions(
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    mom,
-    tol: float,
-    max_iter: int,
-) -> float:
+def _weak_union(model: WeightModel, tol: float, n_nodes: int) -> tuple[_Root, float]:
     """Giant fraction of the graph with orientations ignored.
 
-    Ignoring orientation, a vertex neighbours Poisson(w_out) arc targets
-    (in-weight size-biased) and Poisson(w_in) arc sources (out-weight
-    size-biased), giving a two-type fixed point; for mirrored weights both
-    types coincide.  The offspring mean matrix has spectral radius
-    (rho + sqrt(nu_in nu_out)) / mu, which decides criticality.
+    A vertex neighbours Poisson(w_out) arc targets (type i, in-weight
+    size-biased) and Poisson(w_in) arc sources (type o).  With
+    K = exp(-w_out s_i - w_in s_o), s_i = E[(w_in / mu)(1 - K)],
+    s_o = E[(w_out / mu)(1 - K)] and the fraction is E[1 - K].  Mirrored
+    weights give s_i = s_o, one type at doubled rates.  For an independent
+    product K factors into 1-d sums; s_o is solved for each s_i inside the
+    bracket on s_i, whose root is returned with the fraction.
     """
-    radius = (mom.rho + math.sqrt(mom.nu_in * mom.nu_out)) / mom.mu
-    if radius <= 1.0:
-        return 0.0
-    bias_i = w_in / w_in.mean()
-    bias_o = w_out / w_out.mean()
+    if isinstance(model, MirroredCapacity):
+        x, c, p = _offspring_rule(model, "forward", n_nodes)
+        return _one_type(2.0 * x, c, p, tol)
+    x_i, p_i, b_i = _rule(model.marginal_in, n_nodes)
+    x_o, p_o, b_o = _rule(model.marginal_out, n_nodes)
 
-    def step(q):
-        q_i, q_o = q
-        kernel = np.exp(-w_out * (1.0 - q_i) - w_in * (1.0 - q_o))
-        return (float(np.mean(bias_i * kernel)), float(np.mean(bias_o * kernel)))
+    def survive(x, c, s):
+        # E[1 - exp(-W s)]; for independent factors 1 - E[K] = A + B - A B
+        return float(c @ _hit(x, s))
 
-    q_i, q_o = _fixed_point(step, (0.0, 0.0), tol, max_iter)
-    kernel = np.exp(-w_out * (1.0 - q_i) - w_in * (1.0 - q_o))
-    return float(1.0 - np.mean(kernel))
+    def s_o_given(s_i):
+        d = survive(x_o, b_o, s_i)
+        return _largest_root(lambda s_o: (1.0 - d) * survive(x_i, p_i, s_o) + d - s_o, tol).s
+
+    def excess(s_i):
+        a, b = survive(x_i, b_i, s_o_given(s_i)), survive(x_o, p_o, s_i)
+        return a + b - a * b - s_i
+
+    root = _largest_root(excess, tol)
+    c, b = survive(x_i, p_i, s_o_given(root.s)), survive(x_o, p_o, root.s)
+    return root, c + b - c * b
+
+
+_FRACTIONS = ("zeta_f", "zeta_b", "zeta", "pi", "zeta_weak")
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,11 @@ class SurvivalReport:
     orientation merges two constituents.  pi is the strong-giant
     fraction and is a proven identity except in the plain configuration,
     where it is a heuristic and pi_conjectural is set.
+
+    The error statement: ``iterations`` sums Brent's iterations over the
+    root solves, ``residual`` is the largest |E[...] - s| at a root, and
+    ``quad_error`` the largest relative gap of a fraction between the
+    N-node and the 2N-node rule (0 for constant marginals, which are exact).
     """
 
     q_f: float
@@ -188,9 +197,12 @@ class SurvivalReport:
     critical_ratio_out: float
     configuration: str
     pi_conjectural: bool
+    iterations: int = 0
+    residual: float = 0.0
+    quad_error: float = 0.0
 
     def __post_init__(self):
-        for name in ("q_f", "q_b", "zeta_f", "zeta_b", "zeta", "pi", "zeta_weak"):
+        for name in ("q_f", "q_b") + _FRACTIONS:
             value = getattr(self, name)
             if not -1e-9 <= value <= 1.0 + 1e-9:
                 raise ValueError(f"{name}={value} outside [0, 1]")
@@ -198,17 +210,11 @@ class SurvivalReport:
             raise ValueError("pi must not exceed min(zeta_f, zeta_b)")
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def survival_fractions(
-    model: WeightModel,
-    configuration: str = "plain",
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
+    model: WeightModel, configuration: str = "plain", tol: float = DEFAULT_TOL, seed: int = 0
 ) -> SurvivalReport:
     """Limiting cluster fractions for a weight model in a given configuration.
 
@@ -218,79 +224,57 @@ def survival_fractions(
     constituent capacity laws (marginal_out first, marginal_in second) and
     reports pi = zeta_f * zeta_b; plain reports the forward and backward
     fractions of any model with pi the conjectural product average.
-    Subcritical models yield zero fractions rather than an error.
+    Subcritical models yield zero fractions rather than an error.  Every
+    root has relative tolerance ``tol``; ``seed`` is accepted and ignored.
     """
     if configuration not in CONFIGURATIONS:
         raise ValueError(
             f"configuration must be one of {CONFIGURATIONS}, got {configuration!r}"
         )
     _check_tol(tol)
-    mom = moments(model)
-    ratio_in = mom.nu_in / mom.mu
-    ratio_out = mom.nu_out / mom.mu
-    w_in, w_out = mixing_pairs(model, mc_samples, seed)
-    zeta_weak = _weak_union_fractions(w_in, w_out, mom, tol, max_iter)
+    if configuration == "mirrored-sum" and not isinstance(model, MirroredCapacity):
+        raise ValueError("mirrored-sum configuration needs a mirrored model")
+    if configuration == "independent-sum" and not isinstance(model, IndependentProduct):
+        raise ValueError("independent-sum configuration needs an independent-product model")
+    report = _fractions(model, configuration, tol, QUAD_NODES)
+    check = _fractions(model, configuration, tol, 2 * QUAD_NODES)
+    pairs = [(getattr(report, name), getattr(check, name)) for name in _FRACTIONS]
+    gaps = [abs(a - b) / b for a, b in pairs if b > 0]
+    return replace(report, quad_error=max(gaps, default=0.0))
 
-    if configuration == "mirrored-sum":
-        if not is_mirrored(model):
-            raise ValueError("mirrored-sum configuration needs a mirrored model")
-        q = solve_extinction(model, "forward", tol, max_iter, mc_samples, seed)
-        survival = 1.0 - np.exp(-w_in * (1.0 - q))
-        zeta_f = zeta_b = float(np.mean(survival))
-        pi = float(np.mean(survival**2))
-        return SurvivalReport(
-            q_f=q,
-            q_b=q,
-            zeta_f=zeta_f,
-            zeta_b=zeta_b,
-            zeta=zeta_f,
-            pi=pi,
-            zeta_weak=zeta_weak,
-            critical_ratio_in=ratio_in,
-            critical_ratio_out=ratio_out,
-            configuration=configuration,
-            pi_conjectural=False,
-        )
 
+def _fractions(model: WeightModel, configuration: str, tol: float, n_nodes: int) -> SurvivalReport:
+    """The report of ``survival_fractions`` from the n_nodes-point rules."""
+    weak, zeta_weak = _weak_union(model, tol, n_nodes)
     if configuration == "independent-sum":
-        if not isinstance(model, IndependentProduct):
-            raise ValueError(
-                "independent-sum configuration needs an independent-product model"
-            )
-        q_f, zeta_f = nr_giant_fraction(
-            model.marginal_out, tol, max_iter, mc_samples, seed
-        )
-        q_b, zeta_b = nr_giant_fraction(
-            model.marginal_in, tol, max_iter, mc_samples, seed + 1
-        )
-        return SurvivalReport(
-            q_f=q_f,
-            q_b=q_b,
-            zeta_f=zeta_f,
-            zeta_b=zeta_b,
-            zeta=zeta_weak,
-            pi=zeta_f * zeta_b,
-            zeta_weak=zeta_weak,
-            critical_ratio_in=ratio_in,
-            critical_ratio_out=ratio_out,
-            configuration=configuration,
-            pi_conjectural=False,
-        )
-
-    q_f = solve_extinction(model, "forward", tol, max_iter, mc_samples, seed)
-    q_b = solve_extinction(model, "backward", tol, max_iter, mc_samples, seed)
-    forward_survival = 1.0 - np.exp(-w_out * (1.0 - q_f))
-    backward_survival = 1.0 - np.exp(-w_in * (1.0 - q_b))
+        forward = _nr_giant_fraction(model.marginal_out, tol, n_nodes)
+        backward = _nr_giant_fraction(model.marginal_in, tol, n_nodes)
+        roots = (forward[0], backward[0], weak)
+        pi = forward[1] * backward[1]
+    elif isinstance(model, MirroredCapacity):
+        x, c, p = _offspring_rule(model, "forward", n_nodes)
+        forward = backward = _one_type(x, c, p, tol)
+        roots = (forward[0], weak)
+        pi = float(p @ _hit(x, forward[0].s) ** 2)
+    else:
+        forward = _one_type(*_offspring_rule(model, "forward", n_nodes), tol)
+        backward = _one_type(*_offspring_rule(model, "backward", n_nodes), tol)
+        roots = (forward[0], backward[0], weak)
+        # the forward survival depends on w_out only, the backward on w_in
+        pi = forward[1] * backward[1]
+    mom = moments(model)
     return SurvivalReport(
-        q_f=q_f,
-        q_b=q_b,
-        zeta_f=float(np.mean(forward_survival)),
-        zeta_b=float(np.mean(backward_survival)),
-        zeta=zeta_weak,
-        pi=float(np.mean(forward_survival * backward_survival)),
+        q_f=1.0 - forward[0].s,
+        q_b=1.0 - backward[0].s,
+        zeta_f=forward[1],
+        zeta_b=backward[1],
+        zeta=forward[1] if configuration == "mirrored-sum" else zeta_weak,
+        pi=pi,
         zeta_weak=zeta_weak,
-        critical_ratio_in=ratio_in,
-        critical_ratio_out=ratio_out,
-        configuration="plain",
-        pi_conjectural=True,
+        critical_ratio_in=mom.nu_in / mom.mu,
+        critical_ratio_out=mom.nu_out / mom.mu,
+        configuration=configuration,
+        pi_conjectural=configuration == "plain",
+        iterations=sum(r.iterations for r in roots),
+        residual=max(abs(r.residual) for r in roots),
     )

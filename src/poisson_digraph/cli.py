@@ -7,8 +7,7 @@ command rerun with the same configuration and seed produces
 byte-identical output.
 
 Exit codes: 0 success or all checks passed, 1 check failure, 2 usage or
-configuration error (a fixed-point solver that does not converge counts
-as one), 3 I/O or file-format error.
+configuration error, 3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import degree_fit_test
-from .branching import CONFIGURATIONS, ConvergenceError, survival_fractions
-from .digraph import edge_list_text, read_edge_list
+from .branching import CONFIGURATIONS, survival_fractions
+from .digraph import MAX_N, edge_list_text, read_edge_list
 from .sampler import evolve_chain, sample_graph_fast
 from .scaling import scaling_exponent_experiment
 from .structure import component_summary, degree_arrays
@@ -199,8 +198,8 @@ def _print_json(payload: dict, out: str | None) -> None:
 
 def cmd_sample(cfg: RunConfig) -> int:
     model = _model(cfg)
-    if cfg.n is None or cfg.n < 1:
-        raise UsageError(f"--n must be a positive integer, got {cfg.n}")
+    if cfg.n is None or not 1 <= cfg.n <= MAX_N:
+        raise UsageError(f"--n must be an integer in 1..{MAX_N}, got {cfg.n}")
     seed = _seed(cfg)
     mode = _norm_mode(cfg)
     w = sample_weights(model, cfg.n, seed)
@@ -221,8 +220,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     model = _model(cfg)
     if cfg.n_from is None or cfg.n_to is None:
         raise UsageError("--from and --to are required")
-    if not 1 <= cfg.n_from <= cfg.n_to:
-        raise UsageError(f"need 1 <= from <= to, got {cfg.n_from}..{cfg.n_to}")
+    if not 1 <= cfg.n_from <= cfg.n_to <= MAX_N:
+        raise UsageError(f"need 1 <= from <= to <= {MAX_N}, got {cfg.n_from}..{cfg.n_to}")
     seed = _seed(cfg)
     mode = _norm_mode(cfg)
     g = evolve_chain(model, cfg.n_from, cfg.n_to, seed, mode)
@@ -265,7 +264,6 @@ def cmd_stats(cfg: RunConfig) -> int:
             _model(cfg),
             kmax=cfg.kmax if cfg.kmax is not None else 30,
             threshold=cfg.threshold if cfg.threshold is not None else 0.02,
-            seed=_seed(cfg),
         )
         payload["degree_fit"] = {
             "statistic": fit.statistic,
@@ -282,10 +280,7 @@ def cmd_survival(cfg: RunConfig) -> int:
     model = _model(cfg)
     configuration = cfg.configuration or "plain"
     report = survival_fractions(
-        model,
-        configuration,
-        tol=cfg.tol if cfg.tol is not None else 1e-10,
-        seed=_seed(cfg),
+        model, configuration, tol=cfg.tol if cfg.tol is not None else 1e-10
     )
     _emit(report.to_json() + "\n", cfg.out)
     return 0
@@ -418,7 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(CONFIGURATIONS),
         help="construction the fractions refer to (default plain)",
     )
-    p.add_argument("--tol", type=float, help="fixed-point tolerance (default 1e-10)")
+    p.add_argument(
+        "--tol", type=float, help="relative tolerance of the survival roots (default 1e-10)"
+    )
     p.set_defaults(handler=cmd_survival)
 
     p = sub.add_parser("scaling", parents=[common], help="critical cluster-size scaling")
@@ -463,7 +460,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return args.handler(cfg)
-    except (UsageError, ValueError, ConvergenceError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IOFailure as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
 import warnings
 from functools import cached_property
@@ -17,10 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MultiDigraph", "edge_list_text", "write_edge_list", "read_edge_list"]
+__all__ = ["MAX_N", "MultiDigraph", "edge_list_text", "write_edge_list", "read_edge_list"]
 
 _FORMAT_TAG = "poisson-digraph edge list v1"
 _INT64_MAX = 2**63 - 1
+# the largest n whose arc codes src * (n + 1) + dst, at most n (n + 1) + n,
+# fit in int64 (about 3.04e9)
+MAX_N = math.isqrt(_INT64_MAX + 1) - 1
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
@@ -29,10 +33,13 @@ class MultiDigraph:
         """Build from parallel arc arrays (1-based vertex ids).
 
         Duplicate (src, dst) rows are merged; zero-multiplicity rows are
-        dropped.  Raises ValueError on ids outside 1..n or negative counts.
+        dropped.  Raises ValueError on n outside 1..MAX_N, ids outside 1..n
+        or negative counts.
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if n > MAX_N:
+            raise ValueError(f"n={n} exceeds the largest supported vertex count {MAX_N}")
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         mult = np.asarray(mult, dtype=np.int64)

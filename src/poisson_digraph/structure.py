@@ -20,8 +20,6 @@ from .digraph import MultiDigraph
 
 __all__ = [
     "degree_arrays",
-    "forward_cluster",
-    "backward_cluster",
     "forward_cluster_size",
     "backward_cluster_size",
     "ComponentSummary",
@@ -90,22 +88,6 @@ def _reach_mask(indptr: np.ndarray, nbrs: np.ndarray, start: int, n: int) -> np.
         frontier = np.unique(nxt)
         visited[frontier] = True
     return visited
-
-
-def forward_cluster(g: MultiDigraph, v: int) -> set[int]:
-    """Vertices reachable from v along arc directions, v included."""
-    _check_vertex(g, v)
-    indptr, nbrs = g._out_csr
-    mask = _reach_mask(indptr, nbrs, v - 1, g.n)
-    return set((np.flatnonzero(mask) + 1).tolist())
-
-
-def backward_cluster(g: MultiDigraph, v: int) -> set[int]:
-    """Vertices from which v is reachable, v included."""
-    _check_vertex(g, v)
-    indptr, nbrs = g._in_csr
-    mask = _reach_mask(indptr, nbrs, v - 1, g.n)
-    return set((np.flatnonzero(mask) + 1).tolist())
 
 
 def forward_cluster_size(g: MultiDigraph, v: int) -> int:

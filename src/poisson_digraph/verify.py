@@ -185,7 +185,7 @@ def _check_degree_fit(seed: int) -> CheckResult:
     w = sample_weights(model, n, seed)
     l_n = normalizer(w, moments(model).mu, NormalizerMode.DETERMINISTIC_MU_N)
     g = sample_graph_fast(w, l_n, seed + 1)
-    fit = degree_fit_test(g, model, kmax=30, threshold=0.012, seed=seed)
+    fit = degree_fit_test(g, model, kmax=30, threshold=0.012)
     return _below(
         "degree-fit-constant", fit.statistic, fit.threshold, n=n, kmax=fit.kmax
     )
@@ -204,8 +204,8 @@ def _check_loop_law(seed: int) -> CheckResult:
 
 
 def _check_survival_consistency(seed: int) -> CheckResult:
-    q = solve_extinction(Constant(2.0), "forward", seed=seed)
-    report = survival_fractions(Constant(2.0), "mirrored-sum", seed=seed)
+    q = solve_extinction(Constant(2.0), "forward")
+    report = survival_fractions(Constant(2.0), "mirrored-sum")
     residuals = (
         abs(q - math.exp(-2.0 * (1.0 - q))),
         abs(report.zeta - (1.0 - q)),
@@ -352,7 +352,7 @@ def _check_giant_independent_sum(seed: int) -> CheckResult:
 def _check_pareto_tail(seed: int) -> CheckResult:
     model = ParetoMirrored(3.5, 1.0)
     ks = np.unique(np.round(np.logspace(1.0, math.log10(60.0), 8))).astype(np.int64)
-    tail = mixed_poisson_tail(model, ks, side="in", mc_samples=2_000_000, seed=seed)
+    tail = mixed_poisson_tail(model, ks, side="in")
     slope = float(np.polyfit(np.log(ks), np.log(tail), 1)[0])
     return _below(
         "pareto-tail-slope",

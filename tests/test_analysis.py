@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -92,39 +93,92 @@ def test_mixed_pmf_constant_is_product_poisson():
 
 
 def test_mixed_pmf_tail_shrinks_with_kmax():
-    small = mixed_poisson_pmf(ParetoMirrored(3.5, 1.0), kmax=5, mc_samples=20_000)
-    large = mixed_poisson_pmf(ParetoMirrored(3.5, 1.0), kmax=25, mc_samples=20_000)
+    small = mixed_poisson_pmf(ParetoMirrored(3.5, 1.0), kmax=5)
+    large = mixed_poisson_pmf(ParetoMirrored(3.5, 1.0), kmax=25)
     assert large.tail_mass < small.tail_mass
     assert large.masses.sum() + large.tail_mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mixed_tail_constant_closed_form():
     ks = np.array([1, 3, 7])
-    tails = mixed_poisson_tail(Constant(2.0), ks, side="in", mc_samples=1000)
+    tails = mixed_poisson_tail(Constant(2.0), ks, side="in")
     np.testing.assert_allclose(tails, stats.poisson.sf(ks - 1, 2.0), rtol=1e-12)
 
 
 def test_mixed_tail_decreasing_for_heavy_tails():
     ks = np.array([5, 10, 20, 40])
-    tails = mixed_poisson_tail(ParetoMirrored(3.5, 1.0), ks, mc_samples=200_000, seed=3)
+    tails = mixed_poisson_tail(ParetoMirrored(3.5, 1.0), ks)
     assert np.all(np.diff(tails) < 0)
     assert np.all(tails > 0)
 
 
+def _pareto_poisson(tau, xmin, k, rate=1):
+    """E[W^k exp(-rate W)] / k! for W ~ Pareto(tau, xmin), an incomplete gamma function."""
+    tau, xmin = mpmath.mpf(tau), mpmath.mpf(xmin)
+    a = k + 1 - tau
+    scale = (tau - 1) * xmin ** (tau - 1) / mpmath.factorial(k)
+    return scale * rate**-a * mpmath.gammainc(a, rate * xmin)
+
+
+def test_mixed_pmf_matches_incomplete_gamma_oracle():
+    kmax = 30
+    with mpmath.workdps(40):
+        # mirrored: P(d_in = j, d_out = k) = E[W^(j+k) exp(-2W)] / (j! k!)
+        mirrored = np.array(
+            [
+                [
+                    float(_pareto_poisson(3.5, 1.0, j + k, 2) * mpmath.binomial(j + k, j))
+                    for k in range(kmax + 1)
+                ]
+                for j in range(kmax + 1)
+            ]
+        )
+        # independent: the product of the two marginal pmfs E[W^k exp(-W)] / k!
+        pin = np.array([float(_pareto_poisson(2.5, 5.0 / 9.0, k)) for k in range(kmax + 1)])
+        pout = np.array([float(_pareto_poisson(3.5, 1.0, k)) for k in range(kmax + 1)])
+    got = mixed_poisson_pmf(ParetoMirrored(3.5, 1.0), kmax)
+    np.testing.assert_allclose(got.masses, mirrored, rtol=1e-10)
+    assert got.tail_mass == pytest.approx(1.0 - mirrored.sum(), rel=1e-9)
+    model = IndependentProduct(ParetoMarginal(2.5, 5.0 / 9.0), ParetoMarginal(3.5, 1.0))
+    independent = mixed_poisson_pmf(model, kmax)
+    np.testing.assert_allclose(independent.masses, np.outer(pin, pout), rtol=1e-10)
+
+
+def test_mixed_tail_matches_incomplete_gamma_oracle():
+    ks = np.array([1, 2, 5, 10, 30, 100, 300])
+    with mpmath.workdps(40):
+        pmf = [_pareto_poisson(3.5, 1.0, k) for k in range(int(ks.max()))]
+        expect = np.array([float(1 - mpmath.fsum(pmf[:k])) for k in ks])
+    model = IndependentProduct(ParetoMarginal(2.5, 5.0 / 9.0), ParetoMarginal(3.5, 1.0))
+    for got in (
+        mixed_poisson_tail(ParetoMirrored(3.5, 1.0), ks, side="in"),
+        mixed_poisson_tail(model, ks, side="out"),
+    ):
+        np.testing.assert_allclose(got, expect, rtol=1e-10)
+
+
 def test_mixing_pairs_degenerate_atoms():
-    wi, wo = mixing_pairs(Constant(3.0), size=1000, seed=0)
+    wi, wo, weights = mixing_pairs(Constant(3.0), size=1000, seed=0)
     assert wi.shape == (1,) and wo.shape == (1,)
     assert wi[0] == wo[0] == 3.0
+    assert weights.tolist() == [1.0]
     const_prod = IndependentProduct(ConstantMarginal(2.0), ConstantMarginal(2.0))
-    wi, wo = mixing_pairs(const_prod, size=1000, seed=0)
+    wi, wo, weights = mixing_pairs(const_prod, size=1000, seed=0)
     assert wi.size == 1
 
 
 def test_mixing_pairs_mirrored_are_equal():
-    wi, wo = mixing_pairs(ParetoMirrored(3.5, 1.0), size=5000, seed=1)
+    wi, wo, weights = mixing_pairs(ParetoMirrored(3.5, 1.0), size=5000, seed=1)
     np.testing.assert_array_equal(wi, wo)
-    assert wi.size == 5000
+    assert wi.size == weights.size == 512
     assert wi.min() >= 1.0
+    # the rule integrates the mean and the second moment, 5/3 and 5
+    assert weights.sum() == pytest.approx(1.0, rel=1e-12)
+    assert weights @ wi == pytest.approx(5.0 / 3.0, rel=1e-12)
+    assert weights @ wi**2 == pytest.approx(5.0, rel=1e-12)
+    # size and seed are ignored
+    for got, want in zip(mixing_pairs(ParetoMirrored(3.5, 1.0)), (wi, wo, weights)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_degree_fit_accepts_matching_model():

@@ -1,23 +1,24 @@
 """Fixed-point solvers against quadrature/root-finding oracles.
 
-Expected values are recomputed here with scipy.optimize.brentq and
-scipy.integrate.quad, which share no code with the monotone-iteration
-solver under test.  A few are also frozen as literals so a silent change
-in either route shows up.
+Expected values are recomputed here with scipy.integrate.quad and
+scipy.optimize.brentq, and with the closed forms of the Pareto mixing
+integrals as mpmath incomplete gamma functions; neither shares code with
+the Gauss-Legendre rule under test.  A few are also frozen as literals so
+a silent change in either route shows up.
 """
 
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize
 
 from poisson_digraph.branching import (
     CONFIGURATIONS,
-    ConvergenceError,
     SurvivalReport,
-    nr_giant_fraction,
+    _nr_giant_fraction,
     solve_extinction,
     survival_fractions,
 )
@@ -32,11 +33,15 @@ from poisson_digraph.weights import (
 
 # q = exp(-2 (1 - q)), the extinction probability of a Poisson(2) branching
 # process, and the derived one-type survival fractions
-Q_CONST2 = 0.20318786991843468
+Q_CONST2 = 0.20318786997997995
 ZETA_CONST2 = 1.0 - Q_CONST2
 PI_CONST2 = ZETA_CONST2**2
 # u = exp(-4 (1 - u)) gives the direction-blind fraction at capacity 2
 ZETA_WEAK_CONST2 = 0.9801725987184087
+
+
+# quad tolerances tight enough for a 1e-9 relative comparison
+QUAD = {"epsabs": 1e-15, "epsrel": 1e-13, "limit": 200}
 
 
 def _pareto_density(tau, xmin):
@@ -73,35 +78,124 @@ def test_mirrored_pareto_extinction_matches_quadrature_oracle():
     dens = _pareto_density(tau, xmin)
 
     def step_minus_q(q):
-        val, _ = integrate.quad(lambda x: (x / mu) * math.exp(-x * (1.0 - q)) * dens(x), xmin, np.inf)
+        val, _ = integrate.quad(
+            lambda x: (x / mu) * math.exp(-x * (1.0 - q)) * dens(x), xmin, np.inf, **QUAD
+        )
         return val - q
 
-    oracle = optimize.brentq(step_minus_q, 0.0, 1.0 - 1e-9, xtol=1e-12)
-    got = solve_extinction(ParetoMirrored(tau, xmin), mc_samples=400_000, seed=1)
-    assert got == pytest.approx(oracle, abs=5e-3)
-    again = solve_extinction(ParetoMirrored(tau, xmin), mc_samples=400_000, seed=2)
-    assert again == pytest.approx(oracle, abs=5e-3)
+    oracle = optimize.brentq(step_minus_q, 0.0, 1.0 - 1e-9, xtol=1e-15)
+    got = solve_extinction(ParetoMirrored(tau, xmin), seed=1)
+    assert got == pytest.approx(oracle, rel=1e-9)
+    # the seed is ignored: the rule is deterministic
+    assert solve_extinction(ParetoMirrored(tau, xmin), seed=2) == got
 
 
 def test_independent_product_directions_differ():
     # W_out constant 2, W_in Pareto with matching mean 2
     model = IndependentProduct(ParetoMarginal(3.5, 1.2), ConstantMarginal(2.0))
-    q_f = solve_extinction(model, "forward", mc_samples=400_000, seed=3)
-    q_b = solve_extinction(model, "backward", mc_samples=400_000, seed=3)
+    q_f = solve_extinction(model, "forward")
+    q_b = solve_extinction(model, "backward")
     # forward: the in-weight bias is independent of the constant out-weight,
     # so the map collapses to the Poisson(2) one
-    assert q_f == pytest.approx(Q_CONST2, abs=2e-3)
+    assert q_f == pytest.approx(Q_CONST2, rel=1e-9)
 
     tau, xmin = 3.5, 1.2
     dens = _pareto_density(tau, xmin)
 
     def back_step_minus_q(q):
-        val, _ = integrate.quad(lambda x: math.exp(-x * (1.0 - q)) * dens(x), xmin, np.inf)
+        val, _ = integrate.quad(lambda x: math.exp(-x * (1.0 - q)) * dens(x), xmin, np.inf, **QUAD)
         return val - q
 
-    oracle_b = optimize.brentq(back_step_minus_q, 0.0, 1.0 - 1e-9, xtol=1e-12)
-    assert q_b == pytest.approx(oracle_b, abs=5e-3)
+    oracle_b = optimize.brentq(back_step_minus_q, 0.0, 1.0 - 1e-9, xtol=1e-15)
+    assert q_b == pytest.approx(oracle_b, rel=1e-9)
     assert abs(q_f - q_b) > 0.02
+
+
+# -- incomplete-gamma oracle ----------------------------------------------------
+#
+# For W ~ Pareto(tau, xmin) and z = xmin s the mixing integrals have closed
+# forms: E[exp(-s W)] = (tau - 1) z^(tau - 1) Gamma(1 - tau, z), and with
+# the size-biased weight W / mu, E[(W / mu) exp(-s W)] =
+# (tau - 2) z^(tau - 2) Gamma(2 - tau, z).  Roots are found by bisection on
+# log s at 40 digits.
+
+
+def _laplace(tau, xmin, s, biased):
+    """E[exp(-s W)], or E[(W / mu) exp(-s W)] if biased, for W ~ Pareto(tau, xmin)."""
+    a = mpmath.mpf(tau) - (2 if biased else 1)
+    z = mpmath.mpf(xmin) * s
+    return a * z**a * mpmath.gammainc(-a, z)
+
+
+def _root(laplace):
+    """The positive root of s = 1 - laplace(s), to about 1e-22 relative."""
+    lo, hi = mpmath.log(mpmath.mpf("1e-40")), mpmath.log(2)
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        s = mpmath.exp(mid)
+        lo, hi = (mid, hi) if 1 - laplace(s) > s else (lo, mid)
+    return mpmath.exp(lo)
+
+
+def _assert_report(rep, expect):
+    for name, value in expect.items():
+        assert getattr(rep, name) == pytest.approx(float(value), rel=1e-9), name
+    assert rep.quad_error < 1e-8
+
+
+@pytest.mark.parametrize(
+    "tau, xmin",
+    # nu / mu = 3 xmin at tau = 3.5, so the first two are 1e-3 and 1e-4 above critical
+    [(3.5, (1 + 1e-3) / 3), (3.5, (1 + 1e-4) / 3), (2.05, 1.0), (2.5, 1.0), (3.0, 1.0)],
+    ids=["near-critical-1e-3", "near-critical-1e-4", "tau=2.05", "tau=2.5", "tau=3"],
+)
+def test_mirrored_pareto_matches_incomplete_gamma_oracle(tau, xmin):
+    with mpmath.workdps(40):
+        s = _root(lambda s: _laplace(tau, xmin, s, True))
+        zeta = 1 - _laplace(tau, xmin, s, False)
+        # direction blind: s_i = s_o = u solves u = 1 - E[(W / mu) exp(-2 u W)]
+        u = _root(lambda u: _laplace(tau, xmin, 2 * u, True))
+        zeta_weak = 1 - _laplace(tau, xmin, 2 * u, False)
+        expect = {"q_f": 1 - s, "q_b": 1 - s, "zeta_f": zeta, "zeta_b": zeta}
+        # pi = E[(1 - exp(-s W))^2]
+        expect["pi"] = 1 - 2 * _laplace(tau, xmin, s, False) + _laplace(tau, xmin, 2 * s, False)
+        expect["zeta_weak"] = zeta_weak
+    model = ParetoMirrored(tau, xmin)
+    for configuration in ("mirrored-sum", "plain"):
+        _assert_report(survival_fractions(model, configuration), expect)
+    with pytest.raises(ValueError):
+        survival_fractions(model, "independent-sum")
+
+
+def test_independent_pareto_product_matches_incomplete_gamma_oracle():
+    # two different tails with the common mean 5/3; tau = 2.5 has nu = inf
+    side_in, side_out = (2.5, 5.0 / 9.0), (3.5, 1.0)
+    model = IndependentProduct(ParetoMarginal(*side_in), ParetoMarginal(*side_out))
+    with mpmath.workdps(40):
+        # plain: the forward equation keeps only the plain out-weight law
+        s_f = _root(lambda s: _laplace(*side_out, s, False))
+        s_b = _root(lambda s: _laplace(*side_in, s, False))
+        # independent-sum: each side is a Norros-Reittu constituent
+        r_f = _root(lambda s: _laplace(*side_out, s, True))
+        r_b = _root(lambda s: _laplace(*side_in, s, True))
+        # direction blind: two types, K = exp(-w_out s_i - w_in s_o) factors
+        s_i, s_o = mpmath.findroot(
+            [
+                lambda a, b: 1 - _laplace(*side_in, b, True) * _laplace(*side_out, a, False) - a,
+                lambda a, b: 1 - _laplace(*side_in, b, False) * _laplace(*side_out, a, True) - b,
+            ],
+            (0.5, 0.5),
+        )
+        zeta_weak = 1 - _laplace(*side_in, s_o, False) * _laplace(*side_out, s_i, False)
+        plain = {"q_f": 1 - s_f, "q_b": 1 - s_b, "zeta_f": s_f, "zeta_b": s_b}
+        zeta_f = 1 - _laplace(*side_out, r_f, False)
+        zeta_b = 1 - _laplace(*side_in, r_b, False)
+        nr = {"q_f": 1 - r_f, "q_b": 1 - r_b, "zeta_f": zeta_f, "zeta_b": zeta_b}
+    for configuration, expect in (("plain", plain), ("independent-sum", nr)):
+        expect.update(zeta=zeta_weak, zeta_weak=zeta_weak, pi=expect["zeta_f"] * expect["zeta_b"])
+        _assert_report(survival_fractions(model, configuration), expect)
+    with pytest.raises(ValueError):
+        survival_fractions(model, "mirrored-sum")
 
 
 def test_monotone_iteration_from_zero():
@@ -113,18 +207,12 @@ def test_monotone_iteration_from_zero():
     assert iterates[-1] <= Q_CONST2 + 1e-9
 
 
-def test_convergence_error_carries_last_iterate():
-    with pytest.raises(ConvergenceError) as err:
-        solve_extinction(Constant(2.0), max_iter=3)
-    assert 0.0 < err.value.last_iterate < 1.0
-
-
 def test_nr_giant_fraction_constant_capacity():
-    q, frac = nr_giant_fraction(ConstantMarginal(2.0))
-    assert q == pytest.approx(Q_CONST2, abs=1e-9)
+    root, frac = _nr_giant_fraction(ConstantMarginal(2.0))
+    assert 1.0 - root.s == pytest.approx(Q_CONST2, abs=1e-9)
     assert frac == pytest.approx(ZETA_CONST2, abs=1e-9)
-    q_sub, frac_sub = nr_giant_fraction(ConstantMarginal(0.8))
-    assert (q_sub, frac_sub) == (1.0, 0.0)
+    sub, frac_sub = _nr_giant_fraction(ConstantMarginal(0.8))
+    assert (sub.s, frac_sub) == (0.0, 0.0)
 
 
 def test_mirrored_sum_report_frozen_constants():
@@ -172,9 +260,7 @@ def test_deeply_subcritical_union_dies():
 def test_jensen_gap_mirrored():
     flat = survival_fractions(Constant(2.0), configuration="mirrored-sum")
     assert flat.pi == pytest.approx(flat.zeta**2, abs=1e-9)
-    spread = survival_fractions(
-        ParetoMirrored(3.5, 1.0), configuration="mirrored-sum", mc_samples=400_000
-    )
+    spread = survival_fractions(ParetoMirrored(3.5, 1.0), configuration="mirrored-sum")
     assert spread.pi > spread.zeta**2 + 1e-3
     assert spread.pi <= min(spread.zeta_f, spread.zeta_b) + 1e-9
 
@@ -230,6 +316,9 @@ def test_report_json_round_trip_keys():
         "critical_ratio_out",
         "configuration",
         "pi_conjectural",
+        "iterations",
+        "residual",
+        "quad_error",
     }
     assert set(payload) == expect
     assert payload["pi"] == pytest.approx(PI_CONST2, abs=1e-9)

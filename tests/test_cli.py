@@ -5,12 +5,14 @@ Exit-code contract: 0 success, 1 a requested statistical check failed,
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+from poisson_digraph import cli
 from poisson_digraph.cli import RunConfig
 
 CMD = [sys.executable, "-m", "poisson_digraph"]
@@ -94,9 +96,34 @@ def test_oversized_multiplicity_exits_three(tmp_path, rows, message):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, poisson_digraph.cli; assert 'scipy.stats' not in sys.modules"
+    code = (
+        "import sys, poisson_digraph.cli; "
+        "assert 'scipy.stats' not in sys.modules; "
+        "assert 'scipy.optimize' not in sys.modules"
+    )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_vertex_count_past_the_cap_exits_three(tmp_path):
+    big = tmp_path / "big.tsv"
+    big.write_text("# n=10000000000\n1\t2\t1\n")
+    for args in (["components"], ["stats", "--model", "constant:2"]):
+        res = run_cli(*args, "--in", str(big))
+        assert res.returncode == 3
+        assert res.stderr.startswith(f"error: {big}: n=10000000000 exceeds")
+        assert "Traceback" not in res.stderr
+
+
+def test_sample_past_the_vertex_cap_exits_two_before_drawing(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("weights drawn for an n past the cap")
+
+    monkeypatch.setattr(cli, "sample_weights", refuse)
+    monkeypatch.setattr(cli, "evolve_chain", refuse)
+    for flags in (["sample", "--n", "4000000000"], ["evolve", "--from", "2", "--to", "4000000000"]):
+        assert cli.main([*flags, "--model", "constant:2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_headerless_file_needs_n_flag(tmp_path):
@@ -173,11 +200,24 @@ def test_survival_rejects_nonpositive_tol():
         assert res.stderr.startswith("error: tol must be positive")
 
 
-def test_survival_near_criticality_is_a_configuration_error():
+def test_survival_near_criticality_is_solved():
     res = run_cli("survival", "--model", "constant:1.0001")
-    assert res.returncode == 2
-    assert res.stderr.startswith("error: no convergence")
-    assert "Traceback" not in res.stderr
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    # s = 1 - q solves s = 1 - exp(-1.0001 s); s is about 2e-4
+    s = 1.0 - payload["q_f"]
+    assert s == pytest.approx(-math.expm1(-1.0001 * s), rel=1e-9)
+    assert payload["zeta_f"] == pytest.approx(s, rel=1e-9)
+    assert payload["residual"] < 1e-10
+
+
+def test_survival_ignores_the_seed():
+    for config in ("mirrored-sum", "plain"):
+        args = ("survival", "--model", "pareto-mirrored:3.5,1", "--config", config)
+        runs = [run_cli(*args, "--seed", seed) for seed in ("0", "7")]
+        assert runs[0].returncode == 0
+        assert runs[0].stdout == runs[1].stdout
+        assert json.loads(runs[0].stdout)["quad_error"] < 1e-8
 
 
 def test_survival_plain_default():

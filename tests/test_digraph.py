@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from poisson_digraph.digraph import (
+    MAX_N,
     MultiDigraph,
     edge_list_text,
     read_edge_list,
@@ -44,6 +45,20 @@ def test_vertex_range_validation():
         MultiDigraph(2, np.array([1]), np.array([2]), np.array([-1]))
     with pytest.raises(ValueError):
         MultiDigraph(0, np.array([], dtype=int), np.array([], dtype=int), np.array([], dtype=int))
+
+
+def test_vertex_count_is_capped_where_arc_codes_fit_int64():
+    # the largest arc code n (n + 1) + n fits int64 at MAX_N and not above
+    assert MAX_N * (MAX_N + 1) + MAX_N <= 2**63 - 1 < (MAX_N + 1) * (MAX_N + 2) + MAX_N + 1
+    with pytest.raises(ValueError, match="exceeds the largest supported vertex count"):
+        MultiDigraph.empty(MAX_N + 1)
+    # at the cap, arcs between the extreme ids keep distinct codes and order
+    n = MAX_N
+    g = MultiDigraph(n, np.array([n, 1, n, n]), np.array([1, n, n, 1]), np.array([1, 2, 3, 4]))
+    assert arc_dict(g) == {(1, n): 2, (n, 1): 5, (n, n): 3}
+    assert g.multiplicity(n, 1) == 5
+    assert g.multiplicity(n, n) == 3
+    assert g.multiplicity(1, 1) == 0
 
 
 def test_multiplicity_overflow_is_rejected():

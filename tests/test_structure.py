@@ -13,18 +13,16 @@ import pytest
 from poisson_digraph.sampler import sample_graph_fast
 from poisson_digraph.structure import (
     ComponentSummary,
-    backward_cluster,
     backward_cluster_size,
     component_summary,
     degree_arrays,
-    forward_cluster,
     forward_cluster_size,
     strong_components,
     weak_components,
 )
 from poisson_digraph.weights import ParetoMirrored, sample_weights
 from poisson_digraph.digraph import MultiDigraph
-from graph_helpers import arc_dict, graph_from_arcs
+from graph_helpers import arc_dict, backward_cluster, forward_cluster, graph_from_arcs
 
 
 def _closure(g):
@@ -72,6 +70,10 @@ def test_vertex_id_validation():
     for bad in (0, 4, -1):
         with pytest.raises(ValueError):
             forward_cluster(g, bad)
+        with pytest.raises(ValueError):
+            forward_cluster_size(g, bad)
+        with pytest.raises(ValueError):
+            backward_cluster_size(g, bad)
 
 
 def test_three_cycle_is_one_strong_class():
