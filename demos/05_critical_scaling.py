@@ -31,7 +31,6 @@ def main():
         reps=20,
         seed=11,
         sources=32,
-        threads=2,
         bootstrap=100,
     )
     print("\nmedian largest-cluster sizes by n:")

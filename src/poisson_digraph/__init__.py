@@ -62,6 +62,7 @@ from .structure import (
     component_summary,
     degree_arrays,
     forward_cluster_size,
+    forward_cluster_sizes,
     strong_components,
     weak_components,
 )
@@ -135,6 +136,7 @@ __all__ = [
     "component_summary",
     "degree_arrays",
     "forward_cluster_size",
+    "forward_cluster_sizes",
     "strong_components",
     "weak_components",
     # analysis

@@ -90,6 +90,8 @@ def poisson_tv(u: float, lam: float) -> float:
 # -- mixed-Poisson degree law -------------------------------------------------
 
 QUAD_NODES = 512
+# mixed_poisson_pmf warns when a rule's weights miss more than this much mass
+QUAD_MASS_TOL = 1e-9
 # nodes are capped at 1e300, where 1 - exp(-x s) for s >= 1e-290, the
 # Poisson pmf and its tail have all saturated
 _NODE_CAP = 1e300
@@ -192,15 +194,25 @@ def mixed_poisson_pmf(model: WeightModel, kmax: int, mc_samples: int = 0, seed: 
     """Limiting joint degree pmf E[Poisson(w_in) x Poisson(w_out)].
 
     A sum over the capacity rule for a mirrored model, the outer product of
-    two 1-d pmfs for an independent one.  ``mc_samples`` and ``seed`` are
-    accepted for compatibility and ignored.
+    two 1-d pmfs for an independent one.  Warns when a rule misses more
+    than QUAD_MASS_TOL of unit mass (a Pareto tau as close to 2 as 2.00001).
+    ``mc_samples`` and ``seed`` are accepted for compatibility and ignored.
     """
     from scipy import stats
 
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     k = np.arange(kmax + 1)
-    (x_in, p_in), (x_out, p_out) = map(_quadrature, _marginals(model))
+    marginals = _marginals(model)
+    (x_in, p_in), (x_out, p_out) = map(_quadrature, marginals)
+    for marginal in dict.fromkeys(marginals):
+        missing = 1.0 - float(_quadrature(marginal)[1].sum())
+        if missing > QUAD_MASS_TOL:
+            warnings.warn(
+                f"the quadrature rule of {marginal!r} misses {missing:.3g} of unit mass;"
+                " the limit pmf lacks that much",
+                stacklevel=2,
+            )
     pois_in = stats.poisson.pmf(k[None, :], x_in[:, None])
     if isinstance(model, MirroredCapacity):
         joint = (pois_in * p_in[:, None]).T @ pois_in

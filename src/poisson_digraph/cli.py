@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields, replace
@@ -40,8 +39,6 @@ from .weights import (
 )
 
 __all__ = ["RunConfig", "UsageError", "IOFailure", "main"]
-
-THREADS_ENV = "POISSON_DIGRAPH_THREADS"
 
 _MODEL_HELP = (
     "weight model, e.g. constant:2, pareto-mirrored:3.5,1, oriented-nr:pareto:3.5,1,"
@@ -156,16 +153,6 @@ def _model(cfg: RunConfig):
     if cfg.model is None:
         raise UsageError("--model is required")
     return parse_model(cfg.model)
-
-
-def _threads(cfg: RunConfig) -> int:
-    if cfg.threads is not None:
-        return int(cfg.threads)
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -303,7 +290,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
         reps=cfg.reps if cfg.reps is not None else 10,
         seed=_seed(cfg),
         sources=cfg.sources if cfg.sources is not None else 64,
-        threads=_threads(cfg),
+        threads=cfg.threads if cfg.threads is not None else 1,
         bootstrap=cfg.bootstrap if cfg.bootstrap is not None else 200,
     )
     text = result.to_json() + "\n" if cfg.as_json else result.to_tsv()
@@ -432,7 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", type=int, help="forward-cluster root sample size")
     p.add_argument("--bootstrap", type=int, help="bootstrap resamples for the CI")
     p.add_argument(
-        "--threads", type=int, help=f"worker threads (default ${THREADS_ENV} or 1)"
+        "--threads",
+        type=int,
+        help="accepted for compatibility, must be >= 1; replicates run in one thread",
     )
     p.add_argument(
         "--json",

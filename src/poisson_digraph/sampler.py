@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -229,13 +230,30 @@ def _nr_oriented_arcs(
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumParts:
-    """A sum-construction sample together with its two constituents."""
+    """A sum-construction sample together with its two constituents.
 
-    graph: MultiDigraph
-    first: MultiDigraph
-    second: MultiDigraph
+    Holds the constituents' (src, dst) endpoint arrays; ``graph``, ``first``
+    and ``second`` are each built on first access.
+    """
+
+    n: int
+    first_arcs: tuple[np.ndarray, np.ndarray]
+    second_arcs: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def graph(self) -> MultiDigraph:
+        (s1, d1), (s2, d2) = self.first_arcs, self.second_arcs
+        return _unit_arcs(self.n, np.concatenate([s1, s2]), np.concatenate([d1, d2]))
+
+    @cached_property
+    def first(self) -> MultiDigraph:
+        return _unit_arcs(self.n, *self.first_arcs)
+
+    @cached_property
+    def second(self) -> MultiDigraph:
+        return _unit_arcs(self.n, *self.second_arcs)
 
 
 def _capacities(w: WeightSequence, l_n: float | None) -> tuple[np.ndarray, float]:
@@ -254,13 +272,10 @@ def _sum_parts(cap1: np.ndarray, cap2: np.ndarray, l_n: float, seed: int, tag: s
     The first points toward higher indices and draws from stream
     (seed, tag, 1), the second toward lower indices from (seed, tag, 2).
     """
-    n = cap1.size
-    s1, d1 = _nr_oriented_arcs(cap1, l_n, "higher", stream(seed, tag, 1))
-    s2, d2 = _nr_oriented_arcs(cap2, l_n, "lower", stream(seed, tag, 2))
     return SumParts(
-        graph=_unit_arcs(n, np.concatenate([s1, s2]), np.concatenate([d1, d2])),
-        first=_unit_arcs(n, s1, d1),
-        second=_unit_arcs(n, s2, d2),
+        n=cap1.size,
+        first_arcs=_nr_oriented_arcs(cap1, l_n, "higher", stream(seed, tag, 1)),
+        second_arcs=_nr_oriented_arcs(cap2, l_n, "lower", stream(seed, tag, 2)),
     )
 
 

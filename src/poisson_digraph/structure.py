@@ -20,6 +20,7 @@ from .digraph import MultiDigraph
 
 __all__ = [
     "degree_arrays",
+    "forward_cluster_sizes",
     "forward_cluster_size",
     "backward_cluster_size",
     "ComponentSummary",
@@ -60,48 +61,85 @@ def degree_arrays(g: MultiDigraph) -> DegreeArrays:
 
 # -- reachability -------------------------------------------------------------
 
+# roots per traversal: one bit of a uint64 mask per root
+_BLOCK = 64
+_BITS = np.left_shift(np.uint64(1), np.arange(_BLOCK, dtype=np.uint64))
 
-def _check_vertex(g: MultiDigraph, v: int) -> None:
-    if not 1 <= v <= g.n:
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
+
+def _roots0(g: MultiDigraph, roots) -> np.ndarray:
+    """0-based ids of 1-based ``roots``; ValueError on an id outside 1..n."""
+    roots = np.asarray(roots, dtype=np.int64).reshape(-1)
+    bad = roots[(roots < 1) | (roots > g.n)]
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]} out of range 1..{g.n}")
+    return roots - 1
 
 
-def _reach_mask(indptr: np.ndarray, nbrs: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Boolean mask of vertices reachable from 0-based ``start``."""
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        starts = indptr[frontier]
-        ends = indptr[frontier + 1]
-        lengths = ends - starts
-        total = int(lengths.sum())
-        if total == 0:
-            break
-        # gather the ragged adjacency slices of the whole frontier at once
-        offsets = np.repeat(starts, lengths)
-        within = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        nxt = nbrs[offsets + within]
-        nxt = nxt[~visited[nxt]]
-        if nxt.size == 0:
-            break
-        frontier = np.unique(nxt)
-        visited[frontier] = True
-    return visited
+def _cluster_sizes(indptr: np.ndarray, nbrs: np.ndarray, roots0: np.ndarray, n: int) -> np.ndarray:
+    """Number of vertices reachable from each 0-based root over a CSR, itself included.
+
+    Multi-source BFS (Then et al., PVLDB 8(4), 2014), one block of up to
+    64 roots per traversal: bit j of a vertex's uint64 mask means
+    "reachable from root j".  Each level ORs the frontier's newly gained
+    bits into its out-neighbours, and the next frontier is the vertices
+    whose mask changed, so a vertex gains each bit exactly once.
+    """
+    sizes = np.zeros(roots0.size, dtype=np.int64)
+    for lo in range(0, roots0.size, _BLOCK):
+        # a repeated root is one frontier entry per copy, each with its own bit
+        frontier = roots0[lo : lo + _BLOCK]
+        k = frontier.size
+        gained = _BITS[:k]
+        mask = np.zeros(n, dtype=np.uint64)
+        np.bitwise_or.at(mask, frontier, gained)
+        levels = [gained]
+        while frontier.size:
+            starts = indptr[frontier]
+            lengths = indptr[frontier + 1] - starts
+            ends = np.cumsum(lengths)
+            if ends[-1] == 0:
+                break
+            # gather the ragged adjacency slices of the whole frontier at once
+            targets = nbrs[np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)]
+            carried = np.repeat(gained, lengths)
+            # OR the bits arriving at each distinct target in one pass
+            order = np.argsort(targets)
+            targets, carried = targets[order], carried[order]
+            first = np.empty(targets.size, dtype=bool)
+            first[0] = True
+            np.not_equal(targets[1:], targets[:-1], out=first[1:])
+            first = np.flatnonzero(first)
+            targets = targets[first]
+            gained = np.bitwise_or.reduceat(carried, first) & ~mask[targets]
+            changed = gained != 0
+            frontier, gained = targets[changed], gained[changed]
+            mask[frontier] |= gained
+            levels.append(gained)
+        # per-bit counts of the gained bits; the little-endian byte view puts
+        # bit j in column j whatever the host byte order
+        reached = np.concatenate(levels).astype("<u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(reached, axis=1, count=k, bitorder="little")
+        sizes[lo : lo + k] = bits.sum(axis=0)
+    return sizes
+
+
+def forward_cluster_sizes(g: MultiDigraph, roots) -> np.ndarray:
+    """Forward-cluster size of every root (1-based ids), in the order given.
+
+    Exact; one bit-parallel traversal serves up to 64 roots, and working
+    memory is O(n) whatever the number of roots.
+    """
+    return _cluster_sizes(*g._out_csr, _roots0(g, roots), g.n)
 
 
 def forward_cluster_size(g: MultiDigraph, v: int) -> int:
     """Size of the forward cluster of v without materializing the set."""
-    _check_vertex(g, v)
-    indptr, nbrs = g._out_csr
-    return int(_reach_mask(indptr, nbrs, v - 1, g.n).sum())
+    return int(forward_cluster_sizes(g, [v])[0])
 
 
 def backward_cluster_size(g: MultiDigraph, v: int) -> int:
     """Size of the backward cluster of v without materializing the set."""
-    _check_vertex(g, v)
-    indptr, nbrs = g._in_csr
-    return int(_reach_mask(indptr, nbrs, v - 1, g.n).sum())
+    return int(_cluster_sizes(*g._in_csr, _roots0(g, [v]), g.n)[0])
 
 
 # -- components ---------------------------------------------------------------

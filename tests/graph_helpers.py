@@ -1,9 +1,14 @@
-"""Dict and set views of multigraphs for building small graphs and comparing arcs."""
+"""Dict and set views of multigraphs for building small graphs and comparing arcs.
+
+The cluster helpers are a plain breadth-first search over ``arc_dict``,
+independent of the package's traversal, so tests can use them as an oracle.
+"""
+
+from collections import deque
 
 import numpy as np
 
 from poisson_digraph.digraph import MultiDigraph
-from poisson_digraph.structure import _check_vertex, _reach_mask
 
 
 def graph_from_arcs(n, arcs):
@@ -24,15 +29,29 @@ def arc_dict(g):
     }
 
 
+def _reachable(g, v, reverse):
+    if not 1 <= v <= g.n:
+        raise ValueError(f"vertex {v} out of range 1..{g.n}")
+    nbrs = {}
+    for s, d in arc_dict(g):
+        if reverse:
+            s, d = d, s
+        nbrs.setdefault(s, []).append(d)
+    seen = {v}
+    queue = deque([v])
+    while queue:
+        for u in nbrs.get(queue.popleft(), ()):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return seen
+
+
 def forward_cluster(g, v):
     """Vertices reachable from v along arc directions, v included."""
-    _check_vertex(g, v)
-    indptr, nbrs = g._out_csr
-    return set((np.flatnonzero(_reach_mask(indptr, nbrs, v - 1, g.n)) + 1).tolist())
+    return _reachable(g, v, reverse=False)
 
 
 def backward_cluster(g, v):
     """Vertices from which v is reachable, v included."""
-    _check_vertex(g, v)
-    indptr, nbrs = g._in_csr
-    return set((np.flatnonzero(_reach_mask(indptr, nbrs, v - 1, g.n)) + 1).tolist())
+    return _reachable(g, v, reverse=True)

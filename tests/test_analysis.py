@@ -1,6 +1,7 @@
 """Tests for total-variation helpers, degree laws, and law-level diagnostics."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -213,6 +214,17 @@ def test_degree_fit_warns_when_underpowered():
     g = sample_graph_fast(w, 20.0, seed=0)
     with pytest.warns(UserWarning, match="little power"):
         degree_fit_test(g, Constant(2.0), kmax=10, seed=0)
+
+
+def test_mixed_pmf_warns_when_the_rule_loses_mass():
+    with pytest.warns(UserWarning, match="misses 0.18"):
+        pmf = mixed_poisson_pmf(ParetoMirrored(2.00001, 1.0), 10)
+    assert pmf.tail_mass > 0.18
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed_poisson_pmf(ParetoMirrored(3.5, 1.0), 10)
+        product = IndependentProduct(ParetoMarginal(3.5, 1.0), ConstantMarginal(5.0 / 3.0))
+        mixed_poisson_pmf(product, 10)
 
 
 def test_conditional_degree_params_constant():

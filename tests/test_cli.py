@@ -6,7 +6,6 @@ Exit-code contract: 0 success, 1 a requested statistical check failed,
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -18,13 +17,8 @@ from poisson_digraph.cli import RunConfig
 CMD = [sys.executable, "-m", "poisson_digraph"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env, timeout=300
-    )
+def run_cli(*args):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=300)
 
 
 def test_version_flag():
@@ -266,16 +260,6 @@ def test_scaling_tsv_and_json(tmp_path):
     assert "slopes" in payload
 
 
-def test_scaling_threads_env_matches_flag():
-    args = (
-        "scaling", "--tau", "3.5", "--critical", "--n-list", "128,256",
-        "--reps", "3", "--sources", "8", "--bootstrap", "20", "--seed", "2",
-    )
-    with_flag = run_cli(*args, "--threads", "2")
-    with_env = run_cli(*args, env_extra={"POISSON_DIGRAPH_THREADS": "2"})
-    assert with_flag.stdout == with_env.stdout
-
-
 def test_scaling_model_and_tau_are_exclusive():
     res = run_cli("scaling", "--model", "constant:1", "--tau", "3.5", "--n-list", "128,256")
     assert res.returncode == 2
@@ -292,10 +276,6 @@ def test_scaling_rejects_nonpositive_counts():
     res = run_cli(*args, "--threads", "-3")
     assert res.returncode == 2
     assert res.stderr.startswith("error: threads must be >= 1")
-    for raw in ("0", "-3"):
-        res = run_cli(*args, env_extra={"POISSON_DIGRAPH_THREADS": raw})
-        assert res.returncode == 2
-        assert res.stderr.startswith("error: threads must be >= 1")
 
 
 def test_verify_graph_mode(tmp_path):

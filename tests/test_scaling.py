@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from graph_helpers import forward_cluster
+from poisson_digraph.sampler import oriented_sum_parts
 from poisson_digraph.scaling import (
     STATISTICS,
     ScalingResult,
@@ -12,12 +14,15 @@ from poisson_digraph.scaling import (
     scaling_exponent_experiment,
     theoretical_alpha,
 )
+from poisson_digraph.streams import derive_seed, stream
 from poisson_digraph.weights import (
     Constant,
     ConstantMarginal,
     IndependentProduct,
     ParetoMirrored,
     critical_pareto_mirrored,
+    moments,
+    sample_weights,
 )
 
 
@@ -94,6 +99,25 @@ def test_thread_count_does_not_change_results():
     for stat in STATISTICS:
         np.testing.assert_array_equal(a.medians[stat], b.medians[stat])
         assert a.slopes[stat].slope == b.slopes[stat].slope
+
+
+def test_forward_medians_match_per_root_oracle():
+    # _tiny_run's replicates rebuilt, each root's cluster by the set oracle
+    model = critical_pareto_mirrored(3.5)
+    mu = moments(model).mu
+    expected = []
+    for n in (128, 256, 512):
+        best = []
+        for r in range(4):
+            rep_seed = derive_seed(3, "scaling", n, r)
+            w = sample_weights(model, n, rep_seed)
+            g = oriented_sum_parts(w, rep_seed, l_n=mu * n).graph
+            top = np.argpartition(w.w_in, n - 8)[n - 8 :]
+            rand = stream(rep_seed, "scaling-sources").integers(0, n, size=8)
+            roots = np.unique(np.concatenate([top, rand])) + 1
+            best.append(max(len(forward_cluster(g, int(v))) for v in roots))
+        expected.append(float(np.median(best)))
+    assert _tiny_run().medians["forward"] == tuple(expected)
 
 
 def test_cluster_sizes_grow_with_n():

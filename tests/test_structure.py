@@ -17,6 +17,7 @@ from poisson_digraph.structure import (
     component_summary,
     degree_arrays,
     forward_cluster_size,
+    forward_cluster_sizes,
     strong_components,
     weak_components,
 )
@@ -55,6 +56,36 @@ def test_clusters_match_closure_oracle(seed):
         assert forward_cluster_size(g, v) == len(fwd)
         assert backward_cluster_size(g, v) == len(bwd)
         assert set((np.flatnonzero(strong == strong[v - 1]) + 1).tolist()) == fwd & bwd
+
+
+@pytest.mark.parametrize("n, seed", [(25, s) for s in range(8)] + [(30, 100 + s) for s in range(5)])
+def test_forward_cluster_sizes_match_closure_oracle(n, seed):
+    g = _random_graph(n, seed)
+    reach = _closure(g)
+    roots = np.arange(1, n + 1)
+    np.testing.assert_array_equal(forward_cluster_sizes(g, roots), reach.sum(axis=1))
+    assert forward_cluster_sizes(g, roots[::-1]).tolist() == reach.sum(axis=1)[::-1].tolist()
+
+
+def test_forward_cluster_sizes_over_three_blocks_with_duplicates():
+    g = _random_graph(60, 7)
+    roots = np.random.default_rng(0).integers(1, 61, size=150)
+    assert np.unique(roots).size < roots.size
+    sizes = forward_cluster_sizes(g, roots)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [len(forward_cluster(g, int(v))) for v in roots]
+
+
+def test_forward_cluster_sizes_edge_inputs():
+    g = _random_graph(25, 1)
+    assert forward_cluster_sizes(g, []).tolist() == []
+    loop = graph_from_arcs(1, {(1, 1): 3})
+    assert forward_cluster_sizes(loop, [1, 1]).tolist() == [1, 1]
+    assert forward_cluster_size(loop, 1) == backward_cluster_size(loop, 1) == 1
+    assert forward_cluster_sizes(MultiDigraph.empty(5), range(1, 6)).tolist() == [1] * 5
+    for bad in (0, g.n + 1, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            forward_cluster_sizes(g, [1, bad])
 
 
 def test_reachability_is_reflexive_on_isolated_vertices():

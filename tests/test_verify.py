@@ -4,7 +4,12 @@ the acceptance module and via the CLI)."""
 import pytest
 
 from poisson_digraph.sampler import sample_graph_fast
-from poisson_digraph.verify import CheckResult, check_graph_against_model, run_suite
+from poisson_digraph.verify import (
+    CheckResult,
+    _check_giant_mirrored,
+    check_graph_against_model,
+    run_suite,
+)
 from poisson_digraph.weights import Constant, sample_weights
 
 
@@ -32,6 +37,13 @@ def test_graph_check_accepts_and_rejects():
     bad = check_graph_against_model(g, Constant(5.0), threshold=0.03, seed=14)
     assert not bad.passed
     assert bad.statistic > 0.3
+
+
+def test_giant_mirrored_check_passes():
+    # the full suite's giant check at the CLI's default seed, n = 1e5
+    checks = _check_giant_mirrored(0)
+    assert len(checks) == 3
+    assert [c.name for c in checks if not c.passed] == []
 
 
 @pytest.mark.slow
