@@ -7,7 +7,8 @@ command rerun with the same configuration and seed produces
 byte-identical output.
 
 Exit codes: 0 success or all checks passed, 1 check failure, 2 usage or
-configuration error, 3 I/O or file-format error.
+configuration error (a size that does not fit in memory included), 3 I/O
+or file-format error.
 """
 
 from __future__ import annotations
@@ -458,6 +459,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

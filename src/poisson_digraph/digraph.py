@@ -1,9 +1,9 @@
 """Directed multigraph container and the tab-separated edge-list format.
 
 Vertices are indexed 1..n.  Arcs are held as parallel (src, dst, mult)
-arrays sorted by (src, dst) with strictly positive multiplicities; CSR-style
-adjacency is built lazily for traversal.  Instances are treated as
-immutable once constructed.
+arrays sorted by (src, dst) with strictly positive multiplicities, so with
+the row offsets ``_indptr``, taken lazily, they are the CSR adjacency that
+traversal reads.  Instances are treated as immutable once constructed.
 """
 
 from __future__ import annotations
@@ -88,26 +88,22 @@ class MultiDigraph:
         return int(self.mult[self.loop_mask].sum())
 
     @cached_property
-    def _codes(self) -> np.ndarray:
-        """Sorted arc codes src * (n + 1) + dst, one per distinct arc."""
-        return self.src * (self.n + 1) + self.dst
+    def _indptr(self) -> np.ndarray:
+        """The n + 1 row offsets of the sorted arcs.
+
+        Vertex v's arcs are rows ``_indptr[v - 1]:_indptr[v]``; no sort is needed.
+        """
+        return np.cumsum(np.bincount(self.src, minlength=self.n + 1))
 
     def multiplicity(self, v: int, u: int) -> int:
         """Number of arcs from v to u; 0 for an absent pair or a vertex outside 1..n."""
         if not (1 <= v <= self.n and 1 <= u <= self.n):
             return 0
-        code = v * (self.n + 1) + u
-        i = int(np.searchsorted(self._codes, code))
-        return int(self.mult[i]) if i < self._codes.size and self._codes[i] == code else 0
-
-    @cached_property
-    def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, neighbors) over 0-based ids, ignoring multiplicities."""
-        return _csr(self.src - 1, self.dst - 1, self.n)
-
-    @cached_property
-    def _in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return _csr(self.dst - 1, self.src - 1, self.n)
+        # binary searches only: the (n + 1)-entry _indptr may not fit in memory
+        lo = int(self.src.searchsorted(v))
+        hi = int(self.src.searchsorted(v, side="right"))
+        i = lo + int(self.dst[lo:hi].searchsorted(u))
+        return int(self.mult[i]) if i < hi and self.dst[i] == u else 0
 
     def __repr__(self) -> str:
         return f"MultiDigraph(n={self.n}, arcs={self.total_arcs}, loops={self.total_loops})"
@@ -121,15 +117,6 @@ class MultiDigraph:
             and np.array_equal(self.dst, other.dst)
             and np.array_equal(self.mult, other.mult)
         )
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(rows, kind="stable")
-    rows, cols = rows[order], cols[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, cols
 
 
 # -- edge-list files ----------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .sampler import oriented_sum_parts
 from .streams import derive_seed, stream
-from .structure import component_summary, forward_cluster_sizes, weak_components
+from .structure import component_summary, forward_cluster_sizes
 from .weights import (
     ParetoMarginal,
     WeightModel,
@@ -125,7 +125,7 @@ def _one_replicate(
     parts = oriented_sum_parts(w, rep_seed, l_n=mu * n)
     g = parts.graph
     summary = component_summary(g)
-    constituent = weak_components(parts.first).largest_weak
+    constituent = component_summary(parts.first).largest_weak
     k = min(sources, n)
     top = np.argpartition(w.w_in, n - k)[n - k :]
     rand = stream(rep_seed, "scaling-sources").integers(0, n, size=k)

@@ -10,7 +10,8 @@ irrelevant to reachability.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -44,19 +45,16 @@ class DegreeArrays:
 
 
 def degree_arrays(g: MultiDigraph) -> DegreeArrays:
-    """Loop-excluded in/out degrees plus per-vertex loop counts."""
-    off = ~g.loop_mask
-    minlength = g.n + 1
-    d_out = np.bincount(g.src[off], weights=g.mult[off], minlength=minlength)[1:]
-    d_in = np.bincount(g.dst[off], weights=g.mult[off], minlength=minlength)[1:]
-    loops = np.bincount(
-        g.src[g.loop_mask], weights=g.mult[g.loop_mask], minlength=minlength
-    )[1:]
-    return DegreeArrays(
-        d_in=d_in.astype(np.int64),
-        d_out=d_out.astype(np.int64),
-        loops=loops.astype(np.int64),
-    )
+    """Loop-excluded in/out degrees plus per-vertex loop counts, exact int64 sums."""
+    loops = np.zeros(g.n, dtype=np.int64)
+    # merged arcs hold at most one loop row per vertex
+    loops[g.src[g.loop_mask] - 1] = g.mult[g.loop_mask]
+    # out-degrees are sums over the sorted rows, read off one running total
+    running = np.concatenate(([0], np.cumsum(g.mult)))
+    d_out = np.diff(running[g._indptr]) - loops
+    d_in = np.zeros(g.n, dtype=np.int64)
+    np.add.at(d_in, g.dst - 1, g.mult)
+    return DegreeArrays(d_in=d_in - loops, d_out=d_out, loops=loops)
 
 
 # -- reachability -------------------------------------------------------------
@@ -129,7 +127,7 @@ def forward_cluster_sizes(g: MultiDigraph, roots) -> np.ndarray:
     Exact; one bit-parallel traversal serves up to 64 roots, and working
     memory is O(n) whatever the number of roots.
     """
-    return _cluster_sizes(*g._out_csr, _roots0(g, roots), g.n)
+    return _cluster_sizes(g._indptr, g.dst - 1, _roots0(g, roots), g.n)
 
 
 def forward_cluster_size(g: MultiDigraph, v: int) -> int:
@@ -138,23 +136,30 @@ def forward_cluster_size(g: MultiDigraph, v: int) -> int:
 
 
 def backward_cluster_size(g: MultiDigraph, v: int) -> int:
-    """Size of the backward cluster of v without materializing the set."""
-    return int(_cluster_sizes(*g._in_csr, _roots0(g, [v]), g.n)[0])
+    """Size of the backward cluster of v: its forward cluster in the reversed graph."""
+    return forward_cluster_size(MultiDigraph(g.n, g.dst, g.src, g.mult), v)
 
 
 # -- components ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentSummary:
-    """Partition labels (0-based arrays over vertices 1..n) and sizes.
+    """Strong and weak partitions of one graph, each computed on first read.
 
-    Either partition may be absent (None) when only one was requested.
+    Labels are 0-based arrays over vertices 1..n.
     """
 
     n: int
-    strong_labels: np.ndarray | None = None
-    weak_labels: np.ndarray | None = None
+    adjacency: csr_matrix = field(repr=False)
+
+    @cached_property
+    def strong_labels(self) -> np.ndarray:
+        return connected_components(self.adjacency, directed=True, connection="strong")[1]
+
+    @cached_property
+    def weak_labels(self) -> np.ndarray:
+        return connected_components(self.adjacency, directed=True, connection="weak")[1]
 
     @staticmethod
     def _sizes(labels: np.ndarray) -> np.ndarray:
@@ -162,14 +167,10 @@ class ComponentSummary:
 
     @property
     def strong_sizes(self) -> np.ndarray:
-        if self.strong_labels is None:
-            raise ValueError("strong partition not computed")
         return self._sizes(self.strong_labels)
 
     @property
     def weak_sizes(self) -> np.ndarray:
-        if self.weak_labels is None:
-            raise ValueError("weak partition not computed")
         return self._sizes(self.weak_labels)
 
     @property
@@ -183,38 +184,21 @@ class ComponentSummary:
     def to_json(self, topk: int = 5) -> str:
         obj = {
             "n": self.n,
-            "largest_weak": self.largest_weak if self.weak_labels is not None else None,
-            "largest_strong": self.largest_strong if self.strong_labels is not None else None,
-            "weak_sizes_topk": (
-                self.weak_sizes[:topk].tolist() if self.weak_labels is not None else None
-            ),
-            "strong_sizes_topk": (
-                self.strong_sizes[:topk].tolist() if self.strong_labels is not None else None
-            ),
+            "largest_weak": self.largest_weak,
+            "largest_strong": self.largest_strong,
+            "weak_sizes_topk": self.weak_sizes[:topk].tolist(),
+            "strong_sizes_topk": self.strong_sizes[:topk].tolist(),
         }
         return json.dumps(obj, sort_keys=True)
 
 
-def _adjacency(g: MultiDigraph) -> csr_matrix:
-    data = np.ones(g.src.size, dtype=np.int8)
-    return csr_matrix((data, (g.src - 1, g.dst - 1)), shape=(g.n, g.n))
-
-
-def strong_components(g: MultiDigraph) -> ComponentSummary:
-    """Partition into strongly connected classes (linear time)."""
-    _, labels = connected_components(_adjacency(g), directed=True, connection="strong")
-    return ComponentSummary(n=g.n, strong_labels=labels)
-
-
-def weak_components(g: MultiDigraph) -> ComponentSummary:
-    """Partition into components of the direction-blind graph."""
-    _, labels = connected_components(_adjacency(g), directed=True, connection="weak")
-    return ComponentSummary(n=g.n, weak_labels=labels)
-
-
 def component_summary(g: MultiDigraph) -> ComponentSummary:
-    """Both partitions in one summary."""
-    adj = _adjacency(g)
-    _, strong = connected_components(adj, directed=True, connection="strong")
-    _, weak = connected_components(adj, directed=True, connection="weak")
-    return ComponentSummary(n=g.n, strong_labels=strong, weak_labels=weak)
+    """Strong and weak partitions of g (linear time each), computed on first read."""
+    # float64 data is the dtype scipy's graph routines take without a copy
+    ones = np.ones(g.src.size)
+    return ComponentSummary(g.n, csr_matrix((ones, g.dst - 1, g._indptr), shape=(g.n, g.n)))
+
+
+# names for callers that read one partition; the other is never computed
+strong_components = component_summary
+weak_components = component_summary

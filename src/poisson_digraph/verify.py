@@ -36,11 +36,7 @@ from .sampler import (
     sample_randomly_oriented_nr,
 )
 from .streams import stream
-from .structure import (
-    forward_cluster_size,
-    strong_components,
-    weak_components,
-)
+from .structure import component_summary, forward_cluster_size
 from .weights import (
     Constant,
     ConstantMarginal,
@@ -291,8 +287,8 @@ def _giant_fractions(seed: int, reps: int = 3, n: int = 100_000):
     for r in range(reps):
         w = sample_weights(model, n, seed + r)
         g = sample_graph_fast(w, mu * n, seed + r + 1000)
-        weak.append(weak_components(g).largest_weak / n)
-        summary = strong_components(g)
+        summary = component_summary(g)
+        weak.append(summary.largest_weak / n)
         strong.append(summary.largest_strong / n)
         labels = summary.strong_labels
         giant_label = np.argmax(np.bincount(labels))
@@ -339,7 +335,7 @@ def _check_giant_independent_sum(seed: int) -> CheckResult:
     devs = []
     for r in range(reps):
         g = sample_independent_sum(cap, cap, n, seed + r)
-        devs.append(abs(strong_components(g).largest_strong / n - report.pi))
+        devs.append(abs(component_summary(g).largest_strong / n - report.pi))
     return _below(
         "giant-strong-independent-sum",
         max(devs),

@@ -1,16 +1,19 @@
 """End-to-end tests of the command-line interface via subprocess.
 
 Exit-code contract: 0 success, 1 a requested statistical check failed,
-2 usage error, 3 input/output failure.
+2 usage error or a size that does not fit in memory, 3 input/output failure.
 """
 
+import ast
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import poisson_digraph
 from poisson_digraph import cli
 from poisson_digraph.cli import RunConfig
 
@@ -109,6 +112,17 @@ def test_vertex_count_past_the_cap_exits_three(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+def test_benchmark_imports_resolve():
+    # the benchmark harness under perfbench/ imports public names; a rename must fail here
+    names = set()
+    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "poisson_digraph":
+                names.update(alias.name for alias in node.names)
+    assert "component_summary" in names
+    assert [name for name in sorted(names) if not hasattr(poisson_digraph, name)] == []
+
+
 def test_sample_past_the_vertex_cap_exits_two_before_drawing(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("weights drawn for an n past the cap")
@@ -118,6 +132,18 @@ def test_sample_past_the_vertex_cap_exits_two_before_drawing(monkeypatch, capsys
     for flags in (["sample", "--n", "4000000000"], ["evolve", "--from", "2", "--to", "4000000000"]):
         assert cli.main([*flags, "--model", "constant:2"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_of_memory_exits_two(monkeypatch, capsys, tmp_path):
+    def exhaust(g):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    # raised, not allocated: a real allocation could exhaust an overcommitting host
+    monkeypatch.setattr(cli, "component_summary", exhaust)
+    path = tmp_path / "g.tsv"
+    path.write_text("# n=3\n1\t2\t1\n")
+    assert cli.main(["components", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: not enough memory: Unable to allocate")
 
 
 def test_headerless_file_needs_n_flag(tmp_path):
@@ -144,6 +170,17 @@ def test_components_of_empty_graph(tmp_path):
     payload = json.loads(run_cli("components", "--in", str(empty)).stdout)
     assert payload["largest_weak"] == 1
     assert payload["largest_strong"] == 1
+
+
+def test_stats_degrees_are_exact_past_2_53(capsys, tmp_path):
+    big = 2**53 + 1  # float64 rounds it to 2**53
+    path = tmp_path / "g.tsv"
+    path.write_text(f"# n=3\n1\t2\t{big}\n1\t3\t1\n")
+    assert cli.main(["stats", "--in", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["total_arcs"] == big + 1
+    assert payload["max_out_degree"] == big + 1
+    assert payload["max_in_degree"] == big
 
 
 def test_sample_then_stats_round_trip(tmp_path):

@@ -246,11 +246,14 @@ def test_header_n_flag_override(tmp_path):
     assert bigger.n == 10
 
 
-def test_csr_views_match_arcs():
+def test_indptr_matches_arcs():
     g = graph_from_arcs(4, {(1, 2): 2, (1, 3): 1, (4, 1): 1, (2, 2): 1})
-    indptr, nbrs = g._out_csr
-    out_1 = sorted(nbrs[indptr[0] : indptr[1]].tolist())
-    assert out_1 == [1, 2]  # 0-based targets of vertex 1
-    indptr_in, nbrs_in = g._in_csr
-    in_1 = sorted(nbrs_in[indptr_in[0] : indptr_in[1]].tolist())
-    assert in_1 == [3]  # 0-based sources into vertex 1
+    assert g._indptr.tolist() == [0, 2, 3, 3, 4]
+    # trailing isolated vertices keep empty rows up to n
+    tail = graph_from_arcs(6, {(2, 1): 1, (2, 3): 4})
+    assert tail._indptr.tolist() == [0, 0, 2, 2, 2, 2, 2]
+    for h in (g, tail):
+        for v in range(1, h.n + 1):
+            row = h.dst[h._indptr[v - 1] : h._indptr[v]].tolist()
+            assert row == sorted(d for s, d in arc_dict(h) if s == v)
+    assert MultiDigraph.empty(3)._indptr.tolist() == [0, 0, 0, 0]

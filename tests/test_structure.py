@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from poisson_digraph.sampler import sample_graph_fast
 from poisson_digraph.structure import (
@@ -153,6 +155,14 @@ def test_degrees_exclude_loops():
     assert arr.total.tolist() == [6, 4]
 
 
+def test_degree_arrays_are_exact_past_2_53():
+    big = 2**53 + 1  # float64 rounds it to 2**53
+    arr = degree_arrays(MultiDigraph(3, [1, 1, 3], [2, 3, 3], [big, 1, big]))
+    assert arr.d_out.tolist() == [big + 1, 0, 0]
+    assert arr.d_in.tolist() == [0, big, 1]
+    assert arr.loops.tolist() == [0, 0, big]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_degree_arrays_match_per_vertex(seed):
     g = _random_graph(40, 200 + seed)
@@ -167,6 +177,20 @@ def test_degree_arrays_match_per_vertex(seed):
             d_out,
             arcs.get((v, v), 0),
         )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_summary_matches_coo_reference(seed):
+    g = _random_graph(25, seed)
+    # the adjacency as a COO triple converted by scipy, independent of _indptr
+    ones = np.ones(g.src.size, dtype=np.int8)
+    reference = csr_matrix((ones, (g.src - 1, g.dst - 1)), shape=(g.n, g.n))
+    s = component_summary(g)
+    for connection in ("strong", "weak"):
+        _, labels = connected_components(reference, directed=True, connection=connection)
+        assert np.array_equal(getattr(s, f"{connection}_labels"), labels)
+    assert np.array_equal(strong_components(g).strong_sizes, s.strong_sizes)
+    assert np.array_equal(weak_components(g).weak_sizes, s.weak_sizes)
 
 
 def test_component_summary_invariants():
