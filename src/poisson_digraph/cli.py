@@ -80,7 +80,6 @@ class RunConfig:
     suite: str | None = None
     tau: float | None = None
     critical: bool | None = None
-    k: int | None = None
     threads: int | None = None
     sources: int | None = None
     bootstrap: int | None = None

@@ -13,6 +13,11 @@ Also provided: one-vertex growth via Poisson thinning, and the mirrored-sum
 constructions (two opposedly oriented undirected samples, or one doubled
 undirected sample with uniform orientation) that reproduce the direct law
 exactly, diagonal included.
+
+Each sampler has one private body that takes a replicate count ``reps`` and
+returns ``reps`` independent samples as the blocks of one graph on reps * n
+vertices: block r holds vertices r * n + 1 .. (r + 1) * n and no arc crosses
+blocks.  The public function is its body at reps = 1.
 """
 
 from __future__ import annotations
@@ -64,40 +69,30 @@ def _unit_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> MultiDigraph:
 
 
 def sample_graph_naive(
-    w: WeightSequence,
-    l_n: float,
-    seed: int,
-    max_n: int = NAIVE_DEFAULT_CAP,
-    allow_large: bool = False,
+    w: WeightSequence, l_n: float, seed: int, max_n: int = NAIVE_DEFAULT_CAP
 ) -> MultiDigraph:
     """Reference sampler: one Poisson draw per ordered pair, O(n^2).
 
-    Guarded at ``max_n`` vertices unless ``allow_large`` is set; intended as
-    the distributional oracle for the fast sampler.
+    Guarded at ``max_n`` vertices; intended as the distributional oracle
+    for the fast sampler.
     """
+    if w.n > max_n:
+        raise ValueError(f"naive sampler is O(n^2); n={w.n} exceeds max_n={max_n}")
+    return _naive(w, l_n, seed, 1)
+
+
+def _naive(w: WeightSequence, l_n: float, seed: int, reps: int) -> MultiDigraph:
     _check_l(l_n)
     n = w.n
-    if n > max_n and not allow_large:
-        raise ValueError(
-            f"naive sampler is O(n^2); n={n} exceeds cap {max_n} (pass allow_large=True)"
-        )
     rng = stream(seed, "naive")
     rows_per_block = max(1, 4_000_000 // n)
-    src_parts, dst_parts, mult_parts = [], [], []
-    for lo in range(0, n, rows_per_block):
-        hi = min(n, lo + rows_per_block)
-        rates = np.outer(w.w_out[lo:hi], w.w_in) / l_n
-        counts = rng.poisson(rates)
+    parts = []  # (src, dst, mult) of each row block
+    for lo in range(0, reps * n, rows_per_block):
+        rows = np.arange(lo, min(reps * n, lo + rows_per_block))
+        counts = rng.poisson(np.outer(w.w_out[rows % n], w.w_in) / l_n)
         r, c = np.nonzero(counts)
-        src_parts.append(r + lo + 1)
-        dst_parts.append(c + 1)
-        mult_parts.append(counts[r, c])
-    return MultiDigraph(
-        n,
-        np.concatenate(src_parts) if src_parts else np.zeros(0, dtype=np.int64),
-        np.concatenate(dst_parts) if dst_parts else np.zeros(0, dtype=np.int64),
-        np.concatenate(mult_parts) if mult_parts else np.zeros(0, dtype=np.int64),
-    )
+        parts.append((rows[r] + 1, rows[r] // n * n + c + 1, counts[r, c]))
+    return MultiDigraph(reps * n, *map(np.concatenate, zip(*parts)))
 
 
 def _draw_vertices(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,14 +116,17 @@ def sample_graph_fast(w: WeightSequence, l_n: float, seed: int) -> MultiDigraph:
     i.i.d. sequence independent of the sources, so pairing them with the
     sorted sources gives the same arc multiset law as two i.i.d. sequences.
     """
+    return _fast(w, l_n, seed, 1)
+
+
+def _fast(w: WeightSequence, l_n: float, seed: int, reps: int) -> MultiDigraph:
     _check_l(l_n)
     rng = stream(seed, "fast")
-    k = int(rng.poisson(w.sum_out * w.sum_in / l_n))
-    if k == 0:
-        return MultiDigraph.empty(w.n)
-    src = _draw_vertices(w.w_out, k, rng)
-    dst = rng.permutation(_draw_vertices(w.w_in, k, rng))
-    return _unit_arcs(w.n, src, dst)
+    k = int(rng.poisson(reps * w.sum_out * w.sum_in / l_n))
+    # sources from w_out tiled reps times pick their block; targets join it
+    src = _draw_vertices(np.tile(w.w_out, reps), k, rng)
+    dst = rng.permutation(_draw_vertices(w.w_in, k, rng)) + (src - 1) // w.n * w.n
+    return _unit_arcs(reps * w.n, src, dst)
 
 
 # -- growth by one vertex -----------------------------------------------------
@@ -152,22 +150,32 @@ def evolve(
     Requires l_next >= l_prev; the empirical-product normalizer is not
     pathwise monotone and must not be used here.
     """
+    return _evolve(g, w, l_prev, l_next, seed, 1)
+
+
+def _evolve(
+    g: MultiDigraph, w: WeightSequence, l_prev: float, l_next: float, seed: int, reps: int
+) -> MultiDigraph:
     _check_l(l_prev)
     _check_l(l_next)
     if l_next < l_prev:
         raise ValueError(f"normalizer must be nondecreasing, got {l_prev} -> {l_next}")
-    n_new = g.n + 1
+    n = g.n // reps
+    n_new = n + 1
     if w.n < n_new:
         raise ValueError(f"weight sequence has {w.n} pairs, need {n_new}")
     rng = stream(seed, "evolve", n_new)
-    kept = rng.binomial(g.mult, l_prev / l_next) if g.mult.size else g.mult
+    kept = rng.binomial(g.mult, l_prev / l_next)
     # arcs out of the new vertex (loop included), then arcs into it
-    out_counts = rng.poisson(w.w_out[n_new - 1] * w.w_in[:n_new] / l_next)
-    in_counts = rng.poisson(w.w_out[: n_new - 1] * w.w_in[n_new - 1] / l_next)
-    src = np.concatenate([g.src, np.full(n_new, n_new), np.arange(1, n_new)])
-    dst = np.concatenate([g.dst, np.arange(1, n_new + 1), np.full(n_new - 1, n_new)])
-    mult = np.concatenate([kept, out_counts, in_counts])
-    return MultiDigraph(n_new, src, dst, mult)
+    out_counts = rng.poisson(w.w_out[n_new - 1] * w.w_in[:n_new] / l_next, size=(reps, n_new))
+    in_counts = rng.poisson(w.w_out[:n] * w.w_in[n] / l_next, size=(reps, n))
+    # old vertex x moves to x + (x - 1) // n, in order; block r's new vertex is (r + 1) n_new
+    new = np.arange(1, reps + 1) * n_new
+    block = (new - n_new)[:, None] + np.arange(1, n_new + 1)
+    src = np.concatenate([g.src + (g.src - 1) // n, np.repeat(new, n_new), block[:, :n].ravel()])
+    dst = np.concatenate([g.dst + (g.dst - 1) // n, block.ravel(), np.repeat(new, n)])
+    mult = np.concatenate([kept, out_counts.ravel(), in_counts.ravel()])
+    return MultiDigraph(reps * n_new, src, dst, mult)
 
 
 def evolve_chain(
@@ -183,6 +191,13 @@ def evolve_chain(
     intermediate graph uses the same realized weights.  Only the mu-n and
     capacity-sum normalizers are monotone along the chain and allowed.
     """
+    return _evolve_chain(model, n_from, n_to, seed, mode, 1)
+
+
+def _evolve_chain(
+    model: WeightModel, n_from: int, n_to: int, seed: int, mode: NormalizerMode, reps: int
+) -> MultiDigraph:
+    # the reps chains share one weight sequence
     if not 1 <= n_from <= n_to:
         raise ValueError(f"need 1 <= n_from <= n_to, got {n_from}, {n_to}")
     if mode is NormalizerMode.EMPIRICAL_PRODUCT:
@@ -190,10 +205,10 @@ def evolve_chain(
     mu = moments(model).mu
     w = sample_weights(model, n_to, seed)
     l_cur = normalizer(w.prefix(n_from), mu, mode)
-    g = sample_graph_fast(w.prefix(n_from), l_cur, seed)
+    g = _fast(w.prefix(n_from), l_cur, seed, reps)
     for n_next in range(n_from + 1, n_to + 1):
         l_next = normalizer(w.prefix(n_next), mu, mode)
-        g = evolve(g, w, l_cur, l_next, seed)
+        g = _evolve(g, w, l_cur, l_next, seed, reps)
         l_cur = l_next
     return g
 
@@ -202,9 +217,9 @@ def evolve_chain(
 
 
 def _nr_oriented_arcs(
-    cap: np.ndarray, l_n: float, orientation: str, rng: np.random.Generator
+    cap: np.ndarray, l_n: float, orientation: str, rng: np.random.Generator, reps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arc endpoints (1-based) of one undirected inhomogeneous sample.
+    """Arc endpoints (1-based) of ``reps`` undirected inhomogeneous samples.
 
     Unordered pair {v, w}, v != w, carries Poisson(cap_v cap_w / l_n) edges
     and the diagonal Poisson(cap_v^2 / (2 l_n)), realized by drawing the
@@ -213,14 +228,12 @@ def _nr_oriented_arcs(
     i.i.d. sequence and split into the two endpoint columns.  Orientation:
     'higher' and 'lower' point every edge toward the higher / lower index
     (loops stay loops); 'uniform' keeps the exchangeable endpoint order,
-    which is a fair coin per edge.
+    which is a fair coin per edge.  Block r draws its own K and takes the
+    r-th run of consecutive edges.
     """
-    total = float(cap.sum()) ** 2 / (2.0 * l_n)
-    k = int(rng.poisson(total))
-    if k == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z
-    a, b = rng.permutation(_draw_vertices(cap, 2 * k, rng)).reshape(2, k)
+    k = rng.poisson(float(cap.sum()) ** 2 / (2.0 * l_n), size=reps)
+    shift = np.repeat(np.arange(reps) * cap.size, k)
+    a, b = rng.permutation(_draw_vertices(cap, 2 * int(k.sum()), rng)).reshape(2, -1) + shift
     if orientation == "higher":
         return np.minimum(a, b), np.maximum(a, b)
     if orientation == "lower":
@@ -244,8 +257,7 @@ class SumParts:
 
     @cached_property
     def graph(self) -> MultiDigraph:
-        (s1, d1), (s2, d2) = self.first_arcs, self.second_arcs
-        return _unit_arcs(self.n, np.concatenate([s1, s2]), np.concatenate([d1, d2]))
+        return _unit_arcs(self.n, *map(np.concatenate, zip(self.first_arcs, self.second_arcs)))
 
     @cached_property
     def first(self) -> MultiDigraph:
@@ -266,16 +278,18 @@ def _capacities(w: WeightSequence, l_n: float | None) -> tuple[np.ndarray, float
     return w.w_in, l_n
 
 
-def _sum_parts(cap1: np.ndarray, cap2: np.ndarray, l_n: float, seed: int, tag: str) -> SumParts:
+def _sum_parts(
+    cap1: np.ndarray, cap2: np.ndarray, l_n: float, seed: int, tag: str, reps: int = 1
+) -> SumParts:
     """Arc sum of two undirected samples at capacities cap1 and cap2.
 
     The first points toward higher indices and draws from stream
     (seed, tag, 1), the second toward lower indices from (seed, tag, 2).
     """
     return SumParts(
-        n=cap1.size,
-        first_arcs=_nr_oriented_arcs(cap1, l_n, "higher", stream(seed, tag, 1)),
-        second_arcs=_nr_oriented_arcs(cap2, l_n, "lower", stream(seed, tag, 2)),
+        n=reps * cap1.size,
+        first_arcs=_nr_oriented_arcs(cap1, l_n, "higher", stream(seed, tag, 1), reps),
+        second_arcs=_nr_oriented_arcs(cap2, l_n, "lower", stream(seed, tag, 2), reps),
     )
 
 
@@ -289,8 +303,12 @@ def oriented_sum_parts(
     arc-summed graph follows the direct mirrored law exactly, loops
     included (each constituent carries half the diagonal rate).
     """
-    cap, l_n = _capacities(capacity_weights, l_n)
-    return _sum_parts(cap, cap, l_n, seed, "oriented-sum")
+    return _oriented_sum_parts(capacity_weights, seed, l_n, 1)
+
+
+def _oriented_sum_parts(w: WeightSequence, seed: int, l_n: float | None, reps: int) -> SumParts:
+    cap, l_n = _capacities(w, l_n)
+    return _sum_parts(cap, cap, l_n, seed, "oriented-sum", reps)
 
 
 def sample_oriented_sum(
@@ -312,10 +330,13 @@ def sample_randomly_oriented_nr(
     diagonal rate cap_v^2 / l_n, again matching the direct law; the coin
     flip on a loop has no observable effect.
     """
-    cap, l_n = _capacities(capacity_weights, l_n)
+    return _randomly_oriented(capacity_weights, seed, l_n, 1)
+
+
+def _randomly_oriented(w: WeightSequence, seed: int, l_n: float | None, reps: int) -> MultiDigraph:
+    cap, l_n = _capacities(w, l_n)
     rng = stream(seed, "randomly-oriented")
-    src, dst = _nr_oriented_arcs(2.0 * cap, 2.0 * l_n, "uniform", rng)
-    return _unit_arcs(capacity_weights.n, src, dst)
+    return _unit_arcs(reps * w.n, *_nr_oriented_arcs(2.0 * cap, 2.0 * l_n, "uniform", rng, reps))
 
 
 # -- independent-sum construction ---------------------------------------------

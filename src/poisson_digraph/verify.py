@@ -28,14 +28,15 @@ from .analysis import (
 )
 from .branching import solve_extinction, survival_fractions
 from .sampler import (
-    evolve_chain,
+    _evolve_chain,
+    _fast,
+    _naive,
+    _oriented_sum_parts,
+    _randomly_oriented,
     sample_graph_fast,
-    sample_graph_naive,
     sample_independent_sum,
-    sample_oriented_sum,
-    sample_randomly_oriented_nr,
 )
-from .streams import stream
+from .streams import derive_seed, stream
 from .structure import component_summary, forward_cluster_size
 from .weights import (
     Constant,
@@ -98,81 +99,80 @@ def _at_least(name: str, statistic: float, threshold: float, **detail) -> CheckR
     )
 
 
-# replicate seeds: distinct integer keys give independent Philox streams
-def _totals(sample_one, reps: int) -> np.ndarray:
-    return np.fromiter(
-        (sample_one(r).total_arcs for r in range(reps)), dtype=np.int64, count=reps
-    )
+def _per_block(g, reps: int, keep=lambda src, dst: True) -> np.ndarray:
+    """Arcs per block of a batch graph, counting those whose in-block ids satisfy ``keep``."""
+    n = g.n // reps
+    block, src = np.divmod(g.src - 1, n)
+    return np.bincount(block, g.mult * keep(src + 1, (g.dst - 1) % n + 1), reps).astype(np.int64)
 
 
 def _check_sampler_agreement(seed: int) -> CheckResult:
+    name = "sampler-total-arcs-chisquare"
     model = Constant(2.0)
     n, reps = 3, 20_000
     w = sample_weights(model, n, seed)
     l_n = normalizer(w, moments(model).mu, NormalizerMode.DETERMINISTIC_MU_N)
     rate = w.sum_out * w.sum_in / l_n
-    fast = _totals(lambda r: sample_graph_fast(w, l_n, seed + 7 * r + 1), reps)
-    naive = _totals(lambda r: sample_graph_naive(w, l_n, seed + 7 * r + 2), reps)
+    fast = _per_block(_fast(w, l_n, derive_seed(seed, name, "fast"), reps), reps)
+    naive = _per_block(_naive(w, l_n, derive_seed(seed, name, "naive"), reps), reps)
     p_fast = poisson_chisquare(fast, rate).pvalue
     p_naive = poisson_chisquare(naive, rate).pvalue
-    return _at_least(
-        "sampler-total-arcs-chisquare",
-        min(p_fast, p_naive),
-        1e-3,
-        p_fast=p_fast,
-        p_naive=p_naive,
-        rate=rate,
-    )
+    return _at_least(name, min(p_fast, p_naive), 1e-3, p_fast=p_fast, p_naive=p_naive, rate=rate)
 
 
 def _check_construction_equivalence(seed: int) -> CheckResult:
+    name = "construction-equivalence-chisquare"
     n, reps = 2, 30_000
     model = Constant(2.0)
     w = sample_weights(model, n, seed)
     l_n = normalizer(w, moments(model).mu, NormalizerMode.DETERMINISTIC_MU_N)
-    direct = np.empty(reps, dtype=np.int64)
-    summed = np.empty(reps, dtype=np.int64)
-    coin = np.empty(reps, dtype=np.int64)
-    direct_12 = np.empty(reps, dtype=np.int64)
-    summed_12 = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        g_direct = sample_graph_fast(w, l_n, seed + 11 * r + 1)
-        g_sum = sample_oriented_sum(w, seed + 11 * r + 2, l_n)
-        g_coin = sample_randomly_oriented_nr(w, seed + 11 * r + 3, l_n)
-        direct[r] = g_direct.total_arcs
-        summed[r] = g_sum.total_arcs
-        coin[r] = g_coin.total_arcs
-        direct_12[r] = g_direct.multiplicity(1, 2)
-        summed_12[r] = g_sum.multiplicity(1, 2)
-    tv_totals_sum = empirical_tv(direct, summed)
-    tv_totals_coin = empirical_tv(direct, coin)
-    tv_pair = empirical_tv(direct_12, summed_12)
-    return _below(
-        "construction-equivalence-tv",
-        max(tv_totals_sum, tv_totals_coin, tv_pair),
-        0.015,
-        tv_totals_oriented_sum=tv_totals_sum,
-        tv_totals_random_orientation=tv_totals_coin,
-        tv_pair_multiplicity=tv_pair,
+    rate, pair_rate = w.sum_out * w.sum_in / l_n, w.w_out[0] * w.w_in[1] / l_n
+    routes = {
+        "direct": lambda s: _fast(w, l_n, s, reps),
+        "oriented_sum": lambda s: _oriented_sum_parts(w, s, l_n, reps).graph,
+        "random_orientation": lambda s: _randomly_oriented(w, s, l_n, reps),
+    }
+    graphs = {x: body(derive_seed(seed, name, x)) for x, body in routes.items()}
+    totals = {x: _per_block(g, reps) for x, g in graphs.items()}
+    pair = {x: _per_block(g, reps, lambda s, d: (s == 1) & (d == 2)) for x, g in graphs.items()}
+    detail = {f"p_totals_{x}": poisson_chisquare(totals[x], rate).pvalue for x in routes}
+    detail.update({f"p_pair_{x}": poisson_chisquare(pair[x], pair_rate).pvalue for x in routes})
+    return _at_least(
+        name,
+        min(detail.values()),
+        1e-3,
+        **detail,
+        tv_totals_oriented_sum=empirical_tv(totals["direct"], totals["oriented_sum"]),
+        tv_totals_random_orientation=empirical_tv(totals["direct"], totals["random_orientation"]),
+        tv_pair_multiplicity=empirical_tv(pair["direct"], pair["oriented_sum"]),
         reps=reps,
     )
 
 
 def _check_evolution(seed: int) -> CheckResult:
+    name = "evolution-total-arcs-chisquare"
     model = Constant(2.0)
     n_from, n_to, reps = 2, 4, 30_000
     mu = moments(model).mu
-    grown = _totals(
-        lambda r: evolve_chain(model, n_from, n_to, seed + 13 * r + 1), reps
+    mode = NormalizerMode.DETERMINISTIC_MU_N
+    grown = _evolve_chain(model, n_from, n_to, derive_seed(seed, name, "grown"), mode, reps)
+    w = sample_weights(model, n_to, derive_seed(seed, name, "direct"))
+    direct = _fast(w, mu * n_to, derive_seed(seed, name, "direct"), reps)
+    grown, direct = _per_block(grown, reps), _per_block(direct, reps)
+    rate = w.sum_out * w.sum_in / (mu * n_to)
+    p_grown = poisson_chisquare(grown, rate).pvalue
+    p_direct = poisson_chisquare(direct, rate).pvalue
+    return _at_least(
+        name,
+        min(p_grown, p_direct),
+        1e-3,
+        p_grown=p_grown,
+        p_direct=p_direct,
+        tv=empirical_tv(grown, direct),
+        n_from=n_from,
+        n_to=n_to,
+        reps=reps,
     )
-
-    def direct_one(r):
-        w = sample_weights(model, n_to, seed + 13 * r + 1)
-        return sample_graph_fast(w, mu * n_to, seed + 13 * r + 2)
-
-    direct = _totals(direct_one, reps)
-    tv = empirical_tv(grown, direct)
-    return _below("evolution-total-arcs-tv", tv, 0.015, n_from=n_from, n_to=n_to, reps=reps)
 
 
 def _check_degree_fit(seed: int) -> CheckResult:
@@ -259,14 +259,9 @@ def _check_conditional_degrees(seed: int) -> CheckResult:
     w = sample_weights(model, n, seed)
     l_n = normalizer(w, moments(model).mu, NormalizerMode.DETERMINISTIC_MU_N)
     params = conditional_degree_params(w, l_n, v)
-    d_in = np.empty(reps, dtype=np.int64)
-    d_out = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        g = sample_graph_fast(w, l_n, seed + 17 * r + 1)
-        in_mask = (g.dst == v) & (g.src != v)
-        out_mask = (g.src == v) & (g.dst != v)
-        d_in[r] = int(g.mult[in_mask].sum())
-        d_out[r] = int(g.mult[out_mask].sum())
+    g = _fast(w, l_n, derive_seed(seed, "conditional-degree-chisquare", "fast"), reps)
+    d_in = _per_block(g, reps, lambda src, dst: (dst == v) & (src != v))
+    d_out = _per_block(g, reps, lambda src, dst: (src == v) & (dst != v))
     p_in = poisson_chisquare(d_in, params.lam_in).pvalue
     p_out = poisson_chisquare(d_out, params.lam_out).pvalue
     return _at_least(

@@ -346,8 +346,9 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_file_unknown_field_exits_two(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": "constant:2", "n": 30, "wat": 1}))
-    assert run_cli("sample", "--config-file", str(cfg)).returncode == 2
+    for unknown in ("wat", "k"):
+        cfg.write_text(json.dumps({"model": "constant:2", "n": 30, unknown: 1}))
+        assert run_cli("sample", "--config-file", str(cfg)).returncode == 2
     for field, value in (("n_list", 5), ("n", "abc")):
         cfg.write_text(json.dumps({"model": "constant:2", field: value}))
         res = run_cli("sample", "--config-file", str(cfg))
@@ -370,7 +371,6 @@ def test_run_config_json_round_trip():
             RunConfig.from_json(bad)
 
 
-@pytest.mark.slow
 def test_verify_quick_suite_passes():
     res = run_cli("verify", "--suite", "quick", "--seed", "0")
     assert res.returncode == 0

@@ -12,6 +12,11 @@ from scipy import stats
 
 from poisson_digraph.analysis import empirical_tv, poisson_chisquare, product_poisson_chisquare
 from poisson_digraph.sampler import (
+    _evolve_chain,
+    _fast,
+    _naive,
+    _oriented_sum_parts,
+    _randomly_oriented,
     evolve,
     evolve_chain,
     independent_sum_parts,
@@ -22,6 +27,7 @@ from poisson_digraph.sampler import (
     sample_oriented_sum,
     sample_randomly_oriented_nr,
 )
+from poisson_digraph.streams import derive_seed
 from poisson_digraph.weights import (
     Constant,
     ConstantMarginal,
@@ -31,6 +37,7 @@ from poisson_digraph.weights import (
     ParetoMarginal,
     ParetoMirrored,
     WeightSequence,
+    moments,
     sample_weights,
 )
 from graph_helpers import arc_dict
@@ -81,6 +88,37 @@ def test_fast_and_naive_agree_pairwise_heavy_tails():
     assert empirical_tv(mf.sum(axis=1), mn.sum(axis=1)) < 0.03
 
 
+BATCH_BODIES = {
+    "fast": lambda model, w, l_n, seed, reps: _fast(w, l_n, seed, reps),
+    "naive": lambda model, w, l_n, seed, reps: _naive(w, l_n, seed, reps),
+    "oriented-sum": lambda model, w, l_n, seed, reps: _oriented_sum_parts(w, seed, l_n, reps).graph,
+    "random-orientation": lambda model, w, l_n, seed, reps: _randomly_oriented(w, seed, l_n, reps),
+    "evolve-chain": lambda model, w, l_n, seed, reps: _evolve_chain(
+        model, 1, 2, seed, NormalizerMode.DETERMINISTIC_MU_N, reps
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_BODIES))
+def test_batch_blocks_follow_the_exact_law(case):
+    """Each block of a batch is an independent sample of the exact pair law at n = 2."""
+    n, reps = 2, 50_000
+    model = ParetoMirrored(3.5, 1.0)
+    seed = derive_seed(0, "batch-law", case)
+    w = sample_weights(model, n, seed)  # the weights evolve_chain draws at this seed
+    l_n = moments(model).mu * n  # the chain's final normalizer
+    g = BATCH_BODIES[case](model, w, l_n, seed, reps)
+    assert g.n == reps * n
+    block = (g.src - 1) // n
+    assert np.array_equal(block, (g.dst - 1) // n)
+    counts = np.zeros(reps * n * n, dtype=np.int64)
+    counts[block * n * n + (g.src - 1) % n * n + (g.dst - 1) % n] = g.mult
+    rates = np.outer(w.w_out, w.w_in).ravel() / l_n
+    assert product_poisson_chisquare(counts.reshape(reps, n * n), rates).pvalue >= 1e-3
+    adjacent = counts.reshape(reps // 2, 2, n * n).sum(axis=2)
+    assert product_poisson_chisquare(adjacent, np.full(2, rates.sum())).pvalue >= 1e-3
+
+
 def test_total_arcs_poisson_law():
     w = _const_pair(50)
     totals = np.array(
@@ -92,9 +130,9 @@ def test_total_arcs_poisson_law():
 
 def test_naive_cap_guard():
     w = _const_pair(6)
-    with pytest.raises(ValueError, match="allow_large"):
+    with pytest.raises(ValueError, match="max_n=5"):
         sample_graph_naive(w, 12.0, 0, max_n=5)
-    g = sample_graph_naive(w, 12.0, 0, max_n=5, allow_large=True)
+    g = sample_graph_naive(w, 12.0, 0, max_n=6)
     assert g.n == 6
 
 

@@ -1,5 +1,5 @@
-"""Tests for the self-check suite plumbing (the checks themselves run in
-the acceptance module and via the CLI)."""
+"""Tests for the self-check suite: its plumbing, and both suites passing at
+the CLI's default seed."""
 
 import pytest
 
@@ -46,9 +46,9 @@ def test_giant_mirrored_check_passes():
     assert [c.name for c in checks if not c.passed] == []
 
 
-@pytest.mark.slow
-def test_quick_suite_all_pass():
-    checks = run_suite("quick", seed=0)
+@pytest.mark.parametrize("suite", ["quick", "full"])
+def test_quick_suite_all_pass(suite):
+    checks = run_suite(suite, seed=0)
     names = [c.name for c in checks]
     assert len(names) == len(set(names))
     failing = [c.name for c in checks if not c.passed]
