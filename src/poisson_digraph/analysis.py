@@ -3,9 +3,9 @@
 Contains the exact total-variation distance between Poisson laws, the
 mixed-Poisson degree prediction (joint in/out pmf and tail), goodness-of-fit
 tests for degrees and loop totals, conditional per-vertex degree rates at
-fixed weights, and a resampling test quantifying the dependence between the
-degrees of a fixed set of tracked vertices.  Every limiting expectation is a
-weighted sum over the deterministic quadrature rule of one weight marginal.
+fixed weights, and the exact dependence between the degrees of a fixed set
+of tracked vertices.  Every limiting expectation is a weighted sum over the
+deterministic quadrature rule of one weight marginal.
 """
 
 from __future__ import annotations
@@ -328,7 +328,6 @@ class IndependenceResult:
     statistic: float
     n: int
     k: int
-    reps: int
     pairwise: dict = field(repr=False)
 
 
@@ -336,62 +335,70 @@ def independence_test(
     model: WeightModel,
     n: int,
     k: int,
-    reps: int = 1_000_000,
     seed: int = 0,
     mode: NormalizerMode = NormalizerMode.DETERMINISTIC_MU_N,
 ) -> IndependenceResult:
-    """Dependence between the joint degrees of k tracked vertices.
+    """Exact dependence between the joint degrees of k tracked vertices.
 
-    Weights are realized once; the graph is then resampled ``reps`` times
-    and the joint law of the tracked (d_in, d_out) vectors is compared to
-    the product of their marginals.  The statistic is the maximum, over
-    tracked pairs, of the total variation between the empirical joint pmf
-    and the product of empirical marginals on the observed support.
+    Weights are realized once from ``seed``.  ``pairwise`` maps each pair
+    (i, j) of vertices 1..k to the TV between the joint law of
+    X_i = (d_in(i), d_out(i)) and X_j, loops left out, and the product of
+    their laws; the statistic is the maximum over pairs.
 
-    Only arcs among tracked vertices couple their degrees, so the
-    resampling draws exactly those O(k^2) shared Poisson counts plus one
-    independent Poisson remainder per degree; this reproduces the joint
-    conditional law of the tracked degrees without materializing graphs.
+    Given the weights, d_out(i) and d_in(j) share the arc count A_ij and
+    d_in(i) and d_out(j) share A_ji; the four remainders are independent
+    Poissons that absorb the other tracked vertices.  So the joint law is
+    F(d_out(i), d_in(j)) G(d_in(i), d_out(j)), and the TV is a finite sum.
+    Each of the six counts is cut where both its tails are below 1e-16,
+    which bounds the absolute error by 2e-15, beside rounding.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if k == 1:
-        return IndependenceResult(statistic=0.0, n=n, k=k, reps=reps, pairwise={})
     w = sample_weights(model, n, seed)
     l_n = normalizer(w, moments(model).mu, mode)
-    tracked = np.arange(k)
-    wi, wo = w.w_in[tracked], w.w_out[tracked]
-    out_rest = w.sum_out - wo.sum()
-    in_rest = w.sum_in - wi.sum()
-    # off-diagonal tracked-block rates, row = source, column = target
-    block_rates = np.outer(wo, wi) / l_n
-    np.fill_diagonal(block_rates, 0.0)
-    rng = stream(seed, "independence")
-    d_in = np.empty((reps, k), dtype=np.int64)
-    d_out = np.empty((reps, k), dtype=np.int64)
-    chunk = max(1, 40_000_000 // (k * k + 2 * k))
-    for lo in range(0, reps, chunk):
-        hi = min(reps, lo + chunk)
-        m = hi - lo
-        block = rng.poisson(block_rates, size=(m, k, k))
-        d_in[lo:hi] = rng.poisson(wi * out_rest / l_n, size=(m, k)) + block.sum(axis=1)
-        d_out[lo:hi] = rng.poisson(wo * in_rest / l_n, size=(m, k)) + block.sum(axis=2)
-    base = int(max(d_in.max(), d_out.max())) + 1
-    codes = d_in * base + d_out
     pairwise = {}
-    best = 0.0
     for i in range(k):
         for j in range(i + 1, k):
-            ci, inv_i = np.unique(codes[:, i], return_inverse=True)
-            cj, inv_j = np.unique(codes[:, j], return_inverse=True)
-            joint = np.zeros((ci.size, cj.size))
-            np.add.at(joint, (inv_i, inv_j), 1.0)
-            joint /= reps
-            prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-            tv = 0.5 * float(np.abs(joint - prod).sum())
-            pairwise[(i + 1, j + 1)] = tv
-            best = max(best, tv)
-    return IndependenceResult(statistic=best, n=n, k=k, reps=reps, pairwise=pairwise)
+            (in_i, in_j), (out_i, out_j) = w.w_in[[i, j]], w.w_out[[i, j]]
+            in_rest, out_rest = w.sum_in - in_i - in_j, w.sum_out - out_i - out_j
+            # (shared, left, right) rates of (d_out(i), d_in(j)) and of (d_in(i), d_out(j))
+            f = _shared_count_law(np.array([out_i * in_j, out_i * in_rest, in_j * out_rest]) / l_n)
+            g = _shared_count_law(np.array([out_j * in_i, in_i * out_rest, out_j * in_rest]) / l_n)
+            pairwise[(i + 1, j + 1)] = _product_tv(f, g)
+    return IndependenceResult(max(pairwise.values(), default=0.0), n, k, pairwise)
+
+
+def _shared_count_law(rates: np.ndarray) -> np.ndarray:
+    """Joint pmf of (S + X, S + Y) for independent Poisson S, X, Y of these rates."""
+    from scipy import stats
+
+    # Bernstein: Poisson(r) has at most exp(-c) = 1e-16 below r - sqrt(2 c r)
+    # and above r + t, where t^2 = 2 c (r + t / 3)
+    c = 16.0 * math.log(10.0)
+    lo = np.floor(np.maximum(rates - np.sqrt(2.0 * c * rates), 0.0))
+    hi = np.ceil(rates + c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * rates))
+    ps, px, py = (stats.poisson.pmf(np.arange(a, b + 1), r) for a, b, r in zip(lo, hi, rates))
+    law = np.zeros((ps.size + px.size - 1, ps.size + py.size - 1))
+    for shift, mass in enumerate(ps):
+        law[shift : shift + px.size, shift : shift + py.size] += mass * np.outer(px, py)
+    return law
+
+
+def _product_tv(f: np.ndarray, g: np.ndarray) -> float:
+    """TV between f (x) g and the product of the four marginals of the 2-d pmfs f and g.
+
+    With p and q the products of the marginals of f and g, 2 TV is the sum
+    of |f g - p q| over pairs of cells.  Summed over the cells of g, it is
+    p (2 Q_lo - Q) - f (2 G_lo - G), where Q_lo and G_lo add up q and g over
+    the cells with g / q < p / f: one sort of g / q serves every cell of f.
+    """
+    p, q = (np.outer(t.sum(axis=1), t.sum(axis=0)).ravel() for t in (f, g))
+    f, g = f.ravel(), g.ravel()
+    s = np.divide(g, q, out=np.zeros_like(q), where=q > 0)  # g = 0 wherever q = 0
+    order = np.argsort(s)
+    cum_q, cum_g = (np.concatenate([[0.0], np.cumsum(v[order])]) for v in (q, g))
+    lo = np.searchsorted(s[order], np.divide(p, f, out=np.full_like(p, np.inf), where=f > 0))
+    return 0.5 * float((p * (2 * cum_q[lo] - cum_q[-1]) - f * (2 * cum_g[lo] - cum_g[-1])).sum())
 
 
 # -- loop totals --------------------------------------------------------------

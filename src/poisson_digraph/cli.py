@@ -311,7 +311,6 @@ def cmd_verify(cfg: RunConfig) -> int:
                 _model(cfg),
                 kmax=cfg.kmax if cfg.kmax is not None else 30,
                 threshold=cfg.threshold if cfg.threshold is not None else 0.02,
-                seed=_seed(cfg),
                 source=cfg.graph,
             )
         ]

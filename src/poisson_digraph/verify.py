@@ -239,18 +239,12 @@ def _check_tv_properties(seed: int) -> CheckResult:
 
 
 def _check_independence_decay(seed: int) -> CheckResult:
-    small = independence_test(Constant(1.0), n=100, k=2, reps=400_000, seed=seed)
-    large = independence_test(Constant(1.0), n=10_000, k=2, reps=400_000, seed=seed)
-    decays = small.statistic > large.statistic
-    passed_value = large.statistic if decays else 1.0
-    return _below(
-        "independence-decay",
-        passed_value,
-        0.02,
-        statistic_n_100=small.statistic,
-        statistic_n_10000=large.statistic,
-        reps=400_000,
-    )
+    small = independence_test(Constant(1.0), n=100, k=2, seed=seed)
+    large = independence_test(Constant(1.0), n=10_000, k=2, seed=seed)
+    # a statistic that does not decay from n = 100 to n = 10,000 fails as 1.0
+    statistic = large.statistic if small.statistic > large.statistic else 1.0
+    detail = {"statistic_n_100": small.statistic, "statistic_n_10000": large.statistic}
+    return _below("independence-decay", statistic, 0.02, **detail)
 
 
 def _check_conditional_degrees(seed: int) -> CheckResult:
@@ -382,11 +376,10 @@ def check_graph_against_model(
     model: WeightModel,
     kmax: int = 30,
     threshold: float = 0.02,
-    seed: int = 0,
     source: str = "",
 ) -> CheckResult:
     """Degree-law check of a loaded graph against a weight model."""
-    fit = degree_fit_test(g, model, kmax=kmax, threshold=threshold, seed=seed)
+    fit = degree_fit_test(g, model, kmax=kmax, threshold=threshold)
     return _below(
         "degree-fit-file",
         fit.statistic,

@@ -30,6 +30,7 @@ from poisson_digraph.weights import (
     IndependentProduct,
     ParetoMarginal,
     ParetoMirrored,
+    moments,
     sample_weights,
 )
 
@@ -259,25 +260,67 @@ def test_conditional_degree_params_single_vertex():
 
 
 def test_independence_single_vertex_is_exactly_zero():
-    res = independence_test(Constant(1.0), n=100, k=1, reps=100, seed=0)
+    res = independence_test(Constant(1.0), n=100, k=1, seed=0)
     assert res.statistic == 0.0
+    assert res.pairwise == {}
 
 
 def test_independence_validates_block_size():
     with pytest.raises(ValueError):
-        independence_test(Constant(1.0), n=3, k=4, reps=100, seed=0)
+        independence_test(Constant(1.0), n=3, k=4, seed=0)
     with pytest.raises(ValueError):
-        independence_test(Constant(1.0), n=3, k=0, reps=100, seed=0)
+        independence_test(Constant(1.0), n=3, k=0, seed=0)
+
+
+def _brute_pair_tv(rates):
+    """TV of one pair, summed over its six Poisson counts, each up to its 1e-14 tail.
+
+    The counts are (U_i, V_i, U_j, V_j, A_ij, A_ji): arcs into and out of i
+    and j from the rest, and the two arcs between them.
+    """
+    values = [np.arange(int(stats.poisson.isf(1e-14, rate)) + 2) for rate in rates]
+    mass = np.ones(())
+    for rate, js in zip(rates, values):
+        mass = np.multiply.outer(mass, stats.poisson.pmf(js, rate))
+    u_i, v_i, u_j, v_j, a_ij, a_ji = np.meshgrid(*values, indexing="ij")
+    size = 2 * max(js.size for js in values)
+    joint = np.zeros((size,) * 4)  # (d_in i, d_out i, d_in j, d_out j)
+    np.add.at(joint, (u_i + a_ji, v_i + a_ij, u_j + a_ij, v_j + a_ji), mass)
+    product = np.multiply.outer(joint.sum(axis=(2, 3)), joint.sum(axis=(0, 1)))
+    return 0.5 * float(np.abs(joint - product).sum())
+
+
+def test_independence_matches_brute_force_sum_at_n3():
+    # independent in- and out-weights, so no two of the six rates coincide
+    model, n = IndependentProduct(ParetoMarginal(3.5, 0.5), ParetoMarginal(3.5, 0.5)), 3
+    w = sample_weights(model, n, seed=3)
+    l_n = moments(model).mu * n
+    res = independence_test(model, n=n, k=3, seed=3)
+    assert sorted(res.pairwise) == [(1, 2), (1, 3), (2, 3)]
+    assert res.statistic == max(res.pairwise.values())
+    for (i, j), tv in res.pairwise.items():
+        i, j = i - 1, j - 1
+        m = 3 - i - j  # the third vertex is the rest
+        rates = np.array(
+            [
+                w.w_in[i] * w.w_out[m],
+                w.w_out[i] * w.w_in[m],
+                w.w_in[j] * w.w_out[m],
+                w.w_out[j] * w.w_in[m],
+                w.w_out[i] * w.w_in[j],
+                w.w_out[j] * w.w_in[i],
+            ]
+        ) / l_n
+        assert tv == pytest.approx(_brute_pair_tv(rates), abs=1e-12)
 
 
 def test_independence_statistic_decays_with_n():
-    small = independence_test(Constant(1.0), n=50, k=2, reps=200_000, seed=4)
-    large = independence_test(Constant(1.0), n=5_000, k=2, reps=200_000, seed=4)
+    small = independence_test(Constant(1.0), n=50, k=2, seed=4)
+    large = independence_test(Constant(1.0), n=5_000, k=2, seed=4)
     assert large.statistic < small.statistic
     assert large.statistic < 0.03
     assert len(large.pairwise) == 1
-    assert large.reps == 200_000
-    three = independence_test(Constant(1.0), n=500, k=3, reps=50_000, seed=4)
+    three = independence_test(Constant(1.0), n=500, k=3, seed=4)
     assert len(three.pairwise) == 3
     assert three.statistic == pytest.approx(max(three.pairwise.values()))
 

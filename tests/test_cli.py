@@ -5,6 +5,7 @@ Exit-code contract: 0 success, 1 a requested statistical check failed,
 """
 
 import ast
+import inspect
 import json
 import math
 import subprocess
@@ -112,15 +113,53 @@ def test_vertex_count_past_the_cap_exits_three(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+def _benchmark_calls(tree, names):
+    """(line, name, positional count, keyword names) of each call of an imported name.
+
+    A call is direct, ``fn(...)``, or wrapped, ``t.call(label, fn, ...)`` or
+    ``call(label, fn, ...)``, whose arguments after ``fn`` are fn's.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        wrapped = (isinstance(func, ast.Attribute) and func.attr == "call") or (
+            isinstance(func, ast.Name) and func.id == "call"
+        )
+        if wrapped and len(args) >= 2:
+            func, args = args[1], args[2:]
+        if isinstance(func, ast.Name) and func.id in names:
+            assert not any(isinstance(a, ast.Starred) for a in args), node.lineno
+            assert all(k.arg is not None for k in node.keywords), node.lineno
+            yield node.lineno, func.id, len(args), [k.arg for k in node.keywords]
+
+
 def test_benchmark_imports_resolve():
-    # the benchmark harness under perfbench/ imports public names; a rename must fail here
+    # the benchmark harness under perfbench/ imports public names and calls them;
+    # a rename or a dropped parameter must fail here
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")
+    }
     names = set()
-    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in trees.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "poisson_digraph":
                 names.update(alias.name for alias in node.names)
     assert "component_summary" in names
     assert [name for name in sorted(names) if not hasattr(poisson_digraph, name)] == []
+    unbound, called = [], set()
+    for file, tree in trees.items():
+        for line, name, positional, keywords in _benchmark_calls(tree, names):
+            called.add(name)
+            try:
+                inspect.signature(getattr(poisson_digraph, name)).bind(
+                    *[None] * positional, **dict.fromkeys(keywords)
+                )
+            except TypeError as err:
+                unbound.append(f"{file}:{line} {name}: {err}")
+    assert {"survival_fractions", "degree_fit_test", "scaling_exponent_experiment"} <= called
+    assert unbound == []
 
 
 def test_sample_past_the_vertex_cap_exits_two_before_drawing(monkeypatch, capsys):

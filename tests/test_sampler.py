@@ -119,6 +119,53 @@ def test_batch_blocks_follow_the_exact_law(case):
     assert product_poisson_chisquare(adjacent, np.full(2, rates.sum())).pvalue >= 1e-3
 
 
+def test_fast_tracked_pair_counts_follow_the_exact_law():
+    """Per block, the six counts behind the degrees of vertices 1 and 2 are independent Poissons.
+
+    U_v and V_v count the arcs into and out of v from and to the vertices
+    other than 1 and 2 of its block; A_12 and A_21 count the arcs between
+    the two.  Loops are left out, as in ``independence_test``.
+    """
+    n, chunks, reps = 100, 4, 5_000
+    model = ParetoMirrored(3.5, 1.0)
+    w = sample_weights(model, n, derive_seed(0, "pair-degrees"))
+    l_n = moments(model).mu * n
+    counts = []
+    for chunk in range(chunks):
+        g = _fast(w, l_n, derive_seed(0, "pair-degrees", chunk), reps)
+        (src_block, src), (dst_block, dst) = divmod(g.src - 1, n), divmod(g.dst - 1, n)
+        from_pair = (src < 2) & (src_block == dst_block)
+        to_pair = (dst < 2) & (src_block == dst_block)
+
+        def per_block(block, keep):
+            return np.bincount(block, g.mult * keep, reps)
+
+        counts.append(
+            np.column_stack(
+                [
+                    per_block(dst_block, (dst == 0) & ~from_pair),
+                    per_block(src_block, (src == 0) & ~to_pair),
+                    per_block(dst_block, (dst == 1) & ~from_pair),
+                    per_block(src_block, (src == 1) & ~to_pair),
+                    per_block(src_block, from_pair & (src == 0) & (dst == 1)),
+                    per_block(src_block, from_pair & (src == 1) & (dst == 0)),
+                ]
+            ).astype(np.int64)
+        )
+    in_rest, out_rest = w.sum_in - w.w_in[:2].sum(), w.sum_out - w.w_out[:2].sum()
+    rates = np.array(
+        [
+            w.w_in[0] * out_rest,
+            w.w_out[0] * in_rest,
+            w.w_in[1] * out_rest,
+            w.w_out[1] * in_rest,
+            w.w_out[0] * w.w_in[1],
+            w.w_out[1] * w.w_in[0],
+        ]
+    ) / l_n
+    assert product_poisson_chisquare(np.concatenate(counts), rates).pvalue >= 1e-3
+
+
 def test_total_arcs_poisson_law():
     w = _const_pair(50)
     totals = np.array(

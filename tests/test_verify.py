@@ -31,10 +31,10 @@ def test_unknown_suite_rejected():
 def test_graph_check_accepts_and_rejects():
     w = sample_weights(Constant(2.0), 30_000, seed=14)
     g = sample_graph_fast(w, 60_000.0, seed=14)
-    good = check_graph_against_model(g, Constant(2.0), threshold=0.03, seed=14, source="mem")
+    good = check_graph_against_model(g, Constant(2.0), threshold=0.03, source="mem")
     assert good.passed
     assert good.detail["source"] == "mem"
-    bad = check_graph_against_model(g, Constant(5.0), threshold=0.03, seed=14)
+    bad = check_graph_against_model(g, Constant(5.0), threshold=0.03)
     assert not bad.passed
     assert bad.statistic > 0.3
 
