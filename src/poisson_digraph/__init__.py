@@ -59,6 +59,7 @@ from .streams import derive_seed, stream
 from .structure import (
     ComponentSummary,
     backward_cluster_size,
+    backward_cluster_sizes,
     component_summary,
     degree_arrays,
     forward_cluster_size,
@@ -133,6 +134,7 @@ __all__ = [
     # structure
     "ComponentSummary",
     "backward_cluster_size",
+    "backward_cluster_sizes",
     "component_summary",
     "degree_arrays",
     "forward_cluster_size",

@@ -23,6 +23,7 @@ __all__ = [
     "degree_arrays",
     "forward_cluster_sizes",
     "forward_cluster_size",
+    "backward_cluster_sizes",
     "backward_cluster_size",
     "ComponentSummary",
     "strong_components",
@@ -135,9 +136,21 @@ def forward_cluster_size(g: MultiDigraph, v: int) -> int:
     return int(forward_cluster_sizes(g, [v])[0])
 
 
+def backward_cluster_sizes(g: MultiDigraph, roots) -> np.ndarray:
+    """Backward-cluster size of every root (1-based ids), in the order given.
+
+    Forward clusters over the reversed arcs: one sort by target builds
+    the reversed CSR once per call, whatever the number of roots.
+    """
+    roots0 = _roots0(g, roots)
+    order = np.argsort(g.dst)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(g.dst - 1, minlength=g.n))))
+    return _cluster_sizes(indptr, g.src[order] - 1, roots0, g.n)
+
+
 def backward_cluster_size(g: MultiDigraph, v: int) -> int:
-    """Size of the backward cluster of v: its forward cluster in the reversed graph."""
-    return forward_cluster_size(MultiDigraph(g.n, g.dst, g.src, g.mult), v)
+    """Size of the backward cluster of v."""
+    return int(backward_cluster_sizes(g, [v])[0])
 
 
 # -- components ---------------------------------------------------------------

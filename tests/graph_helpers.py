@@ -2,13 +2,17 @@
 
 The cluster helpers are a plain breadth-first search over ``arc_dict``,
 independent of the package's traversal, so tests can use them as an oracle.
+The batch helpers read per-block counts of a sampler body's block graph and
+combine independent chi-square statistics into one p-value.
 """
 
 from collections import deque
 
 import numpy as np
+from scipy.stats import chi2
 
 from poisson_digraph.digraph import MultiDigraph
+from poisson_digraph.verify import _per_block
 
 
 def graph_from_arcs(n, arcs):
@@ -55,3 +59,20 @@ def forward_cluster(g, v):
 def backward_cluster(g, v):
     """Vertices from which v is reachable, v included."""
     return _reachable(g, v, reverse=True)
+
+
+def block_pairs(g, reps):
+    """(reps, n * n) arc counts of a batch graph: row r is block r, columns the row-major pairs."""
+    n = g.n // reps
+    return np.column_stack(
+        [
+            _per_block(g, reps, lambda s, d, v=v, u=u: (s == v) & (d == u))
+            for v in range(1, n + 1)
+            for u in range(1, n + 1)
+        ]
+    )
+
+
+def summed_pvalue(results):
+    """p-value of independent Pearson statistics summed, against chi-square on the summed dof."""
+    return float(chi2.sf(sum(r.statistic for r in results), sum(r.dof for r in results)))

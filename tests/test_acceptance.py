@@ -3,6 +3,26 @@
 Each test prints exactly one ``[criterion ...] PASS/FAIL`` line (run with
 ``-s`` to see them live; captured output is shown for failures anyway).
 
+Criteria 1-3 test the exact pair law.  Each route draws its replicates as
+the blocks of one graph from a sampler's private body, and each criterion
+has one statistic: the Pearson chi-squares of cells that are independent
+under the exact law, summed and referred to chi-square on the summed
+degrees of freedom, passing at p >= 0.01, so the designed false-alarm
+rate is 1 %.
+
+- Criterion 1 (40 cells): for each (configuration, sampler), the joint
+  chi-square of the 4 pair counts at n = 2, or the 9 per-pair
+  chi-squares at n = 3.  Measured false alarms: 4 of 200.
+- Criterion 2 (15 cells): for each route, the joint chi-square of the 4
+  pair counts at n = 2, and at n = 1000 the chi-squares of A_12, A_21,
+  A_11 and the rest of the total.  Measured false alarms: 1 of 200.
+- Criterion 3 (2 cells): the grown chain's and the direct route's totals
+  against Poisson(10).  Measured false alarms: 1 of 200.
+
+The measured counts come from 200 base seeds (1000-1199) substituted for
+the criteria's own; their 95 % intervals are 0.5-5.0 %, 0.01-2.8 % and
+0.01-2.8 %.
+
 Two lines fail by design and document a real discrepancy instead of hiding
 it.  At mirrored capacity 2, the measured direction-blind giant fraction is
 about 0.980, which the two-type direction-blind fixed point predicts, while
@@ -15,16 +35,13 @@ constituent grow with the predicted exponent 0.6.  Companion tests assert
 the corrected quantities at the same tolerances and pass.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from poisson_digraph.analysis import (
     degree_fit_test,
-    empirical_tv,
     independence_test,
     loop_test,
     mixed_poisson_tail,
@@ -34,24 +51,28 @@ from poisson_digraph.analysis import (
 )
 from poisson_digraph.branching import survival_fractions
 from poisson_digraph.sampler import (
-    evolve_chain,
+    _evolve_chain,
+    _fast,
+    _naive,
+    _oriented_sum_parts,
+    _randomly_oriented,
     sample_graph_fast,
-    sample_graph_naive,
     sample_independent_sum,
-    sample_oriented_sum,
-    sample_randomly_oriented_nr,
 )
 from poisson_digraph.scaling import scaling_exponent_experiment
 from poisson_digraph.streams import derive_seed
 from poisson_digraph.structure import component_summary, forward_cluster_size
+from poisson_digraph.verify import _per_block
 from poisson_digraph.weights import (
     Constant,
     ConstantMarginal,
+    NormalizerMode,
     ParetoMirrored,
     critical_pareto_mirrored,
     moments,
     sample_weights,
 )
+from graph_helpers import block_pairs, summed_pvalue
 
 # one-type fixed point q = exp(-2 (1 - q)) and its derived fractions,
 # cross-checked against independent root-finding oracles in test_branching
@@ -66,23 +87,10 @@ def _report(cid: str, passed: bool, detail: str) -> None:
     assert passed, line
 
 
-def _pair_counts(sampler, w, l_n, reps, seed0):
-    n = w.n
-    out = np.zeros((reps, n * n), dtype=np.int64)
-    for r in range(reps):
-        g = sampler(w, l_n, seed0 + r)
-        idx = (g.src - 1) * n + (g.dst - 1)
-        out[r, idx] = g.mult
-    return out
-
-
-@pytest.mark.slow
 def test_criterion_1_sampler_exactness():
     """Both samplers against the exact product-Poisson arc law at n in {2, 3}."""
-    # 56 histograms are each held to the 1% level, so replicate seed ranges
-    # must not overlap between configurations; derive_seed keys each block.
     reps = 100_000
-    worst = 1.0
+    cells = []
     for n, model, tag in [
         (2, Constant(2.0), "const"),
         (3, Constant(2.0), "const"),
@@ -92,92 +100,78 @@ def test_criterion_1_sampler_exactness():
         w = sample_weights(model, n, seed=202)
         l_n = moments(model).mu * n
         rates = np.outer(w.w_out, w.w_in).ravel() / l_n
-        for sname, sampler in (("fast", sample_graph_fast), ("naive", sample_graph_naive)):
-            seed0 = derive_seed(202, "criterion-1", tag, n, sname)
-            m = _pair_counts(sampler, w, l_n, reps, seed0)
-            for j in range(n * n):
-                worst = min(worst, poisson_chisquare(m[:, j], rates[j]).pvalue)
+        for sname, body in (("fast", _fast), ("naive", _naive)):
+            m = block_pairs(body(w, l_n, derive_seed(202, "criterion-1", tag, n, sname), reps), reps)
             if n == 2:
-                worst = min(worst, product_poisson_chisquare(m, rates).pvalue)
+                cells.append(product_poisson_chisquare(m, rates))
+            else:
+                cells += [poisson_chisquare(m[:, j], rates[j]) for j in range(n * n)]
+    p = summed_pvalue(cells)
     _report(
         "1",
-        worst >= 0.01,
-        f"per-pair chi-square vs exact product-Poisson law, min p={worst:.4f} (>= 0.01)",
+        p >= 0.01,
+        f"{len(cells)} chi-squares vs exact product-Poisson law, summed p={p:.4f} (>= 0.01)",
     )
 
 
 @pytest.mark.slow
 def test_criterion_2_sum_construction_equivalence():
     """Oriented-sum, coin-flip-oriented at doubled capacity, and direct
-    mirrored sampling share total-arc and per-pair laws."""
+    mirrored sampling all follow the exact per-pair law."""
+    routes = {
+        "direct": _fast,
+        "oriented_sum": lambda w, l_n, s, reps: _oriented_sum_parts(w, s, l_n, reps).graph,
+        "random_orientation": lambda w, l_n, s, reps: _randomly_oriented(w, s, l_n, reps),
+    }
+    cells = []
     cap2 = sample_weights(ParetoMirrored(3.5, 1.0), 2, seed=102)
     l2 = float(cap2.sum_in)
     reps2 = 100_000
-    routes2 = [
-        _pair_counts(sample_graph_fast, cap2, l2, reps2, 5_102),
-        _pair_counts(lambda w, l, s: sample_oriented_sum(w, s, l), cap2, l2, reps2, 6_102),
-        _pair_counts(lambda w, l, s: sample_randomly_oriented_nr(w, l_n=l, seed=s), cap2, l2, reps2, 7_102),
-    ]
     rates2 = np.outer(cap2.w_out, cap2.w_in).ravel() / l2
-    worst_tv = 0.0
-    worst_p = 1.0
-    for a in range(3):
-        for j in range(4):
-            worst_p = min(worst_p, poisson_chisquare(routes2[a][:, j], rates2[j]).pvalue)
-        for b in range(a + 1, 3):
-            worst_tv = max(worst_tv, empirical_tv(routes2[a].sum(axis=1), routes2[b].sum(axis=1)))
-            for j in range(4):
-                worst_tv = max(worst_tv, empirical_tv(routes2[a][:, j], routes2[b][:, j]))
+    for route, body in routes.items():
+        g = body(cap2, l2, derive_seed(102, "criterion-2", route, 2), reps2)
+        cells.append(product_poisson_chisquare(block_pairs(g, reps2), rates2))
 
     n3 = 1_000
     cap3 = sample_weights(ParetoMirrored(3.5, 1.0), n3, seed=102)
     l3 = float(cap3.sum_in)
     tracked = [(1, 2), (2, 1), (1, 1)]
     track_rates = [float(cap3.w_out[v - 1] * cap3.w_in[u - 1] / l3) for v, u in tracked]
-    reps3 = 20_000
-    samplers3 = [
-        lambda s: sample_graph_fast(cap3, l3, s),
-        lambda s: sample_oriented_sum(cap3, s, l3),
-        lambda s: sample_randomly_oriented_nr(cap3, l_n=l3, seed=s),
-    ]
-    for si, sampler in enumerate(samplers3):
-        totals = np.empty(reps3, dtype=np.int64)
-        tracks = np.empty((reps3, 3), dtype=np.int64)
-        for r in range(reps3):
-            g = sampler(9_000_000 + 1_000_000 * si + r)
-            totals[r] = g.total_arcs
-            for t, (v, u) in enumerate(tracked):
-                tracks[r, t] = g.multiplicity(v, u)
-        worst_p = min(worst_p, poisson_chisquare(totals, l3).pvalue)
-        for t in range(3):
-            worst_p = min(worst_p, poisson_chisquare(tracks[:, t], track_rates[t]).pvalue)
-    passed = worst_tv < 0.01 and worst_p >= 0.01
+    chunks, chunk_reps = 10, 2_000  # 20,000 replicates, about 3.3e6 arcs per chunk
+    for route, body in routes.items():
+        counts = []
+        for c in range(chunks):
+            g = body(cap3, l3, derive_seed(102, "criterion-2", route, n3, c), chunk_reps)
+            pairs = [
+                _per_block(g, chunk_reps, lambda s, d, v=v, u=u: (s == v) & (d == u))
+                for v, u in tracked
+            ]
+            counts.append(np.column_stack(pairs + [_per_block(g, chunk_reps) - sum(pairs)]))
+        counts = np.concatenate(counts)
+        for j, rate in enumerate(track_rates + [l3 - sum(track_rates)]):
+            cells.append(poisson_chisquare(counts[:, j], rate))
+    p = summed_pvalue(cells)
     _report(
         "2",
-        passed,
-        f"route-vs-route max TV={worst_tv:.4f} (< 0.01 at n=2), "
-        f"exact-law min p={worst_p:.4f} (>= 0.01, n in {{2, 1000}})",
+        p >= 0.01,
+        f"{len(cells)} chi-squares vs exact Poisson laws (n in {{2, 1000}}), summed p={p:.4f} (>= 0.01)",
     )
 
 
-@pytest.mark.slow
 def test_criterion_3_evolution_consistency():
-    """Thinning-growth chain 2 -> 5 vs direct sampling at 5: total-arc law."""
+    """Thinning-growth chain 2 -> 5 and direct sampling at 5: total-arc law."""
     reps = 100_000
-    chain = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        chain[r] = evolve_chain(Constant(2.0), 2, 5, seed=103_000_000 + r).total_arcs
+    mode = NormalizerMode.DETERMINISTIC_MU_N
+    chain = _evolve_chain(Constant(2.0), 2, 5, derive_seed(103, "criterion-3", "chain"), mode, reps)
     w5 = sample_weights(Constant(2.0), 5, seed=103)
-    direct = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        direct[r] = sample_graph_fast(w5, 10.0, 203_000_000 + r).total_arcs
-    tv = empirical_tv(chain, direct)
-    p_chain = poisson_chisquare(chain, 10.0).pvalue
-    passed = tv < 0.01 and p_chain >= 0.01
+    direct = _fast(w5, 10.0, derive_seed(103, "criterion-3", "direct"), reps)
+    cells = [poisson_chisquare(_per_block(g, reps), 10.0) for g in (chain, direct)]
+    p = summed_pvalue(cells)
     _report(
         "3",
-        passed,
-        f"total-arc TV chain-vs-direct={tv:.4f} (< 0.01), chain vs exact Poisson(10) p={p_chain:.4f}",
+        p >= 0.01,
+        f"chain and direct totals vs exact Poisson(10), summed p={p:.4f} (>= 0.01; "
+        f"chain p={cells[0].pvalue:.4f}, direct p={cells[1].pvalue:.4f})",
     )
 
 
@@ -308,7 +302,6 @@ def _critical_scaling_result():
     )
 
 
-@pytest.mark.slow
 def test_criterion_7_weak_scaling_exponent():
     """Median largest direction-blind component exponent against 0.6.
 
@@ -326,7 +319,6 @@ def test_criterion_7_weak_scaling_exponent():
     )
 
 
-@pytest.mark.slow
 def test_criterion_7_companion_forward_and_constituent():
     res = _critical_scaling_result()
     fwd = res.slopes["forward"].slope

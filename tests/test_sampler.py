@@ -1,33 +1,37 @@
 """Distributional tests for the samplers and the sum constructions.
 
-The naive sampler is the oracle for the fast one; both are checked against
-the exact product-Poisson law on tiny graphs where the full joint law is
-tractable.  Bigger checks (1e5 samples, both weight models) live in the
-acceptance module.
+Every law test draws its replicates as the blocks of one graph from a
+sampler's private body and compares per-block counts with the exact
+Poisson law; where a test combines several independent chi-squares, their
+statistics are summed and referred to chi-square on the summed degrees of
+freedom.  The public samplers are their bodies at one replicate, which
+``test_public_samplers_are_their_bodies`` pins.  Criteria 1-3 of the
+acceptance module run the same laws at 1e5 replicates.
 """
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from poisson_digraph.analysis import empirical_tv, poisson_chisquare, product_poisson_chisquare
+from poisson_digraph.analysis import poisson_chisquare, product_poisson_chisquare
 from poisson_digraph.sampler import (
+    _evolve,
     _evolve_chain,
     _fast,
     _naive,
     _oriented_sum_parts,
     _randomly_oriented,
+    _sum_parts,
     evolve,
     evolve_chain,
     independent_sum_parts,
     oriented_sum_parts,
     sample_graph_fast,
     sample_graph_naive,
-    sample_independent_sum,
     sample_oriented_sum,
     sample_randomly_oriented_nr,
 )
 from poisson_digraph.streams import derive_seed
+from poisson_digraph.verify import _per_block
 from poisson_digraph.weights import (
     Constant,
     ConstantMarginal,
@@ -40,18 +44,7 @@ from poisson_digraph.weights import (
     moments,
     sample_weights,
 )
-from graph_helpers import arc_dict
-
-
-def _pair_counts(sampler, w, l_n, reps, seed0):
-    """(reps, n*n) multiplicity matrix, row-major ordered pairs."""
-    n = w.n
-    out = np.zeros((reps, n * n), dtype=np.int64)
-    for r in range(reps):
-        g = sampler(w, l_n, seed0 + r)
-        idx = (g.src - 1) * n + (g.dst - 1)
-        out[r, idx] = g.mult
-    return out
+from graph_helpers import arc_dict, block_pairs, summed_pvalue
 
 
 def _const_pair(n, value=2.0):
@@ -59,33 +52,19 @@ def _const_pair(n, value=2.0):
     return WeightSequence(c.copy(), c.copy())
 
 
-def test_fast_matches_exact_joint_law_n2():
-    w = _const_pair(2)
-    l_n = 4.0  # mu * n
-    m = _pair_counts(sample_graph_fast, w, l_n, 20_000, 100)
-    res = product_poisson_chisquare(m, np.full(4, 1.0))
-    assert res.pvalue >= 1e-3
-
-
-def test_naive_matches_exact_joint_law_n2():
-    w = _const_pair(2)
-    m = _pair_counts(sample_graph_naive, w, 4.0, 20_000, 200)
-    res = product_poisson_chisquare(m, np.full(4, 1.0))
-    assert res.pvalue >= 1e-3
-
-
 def test_fast_and_naive_agree_pairwise_heavy_tails():
+    """Every pair count of both samplers against its exact Poisson law, at n = 3."""
+    name = "test_fast_and_naive_agree_pairwise_heavy_tails"
     w = sample_weights(ParetoMirrored(3.5, 1.0), 3, seed=5)
     l_n = float(w.sum_in)
     reps = 20_000
-    mf = _pair_counts(sample_graph_fast, w, l_n, reps, 300)
-    mn = _pair_counts(sample_graph_naive, w, l_n, reps, 40_300)
     rates = np.outer(w.w_out, w.w_in).ravel() / l_n
-    for j in range(9):
-        assert empirical_tv(mf[:, j], mn[:, j]) < 0.03
-        assert poisson_chisquare(mf[:, j], rates[j]).pvalue >= 1e-3
-        assert poisson_chisquare(mn[:, j], rates[j]).pvalue >= 1e-3
-    assert empirical_tv(mf.sum(axis=1), mn.sum(axis=1)) < 0.03
+    cells = []
+    routes = ((_fast, derive_seed(300, name, "fast")), (_naive, derive_seed(40_300, name, "naive")))
+    for body, seed in routes:
+        m = block_pairs(body(w, l_n, seed, reps), reps)
+        cells += [poisson_chisquare(m[:, j], rates[j]) for j in range(9)]
+    assert summed_pvalue(cells) >= 1e-3
 
 
 BATCH_BODIES = {
@@ -99,22 +78,25 @@ BATCH_BODIES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BATCH_BODIES))
-def test_batch_blocks_follow_the_exact_law(case):
+# the Pareto cases keep their bare ids; constant weight 2 gives every pair rate 1
+LAW_CASES = [(case, ParetoMirrored(3.5, 1.0), case) for case in sorted(BATCH_BODIES)] + [
+    (f"constant-{case}", Constant(2.0), case) for case in sorted(BATCH_BODIES)
+]
+
+
+@pytest.mark.parametrize("label, model, case", LAW_CASES, ids=[label for label, _, _ in LAW_CASES])
+def test_batch_blocks_follow_the_exact_law(label, model, case):
     """Each block of a batch is an independent sample of the exact pair law at n = 2."""
     n, reps = 2, 50_000
-    model = ParetoMirrored(3.5, 1.0)
-    seed = derive_seed(0, "batch-law", case)
+    seed = derive_seed(0, "batch-law", label)
     w = sample_weights(model, n, seed)  # the weights evolve_chain draws at this seed
     l_n = moments(model).mu * n  # the chain's final normalizer
     g = BATCH_BODIES[case](model, w, l_n, seed, reps)
     assert g.n == reps * n
-    block = (g.src - 1) // n
-    assert np.array_equal(block, (g.dst - 1) // n)
-    counts = np.zeros(reps * n * n, dtype=np.int64)
-    counts[block * n * n + (g.src - 1) % n * n + (g.dst - 1) % n] = g.mult
+    assert np.array_equal((g.src - 1) // n, (g.dst - 1) // n)
+    counts = block_pairs(g, reps)
     rates = np.outer(w.w_out, w.w_in).ravel() / l_n
-    assert product_poisson_chisquare(counts.reshape(reps, n * n), rates).pvalue >= 1e-3
+    assert product_poisson_chisquare(counts, rates).pvalue >= 1e-3
     adjacent = counts.reshape(reps // 2, 2, n * n).sum(axis=2)
     assert product_poisson_chisquare(adjacent, np.full(2, rates.sum())).pvalue >= 1e-3
 
@@ -168,11 +150,48 @@ def test_fast_tracked_pair_counts_follow_the_exact_law():
 
 def test_total_arcs_poisson_law():
     w = _const_pair(50)
-    totals = np.array(
-        [sample_graph_fast(w, 100.0, 7_000 + r).total_arcs for r in range(4_000)]
-    )
+    reps = 4_000
+    g = _fast(w, 100.0, derive_seed(7_000, "test_total_arcs_poisson_law", "fast"), reps)
     # sum rates = (100 * 100) / 100
-    assert poisson_chisquare(totals, 100.0).pvalue >= 1e-3
+    assert poisson_chisquare(_per_block(g, reps), 100.0).pvalue >= 1e-3
+
+
+PARETO_40 = sample_weights(ParetoMirrored(3.5, 1.0), 40, seed=21)
+PUBLIC_AND_BODY = {
+    "fast": (
+        lambda w: sample_graph_fast(w, w.sum_in, 5),
+        lambda w: _fast(w, w.sum_in, 5, 1),
+    ),
+    "naive": (
+        lambda w: sample_graph_naive(w, w.sum_in, 5),
+        lambda w: _naive(w, w.sum_in, 5, 1),
+    ),
+    "oriented-sum": (
+        lambda w: oriented_sum_parts(w, 5).graph,
+        lambda w: _oriented_sum_parts(w, 5, None, 1).graph,
+    ),
+    "random-orientation": (
+        lambda w: sample_randomly_oriented_nr(w, 5),
+        lambda w: _randomly_oriented(w, 5, None, 1),
+    ),
+    "evolve": (
+        lambda w: evolve(sample_graph_fast(w.prefix(39), 50.0, 4), w, 50.0, 52.0, 5),
+        lambda w: _evolve(sample_graph_fast(w.prefix(39), 50.0, 4), w, 50.0, 52.0, 5, 1),
+    ),
+    "evolve-chain": (
+        lambda w: evolve_chain(ParetoMirrored(3.5, 1.0), 1, 40, 5),
+        lambda w: _evolve_chain(ParetoMirrored(3.5, 1.0), 1, 40, 5, NormalizerMode.DETERMINISTIC_MU_N, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PUBLIC_AND_BODY))
+def test_public_samplers_are_their_bodies(case):
+    """Each public sampler returns its private body's batch of one, arc for arc."""
+    public, body = PUBLIC_AND_BODY[case]
+    g = public(PARETO_40)
+    assert g.n == 40 and g.total_arcs > 0
+    assert g == body(PARETO_40)
 
 
 def test_naive_cap_guard():
@@ -231,19 +250,16 @@ def test_evolve_chain_rejects_empirical_normalizer():
 
 
 def test_evolve_chain_matches_direct_totals():
+    """Grown 2 -> 4 and direct totals both follow the exact Poisson(8) law."""
+    name = "test_evolve_chain_matches_direct_totals"
     reps = 15_000
-    chain = np.array(
-        [evolve_chain(Constant(2.0), 2, 4, seed=1_000 + r).total_arcs for r in range(reps)]
-    )
+    mode = NormalizerMode.DETERMINISTIC_MU_N
+    chain = _evolve_chain(Constant(2.0), 2, 4, derive_seed(1_000, name, "chain"), mode, reps)
+    seed = derive_seed(50_000, name, "direct")
+    direct = _fast(sample_weights(Constant(2.0), 4, seed), 8.0, seed, reps)
     # at n=4 with L=mu*n the total rate is (8*8)/8
-    assert poisson_chisquare(chain, 8.0).pvalue >= 1e-3
-    direct = np.array(
-        [
-            sample_graph_fast(sample_weights(Constant(2.0), 4, 50_000 + r), 8.0, 50_000 + r).total_arcs
-            for r in range(reps)
-        ]
-    )
-    assert empirical_tv(chain, direct) < 0.02
+    cells = [poisson_chisquare(_per_block(g, reps), 8.0) for g in (chain, direct)]
+    assert summed_pvalue(cells) >= 1e-3
 
 
 def test_oriented_parts_orientations():
@@ -274,21 +290,16 @@ def test_sum_constructions_need_mirrored_weights():
 
 def test_single_vertex_loop_laws_agree():
     """All three mirrored constructions give the same loop law at n=1."""
+    name = "test_single_vertex_loop_laws_agree"
     w = _const_pair(1)  # capacity 2, default l_n = 2, loop rate 4/2
     reps = 15_000
-    direct = np.array(
-        [sample_graph_fast(w, 2.0, 90_000 + r).multiplicity(1, 1) for r in range(reps)]
-    )
-    summed = np.array(
-        [sample_oriented_sum(w, 120_000 + r).multiplicity(1, 1) for r in range(reps)]
-    )
-    coin = np.array(
-        [sample_randomly_oriented_nr(w, 150_000 + r).multiplicity(1, 1) for r in range(reps)]
-    )
-    for sample in (direct, summed, coin):
-        assert poisson_chisquare(sample, 2.0).pvalue >= 1e-3
-    assert empirical_tv(direct, summed) < 0.025
-    assert empirical_tv(direct, coin) < 0.025
+    graphs = [
+        _fast(w, 2.0, derive_seed(90_000, name, "direct"), reps),
+        _oriented_sum_parts(w, derive_seed(120_000, name, "oriented-sum"), None, reps).graph,
+        _randomly_oriented(w, derive_seed(150_000, name, "random-orientation"), None, reps),
+    ]
+    # at n = 1 every arc is a loop
+    assert summed_pvalue([poisson_chisquare(_per_block(g, reps), 2.0) for g in graphs]) >= 1e-3
 
 
 def test_independent_sum_accepts_marginals_and_mirrored_models():
@@ -316,23 +327,18 @@ def test_independent_sum_rejects_two_sided_models():
 def test_independent_sum_total_intensity():
     # each constituent carries (sum cap)^2 / (2 L) = mu n / 2 arcs on average
     n, reps = 200, 300
-    totals = np.array(
-        [
-            sample_independent_sum(ConstantMarginal(2.0), ConstantMarginal(2.0), n, seed=r).total_arcs
-            for r in range(reps)
-        ]
-    )
+    cap = np.full(n, 2.0)  # what ConstantMarginal(2.0) draws
+    seed = derive_seed(0, "test_independent_sum_total_intensity", "indep-sum")
+    totals = _per_block(_sum_parts(cap, cap, 2.0 * n, seed, "indep-sum", reps).graph, reps)
     se = np.sqrt(2 * n * 2.0 / reps)  # Poisson(mu n) mean over reps
     assert abs(totals.mean() - 2.0 * n) < 5 * se
 
 
 def test_constituent_totals_are_poisson():
     reps = 10_000
-    firsts = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        firsts[r] = independent_sum_parts(
-            ConstantMarginal(2.0), ConstantMarginal(2.0), 10, seed=300_000 + r
-        ).first.total_arcs
+    cap = np.full(10, 2.0)  # what ConstantMarginal(2.0) draws
+    seed = derive_seed(300_000, "test_constituent_totals_are_poisson", "first")
+    firsts = _per_block(_sum_parts(cap, cap, 20.0, seed, "indep-sum", reps).first, reps)
     # (sum cap)^2 / (2 L) = 400 / 40
     assert poisson_chisquare(firsts, 10.0).pvalue >= 1e-3
 
@@ -342,7 +348,8 @@ def test_mean_matrix_agrees_with_rates():
     w = sample_weights(ParetoMirrored(4.0, 1.0), 4, seed=9)
     l_n = float(w.sum_in)
     reps = 30_000
-    m = _pair_counts(sample_graph_fast, w, l_n, reps, 700_000)
+    seed = derive_seed(700_000, "test_mean_matrix_agrees_with_rates", "fast")
+    m = block_pairs(_fast(w, l_n, seed, reps), reps)
     rates = np.outer(w.w_out, w.w_in).ravel() / l_n
     z = (m.mean(axis=0) - rates) / np.sqrt(rates / reps)
     assert np.max(np.abs(z)) < 4.5

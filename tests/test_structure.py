@@ -16,6 +16,7 @@ from poisson_digraph.sampler import sample_graph_fast
 from poisson_digraph.structure import (
     ComponentSummary,
     backward_cluster_size,
+    backward_cluster_sizes,
     component_summary,
     degree_arrays,
     forward_cluster_size,
@@ -67,6 +68,8 @@ def test_forward_cluster_sizes_match_closure_oracle(n, seed):
     roots = np.arange(1, n + 1)
     np.testing.assert_array_equal(forward_cluster_sizes(g, roots), reach.sum(axis=1))
     assert forward_cluster_sizes(g, roots[::-1]).tolist() == reach.sum(axis=1)[::-1].tolist()
+    np.testing.assert_array_equal(backward_cluster_sizes(g, roots), reach.sum(axis=0))
+    assert backward_cluster_sizes(g, roots[::-1]).tolist() == reach.sum(axis=0)[::-1].tolist()
 
 
 def test_forward_cluster_sizes_over_three_blocks_with_duplicates():
@@ -76,18 +79,22 @@ def test_forward_cluster_sizes_over_three_blocks_with_duplicates():
     sizes = forward_cluster_sizes(g, roots)
     assert sizes.dtype == np.int64
     assert sizes.tolist() == [len(forward_cluster(g, int(v))) for v in roots]
+    sizes = backward_cluster_sizes(g, roots)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [len(backward_cluster(g, int(v))) for v in roots]
 
 
 def test_forward_cluster_sizes_edge_inputs():
     g = _random_graph(25, 1)
-    assert forward_cluster_sizes(g, []).tolist() == []
     loop = graph_from_arcs(1, {(1, 1): 3})
-    assert forward_cluster_sizes(loop, [1, 1]).tolist() == [1, 1]
     assert forward_cluster_size(loop, 1) == backward_cluster_size(loop, 1) == 1
-    assert forward_cluster_sizes(MultiDigraph.empty(5), range(1, 6)).tolist() == [1] * 5
-    for bad in (0, g.n + 1, -1):
-        with pytest.raises(ValueError, match="out of range"):
-            forward_cluster_sizes(g, [1, bad])
+    for sizes in (forward_cluster_sizes, backward_cluster_sizes):
+        assert sizes(g, []).tolist() == []
+        assert sizes(loop, [1, 1]).tolist() == [1, 1]
+        assert sizes(MultiDigraph.empty(5), range(1, 6)).tolist() == [1] * 5
+        for bad in (0, g.n + 1, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                sizes(g, [1, bad])
 
 
 def test_reachability_is_reflexive_on_isolated_vertices():
