@@ -14,10 +14,10 @@ constructions (two opposedly oriented undirected samples, or one doubled
 undirected sample with uniform orientation) that reproduce the direct law
 exactly, diagonal included.
 
-Each sampler has one private body that takes a replicate count ``reps`` and
-returns ``reps`` independent samples as the blocks of one graph on reps * n
-vertices: block r holds vertices r * n + 1 .. (r + 1) * n and no arc crosses
-blocks.  The public function is its body at reps = 1.
+Each sampler is one function with a keyword-only replicate count ``reps``
+(default 1).  It returns ``reps`` independent samples as the blocks of one
+graph on reps * n vertices: block r holds vertices r * n + 1 .. (r + 1) * n
+and no arc crosses blocks.  At reps = 1 that graph is the single sample.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ __all__ = [
 NAIVE_DEFAULT_CAP = 10_000
 
 
-def _check_l(l_n: float) -> None:
+def _check(l_n: float, reps: int = 1) -> None:
     if not (l_n > 0 and math.isfinite(l_n)):
         raise ValueError(f"normalizer L must be positive and finite, got {l_n}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
 
 
 def _unit_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> MultiDigraph:
@@ -69,20 +71,16 @@ def _unit_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> MultiDigraph:
 
 
 def sample_graph_naive(
-    w: WeightSequence, l_n: float, seed: int, max_n: int = NAIVE_DEFAULT_CAP
+    w: WeightSequence, l_n: float, seed: int, max_n: int = NAIVE_DEFAULT_CAP, *, reps: int = 1
 ) -> MultiDigraph:
-    """Reference sampler: one Poisson draw per ordered pair, O(n^2).
+    """Reference sampler: one Poisson draw per ordered pair, O(n^2) per block.
 
-    Guarded at ``max_n`` vertices; intended as the distributional oracle
-    for the fast sampler.
+    Guarded at ``max_n`` vertices per block; intended as the distributional
+    oracle for the fast sampler.
     """
     if w.n > max_n:
         raise ValueError(f"naive sampler is O(n^2); n={w.n} exceeds max_n={max_n}")
-    return _naive(w, l_n, seed, 1)
-
-
-def _naive(w: WeightSequence, l_n: float, seed: int, reps: int) -> MultiDigraph:
-    _check_l(l_n)
+    _check(l_n, reps)
     n = w.n
     rng = stream(seed, "naive")
     rows_per_block = max(1, 4_000_000 // n)
@@ -105,7 +103,7 @@ def _draw_vertices(weights: np.ndarray, size: int, rng: np.random.Generator) -> 
     return np.searchsorted(cdf, np.sort(rng.random(size)) * cdf[-1], side="right") + 1
 
 
-def sample_graph_fast(w: WeightSequence, l_n: float, seed: int) -> MultiDigraph:
+def sample_graph_fast(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1) -> MultiDigraph:
     """Near-linear sampler, O(n + K log K) for K arcs.
 
     Draws the total arc count K ~ Poisson((sum w_out)(sum w_in) / L), then
@@ -116,11 +114,7 @@ def sample_graph_fast(w: WeightSequence, l_n: float, seed: int) -> MultiDigraph:
     i.i.d. sequence independent of the sources, so pairing them with the
     sorted sources gives the same arc multiset law as two i.i.d. sequences.
     """
-    return _fast(w, l_n, seed, 1)
-
-
-def _fast(w: WeightSequence, l_n: float, seed: int, reps: int) -> MultiDigraph:
-    _check_l(l_n)
+    _check(l_n, reps)
     rng = stream(seed, "fast")
     k = int(rng.poisson(reps * w.sum_out * w.sum_in / l_n))
     # sources from w_out tiled reps times pick their block; targets join it
@@ -138,8 +132,10 @@ def evolve(
     l_prev: float,
     l_next: float,
     seed: int,
+    *,
+    reps: int = 1,
 ) -> MultiDigraph:
-    """One step of the graph process: n vertices to n + 1.
+    """One step of the graph process: n vertices to n + 1, in each of g's ``reps`` blocks.
 
     Existing arcs are kept independently with probability l_prev / l_next
     (binomial thinning per multiplicity), then vertex n + 1 arrives with
@@ -150,17 +146,13 @@ def evolve(
     Requires l_next >= l_prev; the empirical-product normalizer is not
     pathwise monotone and must not be used here.
     """
-    return _evolve(g, w, l_prev, l_next, seed, 1)
-
-
-def _evolve(
-    g: MultiDigraph, w: WeightSequence, l_prev: float, l_next: float, seed: int, reps: int
-) -> MultiDigraph:
-    _check_l(l_prev)
-    _check_l(l_next)
+    _check(l_prev, reps)
+    _check(l_next)
     if l_next < l_prev:
         raise ValueError(f"normalizer must be nondecreasing, got {l_prev} -> {l_next}")
-    n = g.n // reps
+    n, rest = divmod(g.n, reps)
+    if rest:
+        raise ValueError(f"a graph on {g.n} vertices is not {reps} equal blocks")
     n_new = n + 1
     if w.n < n_new:
         raise ValueError(f"weight sequence has {w.n} pairs, need {n_new}")
@@ -184,20 +176,16 @@ def evolve_chain(
     n_to: int,
     seed: int,
     mode: NormalizerMode = NormalizerMode.DETERMINISTIC_MU_N,
+    *,
+    reps: int = 1,
 ) -> MultiDigraph:
     """Sample at n_from and grow one vertex at a time to n_to.
 
     The weight sequence is drawn once for n_to (prefix stable), so every
-    intermediate graph uses the same realized weights.  Only the mu-n and
-    capacity-sum normalizers are monotone along the chain and allowed.
+    intermediate graph uses the same realized weights; the ``reps`` chains
+    share it.  Only the mu-n and capacity-sum normalizers are monotone
+    along the chain and allowed.
     """
-    return _evolve_chain(model, n_from, n_to, seed, mode, 1)
-
-
-def _evolve_chain(
-    model: WeightModel, n_from: int, n_to: int, seed: int, mode: NormalizerMode, reps: int
-) -> MultiDigraph:
-    # the reps chains share one weight sequence
     if not 1 <= n_from <= n_to:
         raise ValueError(f"need 1 <= n_from <= n_to, got {n_from}, {n_to}")
     if mode is NormalizerMode.EMPIRICAL_PRODUCT:
@@ -205,10 +193,10 @@ def _evolve_chain(
     mu = moments(model).mu
     w = sample_weights(model, n_to, seed)
     l_cur = normalizer(w.prefix(n_from), mu, mode)
-    g = _fast(w.prefix(n_from), l_cur, seed, reps)
+    g = sample_graph_fast(w.prefix(n_from), l_cur, seed, reps=reps)
     for n_next in range(n_from + 1, n_to + 1):
         l_next = normalizer(w.prefix(n_next), mu, mode)
-        g = _evolve(g, w, l_cur, l_next, seed, reps)
+        g = evolve(g, w, l_cur, l_next, seed, reps=reps)
         l_cur = l_next
     return g
 
@@ -268,13 +256,13 @@ class SumParts:
         return _unit_arcs(self.n, *self.second_arcs)
 
 
-def _capacities(w: WeightSequence, l_n: float | None) -> tuple[np.ndarray, float]:
+def _capacities(w: WeightSequence, l_n: float | None, reps: int) -> tuple[np.ndarray, float]:
     """The capacity array of mirrored weights and L (default: their sum)."""
     if not w.is_mirrored():
         raise ValueError("sum constructions need mirrored capacities (w_in == w_out)")
     if l_n is None:
         l_n = w.sum_in
-    _check_l(l_n)
+    _check(l_n, reps)
     return w.w_in, l_n
 
 
@@ -294,7 +282,7 @@ def _sum_parts(
 
 
 def oriented_sum_parts(
-    capacity_weights: WeightSequence, seed: int, l_n: float | None = None
+    capacity_weights: WeightSequence, seed: int, l_n: float | None = None, *, reps: int = 1
 ) -> SumParts:
     """Two independent undirected samples, oppositely oriented, arc-summed.
 
@@ -303,11 +291,7 @@ def oriented_sum_parts(
     arc-summed graph follows the direct mirrored law exactly, loops
     included (each constituent carries half the diagonal rate).
     """
-    return _oriented_sum_parts(capacity_weights, seed, l_n, 1)
-
-
-def _oriented_sum_parts(w: WeightSequence, seed: int, l_n: float | None, reps: int) -> SumParts:
-    cap, l_n = _capacities(w, l_n)
+    cap, l_n = _capacities(capacity_weights, l_n, reps)
     return _sum_parts(cap, cap, l_n, seed, "oriented-sum", reps)
 
 
@@ -319,7 +303,7 @@ def sample_oriented_sum(
 
 
 def sample_randomly_oriented_nr(
-    capacity_weights: WeightSequence, seed: int, l_n: float | None = None
+    capacity_weights: WeightSequence, seed: int, l_n: float | None = None, *, reps: int = 1
 ) -> MultiDigraph:
     """One undirected sample at doubled capacities, uniformly oriented.
 
@@ -330,13 +314,9 @@ def sample_randomly_oriented_nr(
     diagonal rate cap_v^2 / l_n, again matching the direct law; the coin
     flip on a loop has no observable effect.
     """
-    return _randomly_oriented(capacity_weights, seed, l_n, 1)
-
-
-def _randomly_oriented(w: WeightSequence, seed: int, l_n: float | None, reps: int) -> MultiDigraph:
-    cap, l_n = _capacities(w, l_n)
-    rng = stream(seed, "randomly-oriented")
-    return _unit_arcs(reps * w.n, *_nr_oriented_arcs(2.0 * cap, 2.0 * l_n, "uniform", rng, reps))
+    cap, l_n = _capacities(capacity_weights, l_n, reps)
+    arcs = _nr_oriented_arcs(2.0 * cap, 2.0 * l_n, "uniform", stream(seed, "randomly-oriented"), reps)
+    return _unit_arcs(reps * cap.size, *arcs)
 
 
 # -- independent-sum construction ---------------------------------------------

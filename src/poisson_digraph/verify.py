@@ -28,13 +28,12 @@ from .analysis import (
 )
 from .branching import solve_extinction, survival_fractions
 from .sampler import (
-    _evolve_chain,
-    _fast,
-    _naive,
-    _oriented_sum_parts,
-    _randomly_oriented,
+    evolve_chain,
+    oriented_sum_parts,
     sample_graph_fast,
+    sample_graph_naive,
     sample_independent_sum,
+    sample_randomly_oriented_nr,
 )
 from .streams import derive_seed, stream
 from .structure import component_summary, forward_cluster_size
@@ -99,11 +98,26 @@ def _at_least(name: str, statistic: float, threshold: float, **detail) -> CheckR
     )
 
 
-def _per_block(g, reps: int, keep=lambda src, dst: True) -> np.ndarray:
-    """Arcs per block of a batch graph, counting those whose in-block ids satisfy ``keep``."""
+def _decode_blocks(g, reps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per arc of a graph of ``reps`` equal blocks: (block, in-block src, in-block dst, mult).
+
+    Blocks are 0-based and in-block ids 1-based.  Raises ValueError when
+    g.n is not a multiple of reps or an arc joins two blocks.
+    """
+    if reps < 1 or g.n % reps:
+        raise ValueError(f"a graph on {g.n} vertices is not {reps} equal blocks")
     n = g.n // reps
     block, src = np.divmod(g.src - 1, n)
-    return np.bincount(block, g.mult * keep(src + 1, (g.dst - 1) % n + 1), reps).astype(np.int64)
+    dst = g.dst - block * n
+    if np.any((dst < 1) | (dst > n)):
+        raise ValueError(f"an arc crosses the blocks of a {reps}-block graph")
+    return block, src + 1, dst, g.mult
+
+
+def _block_totals(g, reps: int) -> np.ndarray:
+    """Arcs per block of a graph of ``reps`` equal blocks."""
+    block, _, _, mult = _decode_blocks(g, reps)
+    return np.bincount(block, mult, reps).astype(np.int64)
 
 
 def _check_sampler_agreement(seed: int) -> CheckResult:
@@ -113,8 +127,9 @@ def _check_sampler_agreement(seed: int) -> CheckResult:
     w = sample_weights(model, n, seed)
     l_n = normalizer(w, moments(model).mu, NormalizerMode.DETERMINISTIC_MU_N)
     rate = w.sum_out * w.sum_in / l_n
-    fast = _per_block(_fast(w, l_n, derive_seed(seed, name, "fast"), reps), reps)
-    naive = _per_block(_naive(w, l_n, derive_seed(seed, name, "naive"), reps), reps)
+    fast = sample_graph_fast(w, l_n, derive_seed(seed, name, "fast"), reps=reps)
+    naive = sample_graph_naive(w, l_n, derive_seed(seed, name, "naive"), reps=reps)
+    fast, naive = _block_totals(fast, reps), _block_totals(naive, reps)
     p_fast = poisson_chisquare(fast, rate).pvalue
     p_naive = poisson_chisquare(naive, rate).pvalue
     return _at_least(name, min(p_fast, p_naive), 1e-3, p_fast=p_fast, p_naive=p_naive, rate=rate)
@@ -128,13 +143,15 @@ def _check_construction_equivalence(seed: int) -> CheckResult:
     l_n = normalizer(w, moments(model).mu, NormalizerMode.DETERMINISTIC_MU_N)
     rate, pair_rate = w.sum_out * w.sum_in / l_n, w.w_out[0] * w.w_in[1] / l_n
     routes = {
-        "direct": lambda s: _fast(w, l_n, s, reps),
-        "oriented_sum": lambda s: _oriented_sum_parts(w, s, l_n, reps).graph,
-        "random_orientation": lambda s: _randomly_oriented(w, s, l_n, reps),
+        "direct": lambda s: sample_graph_fast(w, l_n, s, reps=reps),
+        "oriented_sum": lambda s: oriented_sum_parts(w, s, l_n, reps=reps).graph,
+        "random_orientation": lambda s: sample_randomly_oriented_nr(w, s, l_n, reps=reps),
     }
-    graphs = {x: body(derive_seed(seed, name, x)) for x, body in routes.items()}
-    totals = {x: _per_block(g, reps) for x, g in graphs.items()}
-    pair = {x: _per_block(g, reps, lambda s, d: (s == 1) & (d == 2)) for x, g in graphs.items()}
+    totals, pair = {}, {}
+    for x, sampler in routes.items():
+        block, src, dst, mult = _decode_blocks(sampler(derive_seed(seed, name, x)), reps)
+        totals[x] = np.bincount(block, mult, reps).astype(np.int64)
+        pair[x] = np.bincount(block, mult * ((src == 1) & (dst == 2)), reps).astype(np.int64)
     detail = {f"p_totals_{x}": poisson_chisquare(totals[x], rate).pvalue for x in routes}
     detail.update({f"p_pair_{x}": poisson_chisquare(pair[x], pair_rate).pvalue for x in routes})
     return _at_least(
@@ -155,10 +172,10 @@ def _check_evolution(seed: int) -> CheckResult:
     n_from, n_to, reps = 2, 4, 30_000
     mu = moments(model).mu
     mode = NormalizerMode.DETERMINISTIC_MU_N
-    grown = _evolve_chain(model, n_from, n_to, derive_seed(seed, name, "grown"), mode, reps)
+    grown = evolve_chain(model, n_from, n_to, derive_seed(seed, name, "grown"), mode, reps=reps)
     w = sample_weights(model, n_to, derive_seed(seed, name, "direct"))
-    direct = _fast(w, mu * n_to, derive_seed(seed, name, "direct"), reps)
-    grown, direct = _per_block(grown, reps), _per_block(direct, reps)
+    direct = sample_graph_fast(w, mu * n_to, derive_seed(seed, name, "direct"), reps=reps)
+    grown, direct = _block_totals(grown, reps), _block_totals(direct, reps)
     rate = w.sum_out * w.sum_in / (mu * n_to)
     p_grown = poisson_chisquare(grown, rate).pvalue
     p_direct = poisson_chisquare(direct, rate).pvalue
@@ -253,9 +270,10 @@ def _check_conditional_degrees(seed: int) -> CheckResult:
     w = sample_weights(model, n, seed)
     l_n = normalizer(w, moments(model).mu, NormalizerMode.DETERMINISTIC_MU_N)
     params = conditional_degree_params(w, l_n, v)
-    g = _fast(w, l_n, derive_seed(seed, "conditional-degree-chisquare", "fast"), reps)
-    d_in = _per_block(g, reps, lambda src, dst: (dst == v) & (src != v))
-    d_out = _per_block(g, reps, lambda src, dst: (src == v) & (dst != v))
+    draw_seed = derive_seed(seed, "conditional-degree-chisquare", "fast")
+    block, src, dst, mult = _decode_blocks(sample_graph_fast(w, l_n, draw_seed, reps=reps), reps)
+    d_in = np.bincount(block, mult * ((dst == v) & (src != v)), reps).astype(np.int64)
+    d_out = np.bincount(block, mult * ((src == v) & (dst != v)), reps).astype(np.int64)
     p_in = poisson_chisquare(d_in, params.lam_in).pvalue
     p_out = poisson_chisquare(d_out, params.lam_out).pvalue
     return _at_least(

@@ -2,8 +2,9 @@
 
 The cluster helpers are a plain breadth-first search over ``arc_dict``,
 independent of the package's traversal, so tests can use them as an oracle.
-The batch helpers read per-block counts of a sampler body's block graph and
-combine independent chi-square statistics into one p-value.
+The batch helpers read per-block counts of a sampler's block graph through
+``verify._decode_blocks`` and combine independent chi-square statistics into
+one p-value.
 """
 
 from collections import deque
@@ -12,7 +13,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from poisson_digraph.digraph import MultiDigraph
-from poisson_digraph.verify import _per_block
+from poisson_digraph.verify import _decode_blocks
 
 
 def graph_from_arcs(n, arcs):
@@ -64,13 +65,9 @@ def backward_cluster(g, v):
 def block_pairs(g, reps):
     """(reps, n * n) arc counts of a batch graph: row r is block r, columns the row-major pairs."""
     n = g.n // reps
-    return np.column_stack(
-        [
-            _per_block(g, reps, lambda s, d, v=v, u=u: (s == v) & (d == u))
-            for v in range(1, n + 1)
-            for u in range(1, n + 1)
-        ]
-    )
+    block, src, dst, mult = _decode_blocks(g, reps)
+    cells = (block * n + src - 1) * n + dst - 1
+    return np.bincount(cells, mult, reps * n * n).astype(np.int64).reshape(reps, n * n)
 
 
 def summed_pvalue(results):

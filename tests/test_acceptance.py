@@ -4,11 +4,12 @@ Each test prints exactly one ``[criterion ...] PASS/FAIL`` line (run with
 ``-s`` to see them live; captured output is shown for failures anyway).
 
 Criteria 1-3 test the exact pair law.  Each route draws its replicates as
-the blocks of one graph from a sampler's private body, and each criterion
-has one statistic: the Pearson chi-squares of cells that are independent
-under the exact law, summed and referred to chi-square on the summed
-degrees of freedom, passing at p >= 0.01, so the designed false-alarm
-rate is 1 %.
+the blocks of one graph, a public sampler called with ``reps=``, and reads
+them through ``verify._decode_blocks``, which rejects an arc that crosses
+blocks.  Each criterion has one statistic: the Pearson chi-squares of
+cells that are independent under the exact law, summed and referred to
+chi-square on the summed degrees of freedom, passing at p >= 0.01, so the
+designed false-alarm rate is 1 %.
 
 - Criterion 1 (40 cells): for each (configuration, sampler), the joint
   chi-square of the 4 pair counts at n = 2, or the 9 per-pair
@@ -51,18 +52,17 @@ from poisson_digraph.analysis import (
 )
 from poisson_digraph.branching import survival_fractions
 from poisson_digraph.sampler import (
-    _evolve_chain,
-    _fast,
-    _naive,
-    _oriented_sum_parts,
-    _randomly_oriented,
+    evolve_chain,
+    oriented_sum_parts,
     sample_graph_fast,
+    sample_graph_naive,
+    sample_randomly_oriented_nr,
     sample_independent_sum,
 )
 from poisson_digraph.scaling import scaling_exponent_experiment
 from poisson_digraph.streams import derive_seed
 from poisson_digraph.structure import component_summary, forward_cluster_size
-from poisson_digraph.verify import _per_block
+from poisson_digraph.verify import _block_totals, _decode_blocks
 from poisson_digraph.weights import (
     Constant,
     ConstantMarginal,
@@ -100,8 +100,9 @@ def test_criterion_1_sampler_exactness():
         w = sample_weights(model, n, seed=202)
         l_n = moments(model).mu * n
         rates = np.outer(w.w_out, w.w_in).ravel() / l_n
-        for sname, body in (("fast", _fast), ("naive", _naive)):
-            m = block_pairs(body(w, l_n, derive_seed(202, "criterion-1", tag, n, sname), reps), reps)
+        for sname, sampler in (("fast", sample_graph_fast), ("naive", sample_graph_naive)):
+            seed = derive_seed(202, "criterion-1", tag, n, sname)
+            m = block_pairs(sampler(w, l_n, seed, reps=reps), reps)
             if n == 2:
                 cells.append(product_poisson_chisquare(m, rates))
             else:
@@ -119,17 +120,19 @@ def test_criterion_2_sum_construction_equivalence():
     """Oriented-sum, coin-flip-oriented at doubled capacity, and direct
     mirrored sampling all follow the exact per-pair law."""
     routes = {
-        "direct": _fast,
-        "oriented_sum": lambda w, l_n, s, reps: _oriented_sum_parts(w, s, l_n, reps).graph,
-        "random_orientation": lambda w, l_n, s, reps: _randomly_oriented(w, s, l_n, reps),
+        "direct": lambda w, l_n, s, reps: sample_graph_fast(w, l_n, s, reps=reps),
+        "oriented_sum": lambda w, l_n, s, reps: oriented_sum_parts(w, s, l_n, reps=reps).graph,
+        "random_orientation": lambda w, l_n, s, reps: sample_randomly_oriented_nr(
+            w, s, l_n, reps=reps
+        ),
     }
     cells = []
     cap2 = sample_weights(ParetoMirrored(3.5, 1.0), 2, seed=102)
     l2 = float(cap2.sum_in)
     reps2 = 100_000
     rates2 = np.outer(cap2.w_out, cap2.w_in).ravel() / l2
-    for route, body in routes.items():
-        g = body(cap2, l2, derive_seed(102, "criterion-2", route, 2), reps2)
+    for route, sampler in routes.items():
+        g = sampler(cap2, l2, derive_seed(102, "criterion-2", route, 2), reps2)
         cells.append(product_poisson_chisquare(block_pairs(g, reps2), rates2))
 
     n3 = 1_000
@@ -138,15 +141,16 @@ def test_criterion_2_sum_construction_equivalence():
     tracked = [(1, 2), (2, 1), (1, 1)]
     track_rates = [float(cap3.w_out[v - 1] * cap3.w_in[u - 1] / l3) for v, u in tracked]
     chunks, chunk_reps = 10, 2_000  # 20,000 replicates, about 3.3e6 arcs per chunk
-    for route, body in routes.items():
+    for route, sampler in routes.items():
         counts = []
         for c in range(chunks):
-            g = body(cap3, l3, derive_seed(102, "criterion-2", route, n3, c), chunk_reps)
+            g = sampler(cap3, l3, derive_seed(102, "criterion-2", route, n3, c), chunk_reps)
+            block, src, dst, mult = _decode_blocks(g, chunk_reps)
             pairs = [
-                _per_block(g, chunk_reps, lambda s, d, v=v, u=u: (s == v) & (d == u))
-                for v, u in tracked
+                np.bincount(block, mult * ((src == v) & (dst == u)), chunk_reps) for v, u in tracked
             ]
-            counts.append(np.column_stack(pairs + [_per_block(g, chunk_reps) - sum(pairs)]))
+            total = np.bincount(block, mult, chunk_reps)
+            counts.append(np.column_stack(pairs + [total - sum(pairs)]).astype(np.int64))
         counts = np.concatenate(counts)
         for j, rate in enumerate(track_rates + [l3 - sum(track_rates)]):
             cells.append(poisson_chisquare(counts[:, j], rate))
@@ -162,10 +166,11 @@ def test_criterion_3_evolution_consistency():
     """Thinning-growth chain 2 -> 5 and direct sampling at 5: total-arc law."""
     reps = 100_000
     mode = NormalizerMode.DETERMINISTIC_MU_N
-    chain = _evolve_chain(Constant(2.0), 2, 5, derive_seed(103, "criterion-3", "chain"), mode, reps)
+    chain_seed = derive_seed(103, "criterion-3", "chain")
+    chain = evolve_chain(Constant(2.0), 2, 5, chain_seed, mode, reps=reps)
     w5 = sample_weights(Constant(2.0), 5, seed=103)
-    direct = _fast(w5, 10.0, derive_seed(103, "criterion-3", "direct"), reps)
-    cells = [poisson_chisquare(_per_block(g, reps), 10.0) for g in (chain, direct)]
+    direct = sample_graph_fast(w5, 10.0, derive_seed(103, "criterion-3", "direct"), reps=reps)
+    cells = [poisson_chisquare(_block_totals(g, reps), 10.0) for g in (chain, direct)]
     p = summed_pvalue(cells)
     _report(
         "3",

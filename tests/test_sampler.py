@@ -1,12 +1,12 @@
 """Distributional tests for the samplers and the sum constructions.
 
-Every law test draws its replicates as the blocks of one graph from a
-sampler's private body and compares per-block counts with the exact
-Poisson law; where a test combines several independent chi-squares, their
-statistics are summed and referred to chi-square on the summed degrees of
-freedom.  The public samplers are their bodies at one replicate, which
-``test_public_samplers_are_their_bodies`` pins.  Criteria 1-3 of the
-acceptance module run the same laws at 1e5 replicates.
+Every law test draws its replicates as the blocks of one graph, a public
+sampler called with ``reps=``, decodes that graph once with
+``verify._decode_blocks`` (which rejects arcs that cross blocks) and
+compares per-block counts with the exact Poisson law; where a test
+combines several independent chi-squares, their statistics are summed and
+referred to chi-square on the summed degrees of freedom.  Criteria 1-3 of
+the acceptance module run the same laws at 1e5 replicates.
 """
 
 import numpy as np
@@ -14,12 +14,6 @@ import pytest
 
 from poisson_digraph.analysis import poisson_chisquare, product_poisson_chisquare
 from poisson_digraph.sampler import (
-    _evolve,
-    _evolve_chain,
-    _fast,
-    _naive,
-    _oriented_sum_parts,
-    _randomly_oriented,
     _sum_parts,
     evolve,
     evolve_chain,
@@ -31,7 +25,7 @@ from poisson_digraph.sampler import (
     sample_randomly_oriented_nr,
 )
 from poisson_digraph.streams import derive_seed
-from poisson_digraph.verify import _per_block
+from poisson_digraph.verify import _block_totals, _decode_blocks
 from poisson_digraph.weights import (
     Constant,
     ConstantMarginal,
@@ -60,27 +54,32 @@ def test_fast_and_naive_agree_pairwise_heavy_tails():
     reps = 20_000
     rates = np.outer(w.w_out, w.w_in).ravel() / l_n
     cells = []
-    routes = ((_fast, derive_seed(300, name, "fast")), (_naive, derive_seed(40_300, name, "naive")))
-    for body, seed in routes:
-        m = block_pairs(body(w, l_n, seed, reps), reps)
+    routes = (
+        (sample_graph_fast, derive_seed(300, name, "fast")),
+        (sample_graph_naive, derive_seed(40_300, name, "naive")),
+    )
+    for sampler, seed in routes:
+        m = block_pairs(sampler(w, l_n, seed, reps=reps), reps)
         cells += [poisson_chisquare(m[:, j], rates[j]) for j in range(9)]
     assert summed_pvalue(cells) >= 1e-3
 
 
-BATCH_BODIES = {
-    "fast": lambda model, w, l_n, seed, reps: _fast(w, l_n, seed, reps),
-    "naive": lambda model, w, l_n, seed, reps: _naive(w, l_n, seed, reps),
-    "oriented-sum": lambda model, w, l_n, seed, reps: _oriented_sum_parts(w, seed, l_n, reps).graph,
-    "random-orientation": lambda model, w, l_n, seed, reps: _randomly_oriented(w, seed, l_n, reps),
-    "evolve-chain": lambda model, w, l_n, seed, reps: _evolve_chain(
-        model, 1, 2, seed, NormalizerMode.DETERMINISTIC_MU_N, reps
+BATCH_SAMPLERS = {
+    "fast": lambda model, w, l_n, seed, reps: sample_graph_fast(w, l_n, seed, reps=reps),
+    "naive": lambda model, w, l_n, seed, reps: sample_graph_naive(w, l_n, seed, reps=reps),
+    "oriented-sum": lambda model, w, l_n, seed, reps: oriented_sum_parts(
+        w, seed, l_n, reps=reps
+    ).graph,
+    "random-orientation": lambda model, w, l_n, seed, reps: sample_randomly_oriented_nr(
+        w, seed, l_n, reps=reps
     ),
+    "evolve-chain": lambda model, w, l_n, seed, reps: evolve_chain(model, 1, 2, seed, reps=reps),
 }
 
 
 # the Pareto cases keep their bare ids; constant weight 2 gives every pair rate 1
-LAW_CASES = [(case, ParetoMirrored(3.5, 1.0), case) for case in sorted(BATCH_BODIES)] + [
-    (f"constant-{case}", Constant(2.0), case) for case in sorted(BATCH_BODIES)
+LAW_CASES = [(case, ParetoMirrored(3.5, 1.0), case) for case in sorted(BATCH_SAMPLERS)] + [
+    (f"constant-{case}", Constant(2.0), case) for case in sorted(BATCH_SAMPLERS)
 ]
 
 
@@ -91,10 +90,9 @@ def test_batch_blocks_follow_the_exact_law(label, model, case):
     seed = derive_seed(0, "batch-law", label)
     w = sample_weights(model, n, seed)  # the weights evolve_chain draws at this seed
     l_n = moments(model).mu * n  # the chain's final normalizer
-    g = BATCH_BODIES[case](model, w, l_n, seed, reps)
+    g = BATCH_SAMPLERS[case](model, w, l_n, seed, reps)
     assert g.n == reps * n
-    assert np.array_equal((g.src - 1) // n, (g.dst - 1) // n)
-    counts = block_pairs(g, reps)
+    counts = block_pairs(g, reps)  # raises if an arc crosses blocks
     rates = np.outer(w.w_out, w.w_in).ravel() / l_n
     assert product_poisson_chisquare(counts, rates).pvalue >= 1e-3
     adjacent = counts.reshape(reps // 2, 2, n * n).sum(axis=2)
@@ -114,26 +112,18 @@ def test_fast_tracked_pair_counts_follow_the_exact_law():
     l_n = moments(model).mu * n
     counts = []
     for chunk in range(chunks):
-        g = _fast(w, l_n, derive_seed(0, "pair-degrees", chunk), reps)
-        (src_block, src), (dst_block, dst) = divmod(g.src - 1, n), divmod(g.dst - 1, n)
-        from_pair = (src < 2) & (src_block == dst_block)
-        to_pair = (dst < 2) & (src_block == dst_block)
-
-        def per_block(block, keep):
-            return np.bincount(block, g.mult * keep, reps)
-
-        counts.append(
-            np.column_stack(
-                [
-                    per_block(dst_block, (dst == 0) & ~from_pair),
-                    per_block(src_block, (src == 0) & ~to_pair),
-                    per_block(dst_block, (dst == 1) & ~from_pair),
-                    per_block(src_block, (src == 1) & ~to_pair),
-                    per_block(src_block, from_pair & (src == 0) & (dst == 1)),
-                    per_block(src_block, from_pair & (src == 1) & (dst == 0)),
-                ]
-            ).astype(np.int64)
-        )
+        g = sample_graph_fast(w, l_n, derive_seed(0, "pair-degrees", chunk), reps=reps)
+        block, src, dst, mult = _decode_blocks(g, reps)
+        from_pair, to_pair = src <= 2, dst <= 2
+        keeps = [
+            (dst == 1) & ~from_pair,
+            (src == 1) & ~to_pair,
+            (dst == 2) & ~from_pair,
+            (src == 2) & ~to_pair,
+            (src == 1) & (dst == 2),
+            (src == 2) & (dst == 1),
+        ]
+        counts.append(np.column_stack([np.bincount(block, mult * k, reps) for k in keeps]))
     in_rest, out_rest = w.sum_in - w.w_in[:2].sum(), w.sum_out - w.w_out[:2].sum()
     rates = np.array(
         [
@@ -151,47 +141,10 @@ def test_fast_tracked_pair_counts_follow_the_exact_law():
 def test_total_arcs_poisson_law():
     w = _const_pair(50)
     reps = 4_000
-    g = _fast(w, 100.0, derive_seed(7_000, "test_total_arcs_poisson_law", "fast"), reps)
+    seed = derive_seed(7_000, "test_total_arcs_poisson_law", "fast")
+    g = sample_graph_fast(w, 100.0, seed, reps=reps)
     # sum rates = (100 * 100) / 100
-    assert poisson_chisquare(_per_block(g, reps), 100.0).pvalue >= 1e-3
-
-
-PARETO_40 = sample_weights(ParetoMirrored(3.5, 1.0), 40, seed=21)
-PUBLIC_AND_BODY = {
-    "fast": (
-        lambda w: sample_graph_fast(w, w.sum_in, 5),
-        lambda w: _fast(w, w.sum_in, 5, 1),
-    ),
-    "naive": (
-        lambda w: sample_graph_naive(w, w.sum_in, 5),
-        lambda w: _naive(w, w.sum_in, 5, 1),
-    ),
-    "oriented-sum": (
-        lambda w: oriented_sum_parts(w, 5).graph,
-        lambda w: _oriented_sum_parts(w, 5, None, 1).graph,
-    ),
-    "random-orientation": (
-        lambda w: sample_randomly_oriented_nr(w, 5),
-        lambda w: _randomly_oriented(w, 5, None, 1),
-    ),
-    "evolve": (
-        lambda w: evolve(sample_graph_fast(w.prefix(39), 50.0, 4), w, 50.0, 52.0, 5),
-        lambda w: _evolve(sample_graph_fast(w.prefix(39), 50.0, 4), w, 50.0, 52.0, 5, 1),
-    ),
-    "evolve-chain": (
-        lambda w: evolve_chain(ParetoMirrored(3.5, 1.0), 1, 40, 5),
-        lambda w: _evolve_chain(ParetoMirrored(3.5, 1.0), 1, 40, 5, NormalizerMode.DETERMINISTIC_MU_N, 1),
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(PUBLIC_AND_BODY))
-def test_public_samplers_are_their_bodies(case):
-    """Each public sampler returns its private body's batch of one, arc for arc."""
-    public, body = PUBLIC_AND_BODY[case]
-    g = public(PARETO_40)
-    assert g.n == 40 and g.total_arcs > 0
-    assert g == body(PARETO_40)
+    assert poisson_chisquare(_block_totals(g, reps), 100.0).pvalue >= 1e-3
 
 
 def test_naive_cap_guard():
@@ -200,6 +153,25 @@ def test_naive_cap_guard():
         sample_graph_naive(w, 12.0, 0, max_n=5)
     g = sample_graph_naive(w, 12.0, 0, max_n=6)
     assert g.n == 6
+
+
+def test_samplers_reject_bad_reps():
+    w = _const_pair(3)
+    calls = [
+        lambda reps: sample_graph_fast(w, 6.0, 0, reps=reps),
+        lambda reps: sample_graph_naive(w, 6.0, 0, reps=reps),
+        lambda reps: oriented_sum_parts(w, 0, reps=reps),
+        lambda reps: sample_randomly_oriented_nr(w, 0, reps=reps),
+        lambda reps: evolve_chain(Constant(2.0), 1, 3, 0, reps=reps),
+    ]
+    for call in calls:
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="reps must be >= 1"):
+                call(bad)
+    g = sample_graph_fast(w.prefix(2), 6.0, 0, reps=3)
+    with pytest.raises(ValueError, match="not 4 equal blocks"):
+        evolve(g, w, 6.0, 6.0, 0, reps=4)
+    assert evolve(g, w, 6.0, 6.0, 0, reps=3).n == 9
 
 
 def test_rejects_bad_normalizer():
@@ -254,11 +226,11 @@ def test_evolve_chain_matches_direct_totals():
     name = "test_evolve_chain_matches_direct_totals"
     reps = 15_000
     mode = NormalizerMode.DETERMINISTIC_MU_N
-    chain = _evolve_chain(Constant(2.0), 2, 4, derive_seed(1_000, name, "chain"), mode, reps)
+    chain = evolve_chain(Constant(2.0), 2, 4, derive_seed(1_000, name, "chain"), mode, reps=reps)
     seed = derive_seed(50_000, name, "direct")
-    direct = _fast(sample_weights(Constant(2.0), 4, seed), 8.0, seed, reps)
+    direct = sample_graph_fast(sample_weights(Constant(2.0), 4, seed), 8.0, seed, reps=reps)
     # at n=4 with L=mu*n the total rate is (8*8)/8
-    cells = [poisson_chisquare(_per_block(g, reps), 8.0) for g in (chain, direct)]
+    cells = [poisson_chisquare(_block_totals(g, reps), 8.0) for g in (chain, direct)]
     assert summed_pvalue(cells) >= 1e-3
 
 
@@ -294,12 +266,12 @@ def test_single_vertex_loop_laws_agree():
     w = _const_pair(1)  # capacity 2, default l_n = 2, loop rate 4/2
     reps = 15_000
     graphs = [
-        _fast(w, 2.0, derive_seed(90_000, name, "direct"), reps),
-        _oriented_sum_parts(w, derive_seed(120_000, name, "oriented-sum"), None, reps).graph,
-        _randomly_oriented(w, derive_seed(150_000, name, "random-orientation"), None, reps),
+        sample_graph_fast(w, 2.0, derive_seed(90_000, name, "direct"), reps=reps),
+        oriented_sum_parts(w, derive_seed(120_000, name, "oriented-sum"), reps=reps).graph,
+        sample_randomly_oriented_nr(w, derive_seed(150_000, name, "random-orientation"), reps=reps),
     ]
     # at n = 1 every arc is a loop
-    assert summed_pvalue([poisson_chisquare(_per_block(g, reps), 2.0) for g in graphs]) >= 1e-3
+    assert summed_pvalue([poisson_chisquare(_block_totals(g, reps), 2.0) for g in graphs]) >= 1e-3
 
 
 def test_independent_sum_accepts_marginals_and_mirrored_models():
@@ -329,7 +301,7 @@ def test_independent_sum_total_intensity():
     n, reps = 200, 300
     cap = np.full(n, 2.0)  # what ConstantMarginal(2.0) draws
     seed = derive_seed(0, "test_independent_sum_total_intensity", "indep-sum")
-    totals = _per_block(_sum_parts(cap, cap, 2.0 * n, seed, "indep-sum", reps).graph, reps)
+    totals = _block_totals(_sum_parts(cap, cap, 2.0 * n, seed, "indep-sum", reps).graph, reps)
     se = np.sqrt(2 * n * 2.0 / reps)  # Poisson(mu n) mean over reps
     assert abs(totals.mean() - 2.0 * n) < 5 * se
 
@@ -338,7 +310,7 @@ def test_constituent_totals_are_poisson():
     reps = 10_000
     cap = np.full(10, 2.0)  # what ConstantMarginal(2.0) draws
     seed = derive_seed(300_000, "test_constituent_totals_are_poisson", "first")
-    firsts = _per_block(_sum_parts(cap, cap, 20.0, seed, "indep-sum", reps).first, reps)
+    firsts = _block_totals(_sum_parts(cap, cap, 20.0, seed, "indep-sum", reps).first, reps)
     # (sum cap)^2 / (2 L) = 400 / 40
     assert poisson_chisquare(firsts, 10.0).pvalue >= 1e-3
 
@@ -349,7 +321,7 @@ def test_mean_matrix_agrees_with_rates():
     l_n = float(w.sum_in)
     reps = 30_000
     seed = derive_seed(700_000, "test_mean_matrix_agrees_with_rates", "fast")
-    m = block_pairs(_fast(w, l_n, seed, reps), reps)
+    m = block_pairs(sample_graph_fast(w, l_n, seed, reps=reps), reps)
     rates = np.outer(w.w_out, w.w_in).ravel() / l_n
     z = (m.mean(axis=0) - rates) / np.sqrt(rates / reps)
     assert np.max(np.abs(z)) < 4.5
