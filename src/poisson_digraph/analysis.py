@@ -17,8 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy.stats is imported inside the functions that use it: loading it is
-# most of the package's import time, and most commands never call them.
+# The Poisson and chi-square laws below take scipy.special through the
+# formulas of scipy's stats module: the same bits, without the most of a
+# second that importing that module costs.
+from scipy import special
+
 from .digraph import MultiDigraph
 from .structure import degree_arrays
 from .streams import stream
@@ -58,6 +61,49 @@ __all__ = [
 ]
 
 
+# -- Poisson and chi-square laws ---------------------------------------------
+
+
+def _poisson_pmf(k, mu):
+    """Poisson(mu) pmf at integers k, 0 below 0 (scipy's poisson.pmf)."""
+    k = np.asarray(k)
+    kk = np.maximum(k, 0)
+    pmf = np.exp(special.xlogy(kk, mu) - special.gammaln(kk + 1) - mu)
+    return np.where(k >= 0, np.clip(pmf, 0.0, 1.0), 0.0)
+
+
+def _poisson_sf(k, mu):
+    """P(Poisson(mu) > k), 1 below 0 (scipy's poisson.sf)."""
+    k = np.asarray(k)
+    sf = special.pdtrc(np.floor(np.maximum(k, 0)), mu)
+    return np.where(k >= 0, np.clip(sf, 0.0, 1.0), 1.0)
+
+
+def _poisson_isf(q: float, mu: float) -> float:
+    """Least k with P(Poisson(mu) > k) <= q, for 0 < q < 1 (scipy's poisson.isf)."""
+    p = 1.0 - q
+    vals = np.ceil(special.pdtrik(p, mu))
+    below = np.maximum(vals - 1, 0)
+    return float(np.where(special.pdtr(below, mu) >= p, below, vals))
+
+
+def _chisquare(observed, expected) -> tuple[float, float]:
+    """Pearson's statistic and its chi-square p-value (scipy's chisquare).
+
+    Raises ValueError unless the two totals agree to a relative sqrt(eps).
+    """
+    observed, expected = np.asarray(observed, dtype=np.float64), np.asarray(expected)
+    o_sum, e_sum = observed.sum(), expected.sum()
+    rtol = np.finfo(np.float64).eps ** 0.5
+    if abs(o_sum - e_sum) / min(o_sum, e_sum) > rtol:
+        raise ValueError(
+            f"observed total {o_sum} and expected total {e_sum} differ by more than"
+            f" a relative {rtol}"
+        )
+    stat = ((observed - expected) ** 2 / expected).sum()
+    return float(stat), float(special.chdtrc(observed.size - 1, stat))
+
+
 # -- exact Poisson total variation --------------------------------------------
 
 
@@ -65,13 +111,10 @@ def poisson_tv(u: float, lam: float) -> float:
     """Total-variation distance between Poisson(u) and Poisson(lam).
 
     Computed as half the l1 distance of the pmfs on 0..J plus the tail
-    difference, where J is grown until both survival functions at J are
-    below 5e-13; the neglected mass then bounds the absolute error by
-    1e-12.  Rate 0 denotes the unit mass at zero, so
-    poisson_tv(0, u) = 1 - exp(-u).
+    difference, where J is doubled until the two survival functions at J
+    sum to at most 1e-12, which then bounds the absolute error.  Rate 0
+    denotes the unit mass at zero, so poisson_tv(0, u) = 1 - exp(-u).
     """
-    from scipy import stats
-
     for r in (u, lam):
         if not (r >= 0 and math.isfinite(r)):
             raise ValueError(f"rates must be finite and nonnegative, got {r}")
@@ -79,11 +122,11 @@ def poisson_tv(u: float, lam: float) -> float:
         return 0.0
     hi = max(u, lam)
     j_max = int(hi + 12.0 * math.sqrt(hi + 1.0)) + 30
-    while stats.poisson.sf(j_max, u) + stats.poisson.sf(j_max, lam) > 1e-12:
+    while _poisson_sf(j_max, u) + _poisson_sf(j_max, lam) > 1e-12:
         j_max *= 2
     j = np.arange(j_max + 1)
-    body = np.abs(stats.poisson.pmf(j, u) - stats.poisson.pmf(j, lam)).sum()
-    tail = abs(stats.poisson.sf(j_max, u) - stats.poisson.sf(j_max, lam))
+    body = np.abs(_poisson_pmf(j, u) - _poisson_pmf(j, lam)).sum()
+    tail = abs(_poisson_sf(j_max, u) - _poisson_sf(j_max, lam))
     return float(min(0.5 * (body + tail), 1.0))
 
 
@@ -198,8 +241,6 @@ def mixed_poisson_pmf(model: WeightModel, kmax: int, mc_samples: int = 0, seed: 
     than QUAD_MASS_TOL of unit mass (a Pareto tau as close to 2 as 2.00001).
     ``mc_samples`` and ``seed`` are accepted for compatibility and ignored.
     """
-    from scipy import stats
-
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     k = np.arange(kmax + 1)
@@ -213,24 +254,22 @@ def mixed_poisson_pmf(model: WeightModel, kmax: int, mc_samples: int = 0, seed: 
                 " the limit pmf lacks that much",
                 stacklevel=2,
             )
-    pois_in = stats.poisson.pmf(k[None, :], x_in[:, None])
+    pois_in = _poisson_pmf(k[None, :], x_in[:, None])
     if isinstance(model, MirroredCapacity):
         joint = (pois_in * p_in[:, None]).T @ pois_in
     else:
-        joint = np.outer(p_in @ pois_in, p_out @ stats.poisson.pmf(k[None, :], x_out[:, None]))
+        joint = np.outer(p_in @ pois_in, p_out @ _poisson_pmf(k[None, :], x_out[:, None]))
     tail = max(0.0, 1.0 - float(joint.sum()))
     return Pmf(masses=joint, tail_mass=tail)
 
 
 def mixed_poisson_tail(model: WeightModel, ks: np.ndarray, side: str = "in") -> np.ndarray:
     """Marginal tail P(d >= k) of the limiting in- or out-degree law."""
-    from scipy import stats
-
     if side not in ("in", "out"):
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
     x, p = _quadrature(_marginals(model)[side == "out"])
     ks = np.asarray(ks, dtype=np.int64)
-    return p @ stats.poisson.sf(ks[None, :] - 1, x[:, None])
+    return p @ _poisson_sf(ks[None, :] - 1, x[:, None])
 
 
 # -- degree goodness of fit ---------------------------------------------------
@@ -261,6 +300,10 @@ def degree_fit_test(
     exclude loops.  The comparison is asymptotic in n; a warning is issued
     for n below 1000.  ``seed`` is accepted for compatibility and ignored.
     """
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if g.n < 1000:
         warnings.warn(
             f"degree fit is an asymptotic test; n={g.n} gives little power",
@@ -370,14 +413,12 @@ def independence_test(
 
 def _shared_count_law(rates: np.ndarray) -> np.ndarray:
     """Joint pmf of (S + X, S + Y) for independent Poisson S, X, Y of these rates."""
-    from scipy import stats
-
     # Bernstein: Poisson(r) has at most exp(-c) = 1e-16 below r - sqrt(2 c r)
     # and above r + t, where t^2 = 2 c (r + t / 3)
     c = 16.0 * math.log(10.0)
     lo = np.floor(np.maximum(rates - np.sqrt(2.0 * c * rates), 0.0))
     hi = np.ceil(rates + c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * rates))
-    ps, px, py = (stats.poisson.pmf(np.arange(a, b + 1), r) for a, b, r in zip(lo, hi, rates))
+    ps, px, py = (_poisson_pmf(np.arange(a, b + 1), r) for a, b, r in zip(lo, hi, rates))
     law = np.zeros((ps.size + px.size - 1, ps.size + py.size - 1))
     for shift, mass in enumerate(ps):
         law[shift : shift + px.size, shift : shift + py.size] += mass * np.outer(px, py)
@@ -484,16 +525,14 @@ def poisson_chisquare(
     Cells are merged left to right until each expected count reaches
     ``min_expected``; the final cell absorbs the upper tail.
     """
-    from scipy import stats
-
     samples = np.asarray(samples, dtype=np.int64)
     r = samples.size
     if r == 0:
         raise ValueError("need at least one sample")
     j_max = int(samples.max())
     observed = np.bincount(samples, minlength=j_max + 1).astype(np.float64)
-    probs = stats.poisson.pmf(np.arange(j_max + 1), rate)
-    tail = float(stats.poisson.sf(j_max, rate))
+    probs = _poisson_pmf(np.arange(j_max + 1), rate)
+    tail = float(_poisson_sf(j_max, rate))
     obs_bins: list[float] = []
     p_bins: list[float] = []
     acc_o = acc_p = 0.0
@@ -514,9 +553,9 @@ def poisson_chisquare(
         p_bins.append(acc_p)
     if len(obs_bins) < 2:
         raise ValueError(f"rate {rate} leaves fewer than two cells at this sample size")
-    stat, pvalue = stats.chisquare(obs_bins, np.array(p_bins) * r)
+    stat, pvalue = _chisquare(obs_bins, np.array(p_bins) * r)
     return ChiSquareResult(
-        statistic=float(stat), pvalue=float(pvalue), dof=len(obs_bins) - 1, bins=len(obs_bins)
+        statistic=stat, pvalue=pvalue, dof=len(obs_bins) - 1, bins=len(obs_bins)
     )
 
 
@@ -529,8 +568,6 @@ def product_poisson_chisquare(
     coordinate pmfs on a grid covering all but 1e-9 of the mass, with all
     low-expectation cells and the off-grid remainder merged into one bin.
     """
-    from scipy import stats
-
     samples = np.asarray(samples, dtype=np.int64)
     if samples.ndim != 2:
         raise ValueError("samples must have shape (r, k)")
@@ -538,10 +575,10 @@ def product_poisson_chisquare(
     rates = np.asarray(rates, dtype=np.float64)
     if rates.shape != (k,):
         raise ValueError(f"rates must have shape ({k},)")
-    uppers = [int(stats.poisson.isf(1e-9 / k, rate)) + 1 for rate in rates]
+    uppers = [int(_poisson_isf(1e-9 / k, rate)) + 1 for rate in rates]
     grid_p = np.ones(1)
     for rate, upper in zip(rates, uppers):
-        grid_p = np.multiply.outer(grid_p, stats.poisson.pmf(np.arange(upper + 1), rate))
+        grid_p = np.multiply.outer(grid_p, _poisson_pmf(np.arange(upper + 1), rate))
     grid_p = grid_p.reshape(-1)
     in_grid = np.all(samples <= np.array(uppers), axis=1)
     codes = np.zeros(r, dtype=np.int64)
@@ -560,10 +597,8 @@ def product_poisson_chisquare(
         obs_bins, p_bins = obs_bins[:-1], p_bins[:-1]
     if p_bins.size < 2:
         raise ValueError("fewer than two cells left after merging")
-    stat, pvalue = stats.chisquare(obs_bins, p_bins * r)
-    return ChiSquareResult(
-        statistic=float(stat), pvalue=float(pvalue), dof=p_bins.size - 1, bins=p_bins.size
-    )
+    stat, pvalue = _chisquare(obs_bins, p_bins * r)
+    return ChiSquareResult(statistic=stat, pvalue=pvalue, dof=p_bins.size - 1, bins=p_bins.size)
 
 
 def empirical_tv(xs: np.ndarray, ys: np.ndarray) -> float:

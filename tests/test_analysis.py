@@ -9,7 +9,9 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+from poisson_digraph import analysis
 from poisson_digraph.analysis import (
+    _NODE_CAP,
     Pmf,
     conditional_degree_params,
     degree_fit_test,
@@ -217,6 +219,24 @@ def test_degree_fit_warns_when_underpowered():
         degree_fit_test(g, Constant(2.0), kmax=10, seed=0)
 
 
+def test_degree_fit_checks_its_arguments_first():
+    g = sample_graph_fast(sample_weights(Constant(2.0), 10, seed=0), 20.0, seed=0)
+    for kwargs, message in (
+        ({"kmax": -3}, "kmax must be >= 0, got -3"),
+        ({"threshold": 0.0}, "threshold must be in"),
+        ({"threshold": 1.5}, "threshold must be in"),
+        ({"threshold": math.nan}, "threshold must be in"),
+        ({"threshold": math.inf}, "threshold must be in"),
+    ):
+        # raised before the n < 1000 warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                degree_fit_test(g, Constant(2.0), **kwargs)
+    with pytest.warns(UserWarning, match="little power"):
+        assert degree_fit_test(g, Constant(2.0), kmax=0, threshold=1.0).kmax == 0
+
+
 def test_mixed_pmf_warns_when_the_rule_loses_mass():
     with pytest.warns(UserWarning, match="misses 0.18"):
         pmf = mixed_poisson_pmf(ParetoMirrored(2.00001, 1.0), 10)
@@ -361,6 +381,43 @@ def test_poisson_chisquare_calibration():
     assert good.bins >= 2
     bad = poisson_chisquare(draws, 3.5)
     assert bad.pvalue < 1e-6
+
+
+# rates from the unit mass at zero to the node cap of the quadrature rules
+REFERENCE_RATES = (0.0, 1e-300, 0.5, 3.0, 40.0, 1e6, _NODE_CAP)
+
+
+def test_poisson_laws_equal_scipy_stats_bit_for_bit():
+    k = np.arange(-1, 61)
+    for mu in REFERENCE_RATES:
+        assert np.array_equal(analysis._poisson_pmf(k, mu), stats.poisson.pmf(k, mu))
+        # special.pdtrc(-1, mu) is NaN; the tail below zero is 1, as mixed_poisson_tail needs
+        assert np.array_equal(analysis._poisson_sf(k, mu), stats.poisson.sf(k, mu))
+        for coords in range(1, 9):
+            got = analysis._poisson_isf(1e-9 / coords, mu)
+            assert np.array_equal(got, stats.poisson.isf(1e-9 / coords, mu), equal_nan=True)
+    mus = np.array(REFERENCE_RATES)[:, None]
+    assert np.array_equal(analysis._poisson_pmf(k, mus), stats.poisson.pmf(k, mus))
+    assert np.array_equal(analysis._poisson_sf(k, mus), stats.poisson.sf(k, mus))
+
+
+def test_chisquare_equals_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for cells in (2, 5, 30, 200):
+        expected = rng.random(cells) + 0.05
+        expected *= 1000.0 / expected.sum()
+        observed = rng.multinomial(1000, expected / expected.sum()).astype(float)
+        ref = stats.chisquare(observed, expected)
+        assert analysis._chisquare(observed, expected) == (ref.statistic, ref.pvalue)
+    for observed, expected in (([1.0, 2.0], [1.0, 3.0]), ([50.0, 50.0], [50.0, 50.0 + 1e-5])):
+        with pytest.raises(ValueError, match="relative"):
+            stats.chisquare(observed, expected)
+        with pytest.raises(ValueError, match="relative"):
+            analysis._chisquare(observed, expected)
+    # a relative mismatch of 2e-9 passes both checks
+    assert analysis._chisquare([50.0, 50.0], [50.0, 50.0 + 1e-7]) == tuple(
+        stats.chisquare([50.0, 50.0], [50.0, 50.0 + 1e-7])
+    )
 
 
 def test_product_chisquare_calibration_and_power():

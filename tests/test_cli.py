@@ -93,13 +93,19 @@ def test_oversized_multiplicity_exits_three(tmp_path, rows, message):
         assert message in res.stderr
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = (
-        "import sys, poisson_digraph.cli; "
-        "assert 'scipy.stats' not in sys.modules; "
-        "assert 'scipy.optimize' not in sys.modules"
-    )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    graph = str(tmp_path / "g.tsv")
+    code = f"""
+import sys
+import poisson_digraph.cli as cli
+assert 'scipy.stats' not in sys.modules
+assert 'scipy.optimize' not in sys.modules
+assert cli.main(['sample', '--model', 'constant:2', '--n', '2000', '--out', {graph!r}]) == 0
+assert cli.main(['stats', '--in', {graph!r}, '--model', 'constant:2']) in (0, 1)
+assert cli.main(['verify', '--suite', 'quick', '--seed', '0']) == 0
+assert 'scipy.stats' not in sys.modules, 'stats --model or verify loaded scipy.stats'
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
 
 
@@ -253,6 +259,15 @@ def test_stats_with_wrong_model_exits_one(tmp_path):
     assert json.loads(res.stdout)["degree_fit"]["passed"] is False
 
 
+def test_stats_rejects_bad_fit_arguments(tmp_path):
+    out = tmp_path / "g.tsv"
+    run_cli("sample", "--model", "constant:2", "--n", "100", "--out", str(out))
+    res = run_cli("stats", "--in", str(out), "--model", "constant:2", "--threshold", "nan")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: threshold must be in (0, 1], got nan\n"
+
+
 def test_survival_constant_two(tmp_path):
     res = run_cli("survival", "--model", "constant:2", "--config", "mirrored-sum")
     assert res.returncode == 0
@@ -366,6 +381,15 @@ def test_verify_graph_mode(tmp_path):
     bad = run_cli("verify", "--graph", str(out), "--model", "constant:5")
     assert bad.returncode == 1
     assert json.loads(bad.stdout)["all_pass"] is False
+
+
+def test_verify_graph_rejects_negative_kmax(tmp_path):
+    out = tmp_path / "g.tsv"
+    run_cli("sample", "--model", "constant:2", "--n", "100", "--out", str(out))
+    res = run_cli("verify", "--graph", str(out), "--model", "constant:2", "--kmax", "-3")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: kmax must be >= 0, got -3\n"
 
 
 def test_verify_rejects_conflicting_targets():
