@@ -310,11 +310,9 @@ def degree_fit_test(
             stacklevel=2,
         )
     arr = degree_arrays(g)
-    d_in = np.minimum(arr.d_in, kmax + 1)
-    d_out = np.minimum(arr.d_out, kmax + 1)
-    emp = np.zeros((kmax + 2, kmax + 2))
-    np.add.at(emp, (d_in, d_out), 1.0)
-    emp /= g.n
+    # cell (i, j) of the (kmax + 2)-square grid, overflow in row and column kmax + 1
+    cells = np.minimum(arr.d_in, kmax + 1) * (kmax + 2) + np.minimum(arr.d_out, kmax + 1)
+    emp = np.bincount(cells, minlength=(kmax + 2) ** 2).reshape(kmax + 2, kmax + 2) / g.n
     emp_grid = emp[: kmax + 1, : kmax + 1]
     emp_tail = float(1.0 - emp_grid.sum())
     theory = mixed_poisson_pmf(model, kmax)

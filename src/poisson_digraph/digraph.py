@@ -11,7 +11,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import re
+import stat
 import warnings
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +28,8 @@ _INT64_MAX = 2**63 - 1
 # fit in int64 (about 3.04e9)
 MAX_N = math.isqrt(_INT64_MAX + 1) - 1
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
+# names np.loadtxt would decompress rather than read as text
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class MultiDigraph:
@@ -53,16 +57,20 @@ class MultiDigraph:
             # merged counts and total_arcs are int64 sums; max * size bounds them cheaply
             if mult.max() > _INT64_MAX // mult.size and sum(mult.tolist()) > _INT64_MAX:
                 raise ValueError("total multiplicity exceeds 2**63 - 1")
+        # a copy, so the caller's arrays stay theirs
         keep = mult > 0
         src, dst, mult = src[keep], dst[keep], mult[keep]
-        # merge duplicates and fix a canonical (src, dst) order
         codes = src * (n + 1) + dst
-        order = np.argsort(codes, kind="stable")
-        codes, src, dst, mult = codes[order], src[order], dst[order], mult[order]
-        start = np.flatnonzero(np.diff(codes, prepend=-1))
-        if start.size != codes.size:
-            mult = np.add.reduceat(mult, start)
-            src, dst = src[start], dst[start]
+        # strictly increasing codes, as in every file the writer makes, are
+        # already canonical: nothing to sort or merge
+        if np.any(codes[1:] <= codes[:-1]):
+            # merge duplicates and fix a canonical (src, dst) order
+            order = np.argsort(codes, kind="stable")
+            codes, src, dst, mult = codes[order], src[order], dst[order], mult[order]
+            start = np.flatnonzero(np.diff(codes, prepend=-1))
+            if start.size != codes.size:
+                mult = np.add.reduceat(mult, start)
+                src, dst = src[start], dst[start]
         self.n = int(n)
         self.src = src
         self.dst = dst
@@ -94,6 +102,25 @@ class MultiDigraph:
         Vertex v's arcs are rows ``_indptr[v - 1]:_indptr[v]``; no sort is needed.
         """
         return np.cumsum(np.bincount(self.src, minlength=self.n + 1))
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        """Rows d_in, d_out, loops of vertices 1..n, as ``structure.degree_arrays`` defines them.
+
+        Read-only and computed once per graph, so every reader of the
+        degrees shares one pass.
+        """
+        degrees = np.zeros((3, self.n), dtype=np.int64)
+        d_in, d_out, loops = degrees
+        # merged arcs hold at most one loop row per vertex
+        loops[self.src[self.loop_mask] - 1] = self.mult[self.loop_mask]
+        # out-degrees are sums over the sorted rows, read off one running total
+        running = np.concatenate(([0], np.cumsum(self.mult)))
+        np.subtract(np.diff(running[self._indptr]), loops, out=d_out)
+        np.add.at(d_in, self.dst - 1, self.mult)
+        d_in -= loops
+        degrees.setflags(write=False)
+        return degrees
 
     def multiplicity(self, v: int, u: int) -> int:
         """Number of arcs from v to u; 0 for an absent pair or a vertex outside 1..n."""
@@ -179,10 +206,9 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
     are skipped, and a line whose first non-blank character is '#' is a
     comment, read as ``key=value`` metadata when it has an '='.  n is
     taken from the header unless supplied explicitly.  Malformed data
-    lines raise ValueError naming the line number.
+    lines and comments that are not UTF-8 raise ValueError naming the
+    line number.
     """
-    # bytes, not str: loadtxt walks a file object line by line, and a
-    # StringIO would hold four bytes per character of the whole file
     raw = Path(path).read_bytes()
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -194,17 +220,21 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
         end = len(raw) if end < 0 else end
         if raw[start:at].decode("latin-1").strip():
             raise _malformed_line(raw)  # a '#' after data on the same line
-        body = raw[at + 1 : end].decode().strip()
+        try:
+            body = raw[at + 1 : end].decode().strip()
+        except UnicodeDecodeError as exc:
+            lineno = raw.count(b"\n", 0, at) + 1
+            byte = exc.object[exc.start]
+            raise ValueError(f"line {lineno}: comment is not UTF-8 (byte 0x{byte:02x})") from None
         if "=" in body:
             key, _, value = body.partition("=")
             meta[key.strip()] = value.strip()
         at = raw.find(b"#", end)
+    source = _loadtxt_source(path, raw)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(
-                io.BytesIO(raw), dtype=np.int64, comments="#", ndmin=2, encoding="latin-1"
-            )
+            rows = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2, encoding="latin-1")
     except ValueError:
         raise _malformed_line(raw) from None
     if rows.size and rows.shape[1] != 3:
@@ -215,6 +245,25 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
         n = int(meta["n"])
     src, dst, mult = rows.reshape(-1, 3).T
     return MultiDigraph(n, src, dst, mult), meta
+
+
+def _loadtxt_source(path: str | Path, raw: bytes) -> str | io.BytesIO:
+    """What ``np.loadtxt`` parses: the file again by name, or the bytes already read.
+
+    Given a name, numpy's C reader parses the file in large chunks; given a
+    file object, it walks it line by line, at about twice the time.  The name
+    serves only a regular file whose suffix numpy would not decompress: a
+    pipe or ``/dev/stdin`` was drained by the first read, and a ``.gz``,
+    ``.bz2``, ``.xz`` or ``.lzma`` name holds plain text here.  The name is
+    made absolute because numpy's opener would fetch one that parses as a URL.
+    Both routes decode latin-1 and read CR and CRLF as line ends, so they
+    give the same rows.
+    """
+    path = Path(path)
+    if path.suffix.lower() not in _COMPRESSED_SUFFIXES and stat.S_ISREG(path.stat().st_mode):
+        return os.path.abspath(path)
+    # bytes, not str: a StringIO would hold four bytes per character
+    return io.BytesIO(raw)
 
 
 def _malformed_line(raw: bytes) -> ValueError:

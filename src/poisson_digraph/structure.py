@@ -46,16 +46,12 @@ class DegreeArrays:
 
 
 def degree_arrays(g: MultiDigraph) -> DegreeArrays:
-    """Loop-excluded in/out degrees plus per-vertex loop counts, exact int64 sums."""
-    loops = np.zeros(g.n, dtype=np.int64)
-    # merged arcs hold at most one loop row per vertex
-    loops[g.src[g.loop_mask] - 1] = g.mult[g.loop_mask]
-    # out-degrees are sums over the sorted rows, read off one running total
-    running = np.concatenate(([0], np.cumsum(g.mult)))
-    d_out = np.diff(running[g._indptr]) - loops
-    d_in = np.zeros(g.n, dtype=np.int64)
-    np.add.at(d_in, g.dst - 1, g.mult)
-    return DegreeArrays(d_in=d_in - loops, d_out=d_out, loops=loops)
+    """Loop-excluded in/out degrees plus per-vertex loop counts, exact int64 sums.
+
+    The arrays are read-only and computed once per graph.
+    """
+    d_in, d_out, loops = g._degrees
+    return DegreeArrays(d_in=d_in, d_out=d_out, loops=loops)
 
 
 # -- reachability -------------------------------------------------------------
@@ -160,7 +156,9 @@ def backward_cluster_size(g: MultiDigraph, v: int) -> int:
 class ComponentSummary:
     """Strong and weak partitions of one graph, each computed on first read.
 
-    Labels are 0-based arrays over vertices 1..n.
+    Labels are 0-based arrays over vertices 1..n, numbered as scipy's
+    ``connected_components`` numbers them.  Weak labels read after the
+    strong ones come from the smaller strong condensation.
     """
 
     n: int
@@ -172,7 +170,24 @@ class ComponentSummary:
 
     @cached_property
     def weak_labels(self) -> np.ndarray:
-        return connected_components(self.adjacency, directed=True, connection="weak")[1]
+        if "strong_labels" not in self.__dict__:
+            return connected_components(self.adjacency, directed=True, connection="weak")[1]
+        # weak classes are unions of strong ones: label the condensation, one
+        # node per strong class and the arcs between classes, not the graph
+        strong = self.strong_labels
+        tails = np.repeat(strong, np.diff(self.adjacency.indptr))
+        heads = strong[self.adjacency.indices]
+        cross = tails != heads
+        k = int(strong.max()) + 1
+        ones = np.ones(int(np.count_nonzero(cross)))
+        condensation = csr_matrix((ones, (tails[cross], heads[cross])), shape=(k, k))
+        labels = connected_components(condensation, directed=False)[1][strong]
+        # scipy numbers weak classes in the order of their smallest vertex
+        first = np.full(int(labels.max()) + 1, self.n)
+        np.minimum.at(first, labels, np.arange(self.n))
+        rank = np.empty(first.size, dtype=labels.dtype)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return rank[labels]
 
     @staticmethod
     def _sizes(labels: np.ndarray) -> np.ndarray:
@@ -195,12 +210,14 @@ class ComponentSummary:
         return int(self.weak_sizes[0])
 
     def to_json(self, topk: int = 5) -> str:
+        # strong first, so the weak labels come from its condensation
+        strong, weak = self.strong_sizes, self.weak_sizes
         obj = {
             "n": self.n,
-            "largest_weak": self.largest_weak,
-            "largest_strong": self.largest_strong,
-            "weak_sizes_topk": self.weak_sizes[:topk].tolist(),
-            "strong_sizes_topk": self.strong_sizes[:topk].tolist(),
+            "largest_weak": int(weak[0]),
+            "largest_strong": int(strong[0]),
+            "weak_sizes_topk": weak[:topk].tolist(),
+            "strong_sizes_topk": strong[:topk].tolist(),
         }
         return json.dumps(obj, sort_keys=True)
 

@@ -5,6 +5,7 @@ Exit-code contract: 0 success, 1 a requested statistical check failed,
 """
 
 import ast
+import hashlib
 import inspect
 import json
 import math
@@ -17,6 +18,7 @@ import pytest
 import poisson_digraph
 from poisson_digraph import cli
 from poisson_digraph.cli import RunConfig
+from poisson_digraph.digraph import read_edge_list, write_edge_list
 
 CMD = [sys.executable, "-m", "poisson_digraph"]
 
@@ -72,6 +74,14 @@ def test_malformed_edge_list_exits_three(tmp_path):
     res = run_cli("components", "--in", str(bad))
     assert res.returncode == 3
     assert "line 2" in res.stderr
+
+
+def test_comment_that_is_not_utf8_names_its_line(tmp_path):
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes(b"# n=3\n# note=caf\xe9\n1\t2\t1\n")
+    res = run_cli("components", "--in", str(bad))
+    assert res.returncode == 3
+    assert res.stderr == f"error: {bad}: line 2: comment is not UTF-8 (byte 0xe9)\n"
 
 
 @pytest.mark.parametrize(
@@ -198,6 +208,73 @@ def test_headerless_file_needs_n_flag(tmp_path):
     res = run_cli("components", "--in", str(headerless), "--n", "5")
     assert res.returncode == 0
     assert json.loads(res.stdout)["n"] == 5
+
+
+def test_pipe_input_reads_like_the_file(tmp_path):
+    graph = tmp_path / "g.tsv"
+    sample = ["sample", "--model", "pareto-mirrored:3.5,1", "--n", "20000", "--seed", "11"]
+    assert run_cli(*sample, "--out", str(graph)).returncode == 0
+    assert graph.stat().st_size > 2**16  # several times a pipe's buffer
+    for args in (["components"], ["stats", "--model", "pareto-mirrored:3.5,1"]):
+        from_file = run_cli(*args, "--in", str(graph))
+        assert from_file.returncode in (0, 1) and from_file.stdout
+        # sample | <command> --in /dev/stdin
+        producer = subprocess.Popen(CMD + sample, stdout=subprocess.PIPE)
+        try:
+            from_pipe = subprocess.run(
+                CMD + args + ["--in", "/dev/stdin"],
+                stdin=producer.stdout, capture_output=True, text=True, timeout=300,
+            )
+        finally:
+            producer.stdout.close()
+            assert producer.wait(timeout=300) == 0
+        assert (from_pipe.returncode, from_pipe.stdout) == (from_file.returncode, from_file.stdout)
+
+
+def _golden_edge_list():
+    """A 3000-vertex edge list from fixed integer arithmetic, no random draws.
+
+    Rows come unsorted, with repeated pairs, zero counts, loops and
+    comments between them.
+    """
+    n = 3000
+    lines = [f"# n={n}"]
+    for i in range(5000):
+        if i % 1000 == 500:
+            lines.append(f"# block={i // 1000}")
+        j = i - 25 if i % 50 == 49 else i  # every 50th row repeats an earlier pair
+        src = j * 2654435761 % 4294967291 % n + 1
+        dst = src if j % 97 == 0 else (j * j * 40503 + 7 * j + 11) % 65521 % n + 1
+        lines.append(f"{src}\t{dst}\t{i % 3}")
+    return "\n".join(lines) + "\n"
+
+
+# (exit code, SHA-256 of stdout) of each command on the golden edge list; the
+# graph is fixed, so only the reader, the component summary and the degree
+# fit can move them
+GOLDEN_OUTPUTS = {
+    ("components",): (0, "525ea76f1098d4fb38a05c2f89e01bb1f555b90efef6a73a897b285ee33c2926"),
+    ("stats", "--model", "pareto-mirrored:3.5,1", "--kmax", "30"): (
+        1,
+        "3252a8d8de392abca64b105963a432c9649e405db7e786bf4a1e9ffe1ffd0502",
+    ),
+}
+
+
+def test_outputs_on_golden_edge_list_are_pinned(tmp_path):
+    unsorted = tmp_path / "golden.tsv"
+    unsorted.write_text(_golden_edge_list())
+    # the same graph as the writer renders it: sorted rows, no duplicates
+    ordered = tmp_path / "ordered.tsv"
+    g, meta = read_edge_list(unsorted)
+    write_edge_list(g, ordered, meta)
+    for path in (unsorted, ordered):
+        for (command, *args), expected in GOLDEN_OUTPUTS.items():
+            res = subprocess.run(
+                CMD + [command, "--in", str(path), *args], capture_output=True, timeout=300
+            )
+            digest = hashlib.sha256(res.stdout).hexdigest()
+            assert (res.returncode, digest) == expected, (path.name, command)
 
 
 def test_components_of_three_cycle(tmp_path):

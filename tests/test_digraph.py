@@ -1,6 +1,10 @@
 """Tests for the multigraph container and the edge-list file format."""
 
+import io
+import os
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from poisson_digraph.digraph import (
     MAX_N,
     MultiDigraph,
+    _loadtxt_source,
     edge_list_text,
     read_edge_list,
     write_edge_list,
@@ -95,6 +100,33 @@ def test_equality_ignores_input_order():
     assert a == b
     assert a != c
     assert a != MultiDigraph.empty(3)
+
+
+def test_sorted_and_shuffled_input_build_equal_graphs():
+    rng = np.random.default_rng(3)
+    n = 50
+    codes = np.unique(rng.integers(0, n * n, 400))
+    src, dst = codes // n + 1, codes % n + 1
+    mult = rng.integers(1, 5, codes.size)
+    ordered = MultiDigraph(n, src, dst, mult)
+    # the same arcs shuffled, each count split over two rows, plus zero rows
+    split = rng.integers(0, mult + 1)
+    order = rng.permutation(3 * codes.size)
+    columns = ((src,) * 3, (dst,) * 3, (split, mult - split, 0 * mult))
+    rows = [np.concatenate(column)[order] for column in columns]
+    shuffled = MultiDigraph(n, *rows)
+    assert ordered == shuffled
+    # sorted but not strictly: each pair on two adjacent rows
+    split = rng.integers(0, mult + 1)
+    counts = np.stack((split, mult - split), axis=1).reshape(-1)
+    assert MultiDigraph(n, np.repeat(src, 2), np.repeat(dst, 2), counts) == ordered
+    assert np.array_equal(ordered.src, src) and np.array_equal(ordered.mult, mult)
+    # the graph owns its arrays on both paths: the caller's writes do not reach it
+    for g, inputs in ((ordered, (src, dst, mult)), (shuffled, rows)):
+        expected = arc_dict(g)
+        for a in inputs:
+            a[:] = 1
+        assert arc_dict(g) == expected
 
 
 def test_multiplicity_matches_arc_map():
@@ -208,6 +240,13 @@ def test_read_names_the_malformed_line(tmp_path, row):
         read_edge_list(path)
 
 
+def test_read_names_a_comment_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"# n=3\n1\t2\t1\n# note=caf\xe9\n3\t1\t1\n")
+    with pytest.raises(ValueError, match=r"^line 3: comment is not UTF-8 \(byte 0xe9\)$"):
+        read_edge_list(path)
+
+
 @pytest.mark.parametrize("text", ["# n=3\n", "", "\n  \n\t\n"], ids=["header-only", "empty", "blank"])
 def test_read_data_less_file_is_empty_graph(tmp_path, text):
     path = tmp_path / "g.tsv"
@@ -257,3 +296,106 @@ def test_indptr_matches_arcs():
             row = h.dst[h._indptr[v - 1] : h._indptr[v]].tolist()
             assert row == sorted(d for s, d in arc_dict(h) if s == v)
     assert MultiDigraph.empty(3)._indptr.tolist() == [0, 0, 0, 0]
+
+
+# -- the two read routes: a regular file by name, a pipe from its bytes ---------
+
+
+def _read_through_pipe(data: bytes):
+    """read_edge_list on ``/dev/fd/N``, the read end of a pipe a thread fills with ``data``.
+
+    Reopening the pipe by name after the first read sees end of file at
+    once, so a reader that does so returns an empty graph instead of blocking.
+    """
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with os.fdopen(write_fd, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return _outcome(f"/dev/fd/{read_fd}")
+    finally:
+        writer.join(timeout=60)
+        os.close(read_fd)
+        assert not writer.is_alive()
+
+
+def _outcome(path):
+    """(graph, meta) of a read, or the message of the ValueError it raised."""
+    try:
+        return read_edge_list(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+# bytes that each read route must parse alike; the arcs and meta read today
+ROUTE_CASES = {
+    "vertical-tab": (b"# n=3\n1\x0b2\t1\n", {(1, 2): 1}),
+    "nbsp": (b"# n=3\n1\xa02\t1\n", {(1, 2): 1}),
+    "nel": (b"# n=3\n1\t2\t1\x85\n2\t3\x851\n", {(1, 2): 1, (2, 3): 1}),
+    "crlf": (b"# n=3\r\n1\t2\t1\r\n2\t3\t1\r\n", {(1, 2): 1, (2, 3): 1}),
+    "lone-cr": (b"# n=3\r1\t2\t1\r2\t3\t1\r", {(1, 2): 1, (2, 3): 1}),
+    "plus": (b"# n=3\n+1\t2\t+1\n", {(1, 2): 1}),
+    "minus-zero": (b"# n=3\n1\t2\t-0\n2\t3\t1\n", {(2, 3): 1}),
+    "zero-padded": (b"# n=3\n0000000000000000000001\t2\t1\n", {(1, 2): 1}),
+    "int64-max": (b"# n=3\n1\t2\t9223372036854775807\n", {(1, 2): 2**63 - 1}),
+    "mid-file-comments": (b"# n=3\n1\t2\t1\n# mid=x\n  # k = v\n2\t3\t1\n", {(1, 2): 1, (2, 3): 1}),
+}
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=list(ROUTE_CASES))
+def test_regular_file_and_pipe_read_alike(tmp_path, case):
+    data, arcs = ROUTE_CASES[case]
+    path = tmp_path / "g.tsv"
+    path.write_bytes(data)
+    g, meta = _outcome(path)
+    assert arc_dict(g) == arcs
+    assert meta["n"] == "3"
+    assert _read_through_pipe(data) == (g, meta)
+
+
+@needs_dev_fd
+def test_pipe_reads_the_whole_file(tmp_path):
+    # several times a pipe's buffer; then the same with a bad last row
+    rng = np.random.default_rng(7)
+    g = MultiDigraph(10**4, *rng.integers(1, 10**4 + 1, (2, 20000)), rng.integers(1, 9, 20000))
+    text = edge_list_text(g, {"seed": 5}).encode()
+    assert len(text) > 2**16
+    path = tmp_path / "g.tsv"
+    path.write_bytes(text)
+    assert _outcome(path) == (g, {"n": str(g.n), "seed": "5"})
+    assert _read_through_pipe(text) == (g, {"n": str(g.n), "seed": "5"})
+    bad = text + b"1\t2\n"
+    path.write_bytes(bad)
+    lines = bad.count(b"\n")
+    expected = f"line {lines}: expected 3 fields 'src dst multiplicity', got 2"
+    assert _outcome(path) == expected
+    assert _read_through_pipe(bad) == expected
+
+
+def test_compressed_suffix_holding_plain_text_reads_as_text(tmp_path):
+    # numpy would gunzip a .gz name; plain text under that name still reads
+    path = tmp_path / "g.tsv.gz"
+    path.write_text("# n=3\n1\t2\t1\n3\t3\t2\n")
+    g, meta = read_edge_list(path)
+    assert arc_dict(g) == {(1, 2): 1, (3, 3): 2}
+    assert meta == {"n": "3"}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_only_a_plain_regular_file_is_parsed_by_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("g.tsv").write_text("# n=1\n")
+    assert _loadtxt_source("g.tsv", b"") == str(tmp_path / "g.tsv")
+    for name in ("g.tsv.gz", "g.tsv.bz2", "g.tsv.xz", "g.tsv.lzma", "g.tsv.GZ"):
+        Path(name).write_text("# n=1\n")
+        assert isinstance(_loadtxt_source(name, b""), io.BytesIO)
+    os.mkfifo("pipe")
+    assert isinstance(_loadtxt_source("pipe", b""), io.BytesIO)

@@ -170,6 +170,16 @@ def test_degree_arrays_are_exact_past_2_53():
     assert arr.loops.tolist() == [0, 0, big]
 
 
+def test_degree_arrays_are_computed_once_and_read_only():
+    g = graph_from_arcs(3, {(1, 1): 2, (1, 2): 3, (3, 1): 1})
+    a, b = degree_arrays(g), degree_arrays(g)
+    for x, y in ((a.d_in, b.d_in), (a.d_out, b.d_out), (a.loops, b.loops)):
+        assert np.shares_memory(x, y)
+        with pytest.raises(ValueError):
+            x[0] = 9
+    assert a.d_in.tolist() == [1, 3, 0]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_degree_arrays_match_per_vertex(seed):
     g = _random_graph(40, 200 + seed)
@@ -198,6 +208,47 @@ def test_summary_matches_coo_reference(seed):
         assert np.array_equal(getattr(s, f"{connection}_labels"), labels)
     assert np.array_equal(strong_components(g).strong_sizes, s.strong_sizes)
     assert np.array_equal(weak_components(g).weak_sizes, s.weak_sizes)
+
+
+def _loopy_multigraph(n, seed):
+    """A random graph with loops and repeated arcs, independent of the samplers."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(1, n + 1, (2, 2 * n))
+    # a loop on every fifth vertex, and every tenth row repeated
+    loops = np.arange(1, n + 1, 5)
+    src = np.concatenate((src, loops, src[::10]))
+    dst = np.concatenate((dst, loops, dst[::10]))
+    return MultiDigraph(n, src, dst, rng.integers(1, 3, src.size))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        *(_loopy_multigraph(n, seed) for n, seed in ((5, 0), (40, 1), (300, 2), (300, 3))),
+        _random_graph(60, 4),
+        MultiDigraph.empty(6),
+        MultiDigraph.empty(1),
+        MultiDigraph(1, [1], [1], [2]),
+    ],
+    ids=["loopy-5", "loopy-40", "loopy-300a", "loopy-300b", "sampled-60", "empty-6", "n1",
+         "n1-loop"],
+)
+def test_weak_labels_equal_scipy_whichever_partition_is_read_first(g):
+    reference = csr_matrix((np.ones(g.src.size), (g.src - 1, g.dst - 1)), shape=(g.n, g.n))
+    weak = connected_components(reference, directed=True, connection="weak")[1]
+    strong = connected_components(reference, directed=True, connection="strong")[1]
+    weak_first, strong_first = component_summary(g), component_summary(g)
+    assert np.array_equal(weak_first.weak_labels, weak)
+    assert np.array_equal(weak_first.strong_labels, strong)
+    assert np.array_equal(strong_first.strong_labels, strong)
+    assert "strong_labels" in strong_first.__dict__  # the condensation route is taken
+    assert np.array_equal(strong_first.weak_labels, weak)
+    assert weak_first.to_json() == strong_first.to_json() == component_summary(g).to_json()
+    # whatever numbering the strong classes carry
+    renumbered = component_summary(g)
+    order = np.random.default_rng(g.n).permutation(strong.max() + 1)
+    renumbered.__dict__["strong_labels"] = order[strong]
+    assert np.array_equal(renumbered.weak_labels, weak)
 
 
 def test_component_summary_invariants():
