@@ -204,14 +204,12 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
 
     Data lines hold three whitespace-separated int64 fields; blank lines
     are skipped, and a line whose first non-blank character is '#' is a
-    comment, read as ``key=value`` metadata when it has an '='.  n is
-    taken from the header unless supplied explicitly.  Malformed data
-    lines and comments that are not UTF-8 raise ValueError naming the
-    line number.
+    comment, read as ``key=value`` metadata when it has an '='.  A comment
+    may hold any bytes, but a ``key=value`` one must be UTF-8.  n is taken
+    from the header unless supplied explicitly.  Malformed data lines and
+    metadata that is not UTF-8 raise ValueError naming the line number.
     """
-    raw = Path(path).read_bytes()
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = _read_bytes(path)
     meta: dict[str, str] = {}
     at = raw.find(b"#")
     while at >= 0:
@@ -220,31 +218,44 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
         end = len(raw) if end < 0 else end
         if raw[start:at].decode("latin-1").strip():
             raise _malformed_line(raw)  # a '#' after data on the same line
-        try:
-            body = raw[at + 1 : end].decode().strip()
-        except UnicodeDecodeError as exc:
-            lineno = raw.count(b"\n", 0, at) + 1
-            byte = exc.object[exc.start]
-            raise ValueError(f"line {lineno}: comment is not UTF-8 (byte 0x{byte:02x})") from None
-        if "=" in body:
-            key, _, value = body.partition("=")
+        body = raw[at + 1 : end]
+        # only metadata is decoded; no byte of a multi-byte UTF-8 character is '='
+        if b"=" in body:
+            try:
+                key, _, value = body.decode().partition("=")
+            except UnicodeDecodeError as exc:
+                lineno = raw.count(b"\n", 0, at) + 1
+                byte = exc.object[exc.start]
+                raise ValueError(f"line {lineno}: comment is not UTF-8 (byte 0x{byte:02x})") from None
             meta[key.strip()] = value.strip()
         at = raw.find(b"#", end)
     source = _loadtxt_source(path, raw)
+    # parsed by name, the file is not held in memory twice; it is read
+    # again only to name a malformed line
+    del raw
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2, encoding="latin-1")
+        if rows.size and rows.shape[1] != 3:
+            raise ValueError
     except ValueError:
+        raw = source.getvalue() if isinstance(source, io.BytesIO) else _read_bytes(path)
         raise _malformed_line(raw) from None
-    if rows.size and rows.shape[1] != 3:
-        raise _malformed_line(raw)
     if n is None:
         if "n" not in meta:
             raise ValueError("no n declared in header and none supplied")
         n = int(meta["n"])
     src, dst, mult = rows.reshape(-1, 3).T
     return MultiDigraph(n, src, dst, mult), meta
+
+
+def _read_bytes(path: str | Path) -> bytes:
+    """The file's bytes, with CRLF and a lone CR read as LF."""
+    raw = Path(path).read_bytes()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw
 
 
 def _loadtxt_source(path: str | Path, raw: bytes) -> str | io.BytesIO:

@@ -50,7 +50,6 @@ __all__ = [
     "sample_oriented_sum",
     "oriented_sum_parts",
     "sample_randomly_oriented_nr",
-    "sample_independent_sum",
     "independent_sum_parts",
     "SumParts",
 ]
@@ -349,8 +348,3 @@ def independent_sum_parts(model1, model2, n: int, seed: int) -> SumParts:
     cap1 = m1.from_uniform(stream(seed, "indep-capacity", 1).random(n))
     cap2 = m2.from_uniform(stream(seed, "indep-capacity", 2).random(n))
     return _sum_parts(cap1, cap2, mu1 * n, seed, "indep-sum")
-
-
-def sample_independent_sum(model1, model2, n: int, seed: int) -> MultiDigraph:
-    """Arc sum of two independently weighted, oppositely oriented samples."""
-    return independent_sum_parts(model1, model2, n, seed).graph

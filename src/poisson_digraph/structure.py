@@ -20,11 +20,11 @@ from scipy.sparse.csgraph import connected_components
 from .digraph import MultiDigraph
 
 __all__ = [
+    "DegreeArrays",
     "degree_arrays",
     "forward_cluster_sizes",
     "forward_cluster_size",
     "backward_cluster_sizes",
-    "backward_cluster_size",
     "ComponentSummary",
     "strong_components",
     "weak_components",
@@ -142,11 +142,6 @@ def backward_cluster_sizes(g: MultiDigraph, roots) -> np.ndarray:
     order = np.argsort(g.dst)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(g.dst - 1, minlength=g.n))))
     return _cluster_sizes(indptr, g.src[order] - 1, roots0, g.n)
-
-
-def backward_cluster_size(g: MultiDigraph, v: int) -> int:
-    """Size of the backward cluster of v."""
-    return int(backward_cluster_sizes(g, [v])[0])
 
 
 # -- components ---------------------------------------------------------------

@@ -29,10 +29,10 @@ from .analysis import (
 from .branching import solve_extinction, survival_fractions
 from .sampler import (
     evolve_chain,
+    independent_sum_parts,
     oriented_sum_parts,
     sample_graph_fast,
     sample_graph_naive,
-    sample_independent_sum,
     sample_randomly_oriented_nr,
 )
 from .streams import derive_seed, stream
@@ -341,7 +341,7 @@ def _check_giant_independent_sum(seed: int) -> CheckResult:
     report = survival_fractions(IndependentProduct(cap, cap), "independent-sum")
     devs = []
     for r in range(reps):
-        g = sample_independent_sum(cap, cap, n, seed + r)
+        g = independent_sum_parts(cap, cap, n, seed + r).graph
         devs.append(abs(component_summary(g).largest_strong / n - report.pi))
     return _below(
         "giant-strong-independent-sum",

@@ -53,11 +53,11 @@ from poisson_digraph.analysis import (
 from poisson_digraph.branching import survival_fractions
 from poisson_digraph.sampler import (
     evolve_chain,
+    independent_sum_parts,
     oriented_sum_parts,
     sample_graph_fast,
     sample_graph_naive,
     sample_randomly_oriented_nr,
-    sample_independent_sum,
 )
 from poisson_digraph.scaling import scaling_exponent_experiment
 from poisson_digraph.streams import derive_seed
@@ -269,7 +269,7 @@ def test_criterion_6_independent_sum_strong_fraction():
     n, reps = 100_000, 10
     fracs = np.empty(reps)
     for r in range(reps):
-        g = sample_independent_sum(ConstantMarginal(2.0), ConstantMarginal(2.0), n, seed=406 + r)
+        g = independent_sum_parts(ConstantMarginal(2.0), ConstantMarginal(2.0), n, seed=406 + r).graph
         fracs[r] = component_summary(g).largest_strong / n
     target = ZETA * ZETA
     dev = abs(float(fracs.mean()) - target)

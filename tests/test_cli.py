@@ -84,6 +84,15 @@ def test_comment_that_is_not_utf8_names_its_line(tmp_path):
     assert res.stderr == f"error: {bad}: line 2: comment is not UTF-8 (byte 0xe9)\n"
 
 
+def test_free_comment_of_any_bytes_reads(tmp_path):
+    plain, latin1 = tmp_path / "plain.tsv", tmp_path / "latin1.tsv"
+    plain.write_bytes(b"# n=3\n1\t2\t1\n")
+    latin1.write_bytes(b"# n=3\n# caf\xe9\n1\t2\t1\n")
+    res = run_cli("components", "--in", str(latin1))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli("components", "--in", str(plain)).stdout
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [

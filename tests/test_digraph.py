@@ -247,6 +247,19 @@ def test_read_names_a_comment_that_is_not_utf8(tmp_path):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize("name", ["g.tsv", "g.tsv.gz"], ids=["by-name", "bytes"])
+def test_read_keeps_a_free_comment_of_any_bytes(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"# n=3\n# caf\xe9\n1\t2\t1\n  #\xff\xfe\n# s\xc3\xa9ed=7\n2\t3\t1\n")
+    g, meta = read_edge_list(path)
+    assert arc_dict(g) == {(1, 2): 1, (2, 3): 1}
+    assert meta == {"n": "3", "s\u00e9ed": "7"}
+    # a bad row after such a comment is still named, on either route
+    path.write_bytes(b"# n=3\n# caf\xe9\n1\t2\t1\n1\t2\n")
+    with pytest.raises(ValueError, match="^line 4: expected 3 fields"):
+        read_edge_list(path)
+
+
 @pytest.mark.parametrize("text", ["# n=3\n", "", "\n  \n\t\n"], ids=["header-only", "empty", "blank"])
 def test_read_data_less_file_is_empty_graph(tmp_path, text):
     path = tmp_path / "g.tsv"

@@ -15,7 +15,6 @@ from scipy.sparse.csgraph import connected_components
 from poisson_digraph.sampler import sample_graph_fast
 from poisson_digraph.structure import (
     ComponentSummary,
-    backward_cluster_size,
     backward_cluster_sizes,
     component_summary,
     degree_arrays,
@@ -57,7 +56,7 @@ def test_clusters_match_closure_oracle(seed):
         assert forward_cluster(g, v) == fwd
         assert backward_cluster(g, v) == bwd
         assert forward_cluster_size(g, v) == len(fwd)
-        assert backward_cluster_size(g, v) == len(bwd)
+        assert backward_cluster_sizes(g, [v])[0] == len(bwd)
         assert set((np.flatnonzero(strong == strong[v - 1]) + 1).tolist()) == fwd & bwd
 
 
@@ -87,7 +86,7 @@ def test_forward_cluster_sizes_over_three_blocks_with_duplicates():
 def test_forward_cluster_sizes_edge_inputs():
     g = _random_graph(25, 1)
     loop = graph_from_arcs(1, {(1, 1): 3})
-    assert forward_cluster_size(loop, 1) == backward_cluster_size(loop, 1) == 1
+    assert forward_cluster_size(loop, 1) == backward_cluster_sizes(loop, [1])[0] == 1
     for sizes in (forward_cluster_sizes, backward_cluster_sizes):
         assert sizes(g, []).tolist() == []
         assert sizes(loop, [1, 1]).tolist() == [1, 1]
@@ -113,7 +112,7 @@ def test_vertex_id_validation():
         with pytest.raises(ValueError):
             forward_cluster_size(g, bad)
         with pytest.raises(ValueError):
-            backward_cluster_size(g, bad)
+            backward_cluster_sizes(g, [bad])
 
 
 def test_three_cycle_is_one_strong_class():
