@@ -30,13 +30,10 @@ from .weights import (
     IndependentProduct,
     Marginal,
     MirroredCapacity,
-    NormalizerMode,
     WeightModel,
     WeightSequence,
     _pairs_from_uniforms,
-    capacity_marginal,
     moments,
-    normalizer,
     sample_weights,
 )
 
@@ -59,6 +56,11 @@ __all__ = [
     "empirical_tv",
     "mixing_pairs",
 ]
+
+# the chi-square tests merge cells until each expects at least this many samples
+MIN_EXPECTED = 5.0
+# the loop test's least chi-square p-value
+LOOP_ALPHA = 0.01
 
 
 # -- Poisson and chi-square laws ---------------------------------------------
@@ -190,7 +192,7 @@ def _marginals(model: WeightModel) -> tuple[Marginal, Marginal]:
     """(in, out) marginal laws; both are the capacity law of a mirrored model."""
     if isinstance(model, IndependentProduct):
         return model.marginal_in, model.marginal_out
-    return capacity_marginal(model), capacity_marginal(model)
+    return model.capacity, model.capacity
 
 
 def mixing_pairs(model: WeightModel, size: int = 0, seed: int = 0) -> tuple[np.ndarray, ...]:
@@ -377,14 +379,13 @@ def independence_test(
     n: int,
     k: int,
     seed: int = 0,
-    mode: NormalizerMode = NormalizerMode.DETERMINISTIC_MU_N,
 ) -> IndependenceResult:
     """Exact dependence between the joint degrees of k tracked vertices.
 
-    Weights are realized once from ``seed``.  ``pairwise`` maps each pair
-    (i, j) of vertices 1..k to the TV between the joint law of
-    X_i = (d_in(i), d_out(i)) and X_j, loops left out, and the product of
-    their laws; the statistic is the maximum over pairs.
+    Weights are realized once from ``seed``, and L = mu n.  ``pairwise``
+    maps each pair (i, j) of vertices 1..k to the TV between the joint law
+    of X_i = (d_in(i), d_out(i)) and X_j, loops left out, and the product
+    of their laws; the statistic is the maximum over pairs.
 
     Given the weights, d_out(i) and d_in(j) share the arc count A_ij and
     d_in(i) and d_out(j) share A_ji; the four remainders are independent
@@ -396,7 +397,7 @@ def independence_test(
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     w = sample_weights(model, n, seed)
-    l_n = normalizer(w, moments(model).mu, mode)
+    l_n = moments(model).mu * n
     pairwise = {}
     for i in range(k):
         for j in range(i + 1, k):
@@ -453,20 +454,14 @@ class LoopTestResult:
     reps: int
 
 
-def loop_test(
-    model: WeightModel,
-    n: int,
-    reps: int = 10_000,
-    seed: int = 0,
-    mode: NormalizerMode = NormalizerMode.DETERMINISTIC_MU_N,
-    alpha: float = 0.01,
-) -> LoopTestResult:
+def loop_test(model: WeightModel, n: int, reps: int = 10_000, seed: int = 0) -> LoopTestResult:
     """Total loop count over independent graphs against Poisson(rho / mu).
 
     Each replicate redraws weights and the loop total, whose conditional
-    law is Poisson(sum w_in w_out / L); the within-replicate off-diagonal
-    arcs never contribute and are not sampled.  Refuses models with
-    rho = E[w_in w_out] infinite, where no limit law exists.
+    law is Poisson(sum w_in w_out / L) with L = mu n; the within-replicate
+    off-diagonal arcs never contribute and are not sampled.  Passes when the
+    chi-square p-value is at least ``LOOP_ALPHA`` and |z| <= 3.  Refuses
+    models with rho = E[w_in w_out] infinite, where no limit law exists.
     """
     mom = moments(model)
     if not math.isfinite(mom.rho):
@@ -475,11 +470,12 @@ def loop_test(
             " tau <= 3); the loop total has no limiting Poisson law"
         )
     expected = mom.rho / mom.mu
+    l_n = mom.mu * n
     rng = stream(seed, "loop-test")
     totals = np.empty(reps, dtype=np.int64)
     if _degenerate(model):
         w = WeightSequence(*_pairs_from_uniforms(model, np.zeros((n, 2))))
-        rate = w.sum_products / normalizer(w, mom.mu, mode)
+        rate = w.sum_products / l_n
         totals[:] = rng.poisson(rate, size=reps)
     else:
         chunk = max(1, 2_000_000 // n)
@@ -489,7 +485,7 @@ def loop_test(
             rates = np.empty(hi - lo)
             for r in range(hi - lo):
                 w = WeightSequence(*_pairs_from_uniforms(model, u[r]))
-                rates[r] = w.sum_products / normalizer(w, mom.mu, mode)
+                rates[r] = w.sum_products / l_n
             totals[lo:hi] = rng.poisson(rates)
     chi2 = poisson_chisquare(totals, expected)
     sd = float(totals.std(ddof=1)) if reps > 1 else float("nan")
@@ -499,7 +495,7 @@ def loop_test(
         expected_mean=expected,
         z=float(z),
         chi2_pvalue=chi2.pvalue,
-        passed=chi2.pvalue >= alpha and abs(z) <= 3.0,
+        passed=chi2.pvalue >= LOOP_ALPHA and abs(z) <= 3.0,
         reps=reps,
     )
 
@@ -515,13 +511,11 @@ class ChiSquareResult:
     bins: int
 
 
-def poisson_chisquare(
-    samples: np.ndarray, rate: float, min_expected: float = 5.0
-) -> ChiSquareResult:
+def poisson_chisquare(samples: np.ndarray, rate: float) -> ChiSquareResult:
     """Chi-square test of integer samples against Poisson(rate).
 
     Cells are merged left to right until each expected count reaches
-    ``min_expected``; the final cell absorbs the upper tail.
+    ``MIN_EXPECTED``; the final cell absorbs the upper tail.
     """
     samples = np.asarray(samples, dtype=np.int64)
     r = samples.size
@@ -537,13 +531,13 @@ def poisson_chisquare(
     for o, p in zip(observed, probs):
         acc_o += o
         acc_p += p
-        if acc_p * r >= min_expected:
+        if acc_p * r >= MIN_EXPECTED:
             obs_bins.append(acc_o)
             p_bins.append(acc_p)
             acc_o = acc_p = 0.0
     # remainder plus the analytic tail go into the last bin
     acc_p += tail
-    if obs_bins and acc_p * r < min_expected:
+    if obs_bins and acc_p * r < MIN_EXPECTED:
         obs_bins[-1] += acc_o
         p_bins[-1] += acc_p
     else:
@@ -557,9 +551,7 @@ def poisson_chisquare(
     )
 
 
-def product_poisson_chisquare(
-    samples: np.ndarray, rates: np.ndarray, min_expected: float = 5.0
-) -> ChiSquareResult:
+def product_poisson_chisquare(samples: np.ndarray, rates: np.ndarray) -> ChiSquareResult:
     """Chi-square of joint integer vectors against a product-Poisson law.
 
     ``samples`` has shape (r, k); cell probabilities are products of the
@@ -584,12 +576,12 @@ def product_poisson_chisquare(
         codes = codes * (upper + 1) + np.minimum(samples[:, c], upper)
     observed = np.bincount(codes[in_grid], minlength=grid_p.size).astype(np.float64)
     rest_obs = float(r - observed.sum())
-    keep = grid_p * r >= min_expected
+    keep = grid_p * r >= MIN_EXPECTED
     rest_p = float(1.0 - grid_p[keep].sum())
     rest_obs += float(observed[~keep].sum())
     obs_bins = np.append(observed[keep], rest_obs)
     p_bins = np.append(grid_p[keep], rest_p)
-    if p_bins[-1] * r < min_expected and p_bins.size > 1:
+    if p_bins[-1] * r < MIN_EXPECTED and p_bins.size > 1:
         p_bins[-2] += p_bins[-1]
         obs_bins[-2] += obs_bins[-1]
         obs_bins, p_bins = obs_bins[:-1], p_bins[:-1]

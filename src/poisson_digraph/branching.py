@@ -16,6 +16,7 @@ near criticality keeps its relative precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, replace
 from typing import Callable, NamedTuple
 
@@ -184,6 +185,8 @@ class SurvivalReport:
     root solves, ``residual`` is the largest |E[...] - s| at a root, and
     ``quad_error`` the largest relative gap of a fraction between the
     N-node and the 2N-node rule (0 for constant marginals, which are exact).
+    ``critical_ratio_in/out`` are nu / mu, infinite when the second moment
+    is (tau <= 3); JSON writes an infinite ratio as null.
     """
 
     q_f: float
@@ -210,7 +213,11 @@ class SurvivalReport:
             raise ValueError("pi must not exceed min(zeta_f, zeta_b)")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        payload = asdict(self)
+        for name in ("critical_ratio_in", "critical_ratio_out"):
+            if payload[name] == math.inf:
+                payload[name] = None
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
 def survival_fractions(

@@ -2,9 +2,9 @@
 
 Subcommands: sample, evolve, components, stats, survival, scaling,
 verify.  Options may come from flags or from a JSON config file
-(``--config-file``), with explicit flags taking precedence.  Every
-command rerun with the same configuration and seed produces
-byte-identical output.
+(``--config-file``), with explicit flags taking precedence over the file
+and the file over ``_DEFAULTS``.  Every command rerun with the same
+configuration and seed produces byte-identical output.
 
 Exit codes: 0 success or all checks passed, 1 check failure, 2 usage or
 configuration error (a size that does not fit in memory included), 3 I/O
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import degree_fit_test
-from .branching import CONFIGURATIONS, survival_fractions
+from .branching import CONFIGURATIONS, DEFAULT_TOL, survival_fractions
 from .digraph import MAX_N, edge_list_text, read_edge_list
 from .sampler import evolve_chain, sample_graph_fast
 from .scaling import scaling_exponent_experiment
@@ -57,10 +57,11 @@ class IOFailure(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All tunables of one CLI invocation; absent fields stay None.
+    """All tunables of one CLI invocation; a field nobody sets stays None.
 
-    Round-trips losslessly through JSON; unknown fields and values of the
-    wrong JSON type are rejected on input so configuration typos fail loudly.
+    ``_DEFAULTS`` holds every field that has a default.  Round-trips
+    losslessly through JSON; unknown fields and values of the wrong JSON
+    type are rejected on input so configuration typos fail loudly.
     """
 
     model: str | None = None
@@ -86,10 +87,7 @@ class RunConfig:
     as_json: bool | None = None
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        if payload["n_list"] is not None:
-            payload["n_list"] = list(payload["n_list"])
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -113,6 +111,13 @@ class RunConfig:
         return cls(**data)
 
 
+# model, graph, tau and suite stay None: their conflict checks see absence
+_DEFAULTS = RunConfig(
+    seed=0, normalizer_mode="mu-n", kmax=30, threshold=0.02, tol=DEFAULT_TOL, configuration="plain",
+    n_list=(4096, 8192, 16384, 32768), reps=10, sources=64, threads=1, bootstrap=200,
+)
+
+
 def _json_fits(value, kind) -> bool:
     """Whether a decoded JSON value has the type a RunConfig field declares."""
     if typing.get_origin(kind) is tuple:
@@ -126,27 +131,28 @@ def _json_fits(value, kind) -> bool:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    base = RunConfig()
-    config_path = getattr(args, "config_file", None)
-    if config_path:
+    """The defaults, overlaid by the config file's non-null fields, then by the flags given."""
+    layers = []
+    if args.config_file:
         try:
-            text = Path(config_path).read_text()
+            text = Path(args.config_file).read_text()
         except OSError as exc:
             raise IOFailure(f"cannot read config file: {exc}") from exc
-        base = RunConfig.from_json(text)
-    overrides = {}
-    for f in fields(RunConfig):
-        if hasattr(args, f.name) and getattr(args, f.name) is not None:
-            overrides[f.name] = getattr(args, f.name)
-    return replace(base, **overrides)
+        layers.append(asdict(RunConfig.from_json(text)))
+    layers.append(vars(args))
+    cfg = _DEFAULTS
+    for layer in layers:
+        given = {f.name: layer[f.name] for f in fields(RunConfig) if layer.get(f.name) is not None}
+        cfg = replace(cfg, **given)
+    return cfg
 
 
-def _seed(cfg: RunConfig) -> int:
-    return 0 if cfg.seed is None else int(cfg.seed)
-
-
-def _norm_mode(cfg: RunConfig) -> NormalizerMode:
-    return NormalizerMode(cfg.normalizer_mode or "mu-n")
+def _check_n(cfg: RunConfig, required: bool) -> None:
+    """Refuse an n outside 1..MAX_N, or a missing one where it is required."""
+    if cfg.n is None and not required:
+        return
+    if cfg.n is None or not 1 <= cfg.n <= MAX_N:
+        raise UsageError(f"--n must be an integer in 1..{MAX_N}, got {cfg.n}")
 
 
 def _model(cfg: RunConfig):
@@ -168,6 +174,7 @@ def _emit(text: str, out: str | None) -> None:
 def _read_graph(cfg: RunConfig):
     if cfg.graph is None:
         raise UsageError("an input edge-list file is required")
+    _check_n(cfg, required=False)
     try:
         return read_edge_list(cfg.graph, cfg.n)
     except OSError as exc:
@@ -183,23 +190,25 @@ def _print_json(payload: dict, out: str | None) -> None:
 # -- subcommand handlers ------------------------------------------------------
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    model = _model(cfg)
-    if cfg.n is None or not 1 <= cfg.n <= MAX_N:
-        raise UsageError(f"--n must be an integer in 1..{MAX_N}, got {cfg.n}")
-    seed = _seed(cfg)
-    mode = _norm_mode(cfg)
-    w = sample_weights(model, cfg.n, seed)
-    l_n = normalizer(w, moments(model).mu, mode)
-    g = sample_graph_fast(w, l_n, seed)
-    meta = {
+def _header_meta(model, cfg: RunConfig, **extra) -> dict:
+    """Provenance of a written graph: model, seed, normalizer, ``extra``, version."""
+    return {
         "model": json.loads(model_to_json(model)),
-        "seed": seed,
-        "normalizer_mode": mode.value,
-        "l_n": float(l_n),
+        "seed": cfg.seed,
+        "normalizer_mode": cfg.normalizer_mode,
+        **extra,
         "version": __version__,
     }
-    _emit(edge_list_text(g, meta), cfg.out)
+
+
+def cmd_sample(cfg: RunConfig) -> int:
+    model = _model(cfg)
+    _check_n(cfg, required=True)
+    mode = NormalizerMode(cfg.normalizer_mode)
+    w = sample_weights(model, cfg.n, cfg.seed)
+    l_n = normalizer(w, moments(model).mu, mode)
+    g = sample_graph_fast(w, l_n, cfg.seed)
+    _emit(edge_list_text(g, _header_meta(model, cfg, l_n=float(l_n))), cfg.out)
     return 0
 
 
@@ -209,17 +218,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
         raise UsageError("--from and --to are required")
     if not 1 <= cfg.n_from <= cfg.n_to <= MAX_N:
         raise UsageError(f"need 1 <= from <= to <= {MAX_N}, got {cfg.n_from}..{cfg.n_to}")
-    seed = _seed(cfg)
-    mode = _norm_mode(cfg)
-    g = evolve_chain(model, cfg.n_from, cfg.n_to, seed, mode)
-    meta = {
-        "model": json.loads(model_to_json(model)),
-        "seed": seed,
-        "normalizer_mode": mode.value,
-        "n_from": cfg.n_from,
-        "n_to": cfg.n_to,
-        "version": __version__,
-    }
+    g = evolve_chain(model, cfg.n_from, cfg.n_to, cfg.seed, NormalizerMode(cfg.normalizer_mode))
+    meta = _header_meta(model, cfg, n_from=cfg.n_from, n_to=cfg.n_to)
     _emit(edge_list_text(g, meta), cfg.out)
     return 0
 
@@ -246,12 +246,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     }
     code = 0
     if cfg.model is not None:
-        fit = degree_fit_test(
-            g,
-            _model(cfg),
-            kmax=cfg.kmax if cfg.kmax is not None else 30,
-            threshold=cfg.threshold if cfg.threshold is not None else 0.02,
-        )
+        fit = degree_fit_test(g, _model(cfg), kmax=cfg.kmax, threshold=cfg.threshold)
         payload["degree_fit"] = {
             "statistic": fit.statistic,
             "threshold": fit.threshold,
@@ -264,11 +259,7 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 
 def cmd_survival(cfg: RunConfig) -> int:
-    model = _model(cfg)
-    configuration = cfg.configuration or "plain"
-    report = survival_fractions(
-        model, configuration, tol=cfg.tol if cfg.tol is not None else 1e-10
-    )
+    report = survival_fractions(_model(cfg), cfg.configuration, tol=cfg.tol)
     _emit(report.to_json() + "\n", cfg.out)
     return 0
 
@@ -286,12 +277,12 @@ def cmd_scaling(cfg: RunConfig) -> int:
         raise UsageError("--model or --tau is required")
     result = scaling_exponent_experiment(
         model,
-        cfg.n_list if cfg.n_list is not None else (4096, 8192, 16384, 32768),
-        reps=cfg.reps if cfg.reps is not None else 10,
-        seed=_seed(cfg),
-        sources=cfg.sources if cfg.sources is not None else 64,
-        threads=cfg.threads if cfg.threads is not None else 1,
-        bootstrap=cfg.bootstrap if cfg.bootstrap is not None else 200,
+        cfg.n_list,
+        reps=cfg.reps,
+        seed=cfg.seed,
+        sources=cfg.sources,
+        threads=cfg.threads,
+        bootstrap=cfg.bootstrap,
     )
     text = result.to_json() + "\n" if cfg.as_json else result.to_tsv()
     _emit(text, cfg.out)
@@ -307,17 +298,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         g, _ = _read_graph(cfg)
         checks = [
             check_graph_against_model(
-                g,
-                _model(cfg),
-                kmax=cfg.kmax if cfg.kmax is not None else 30,
-                threshold=cfg.threshold if cfg.threshold is not None else 0.02,
-                source=cfg.graph,
+                g, _model(cfg), kmax=cfg.kmax, threshold=cfg.threshold, source=cfg.graph
             )
         ]
         label = "file"
     else:
         label = cfg.suite or "quick"
-        checks = run_suite(label, _seed(cfg))
+        checks = run_suite(label, cfg.seed)
     all_pass = all(c.passed for c in checks)
     payload = {
         "suite": label,
@@ -348,64 +335,80 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flag groups shared by subcommands, each flag declared once
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config-file", help="JSON file with RunConfig fields; explicit flags win"
     )
-    common.add_argument("--seed", type=int, help="base seed (default 0)")
+    common.add_argument("--seed", type=int, help=f"base seed (default {_DEFAULTS.seed})")
     common.add_argument("--out", help="output file (default stdout)")
-
-    p = sub.add_parser("sample", parents=[common], help="sample a graph, write an edge list")
-    p.add_argument("--model", help=_MODEL_HELP)
-    p.add_argument("--n", type=int, help="number of vertices")
-    p.add_argument(
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", help=_MODEL_HELP)
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n", type=int, help="number of vertices; overrides an input file's header")
+    edge_list = argparse.ArgumentParser(add_help=False)
+    edge_list.add_argument("--in", dest="graph", help="input edge-list file")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument(
         "--mode",
         dest="normalizer_mode",
         choices=[m.value for m in NormalizerMode],
-        help="normalizer L (default mu-n)",
+        help=f"normalizer L (default {_DEFAULTS.normalizer_mode}; evolve rejects empirical,"
+        " which is not monotone)",
+    )
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument(
+        "--kmax", type=int, help=f"degree truncation of the fit (default {_DEFAULTS.kmax})"
+    )
+    fit.add_argument(
+        "--threshold",
+        type=float,
+        help=f"TV pass threshold of the fit (default {_DEFAULTS.threshold})",
+    )
+
+    p = sub.add_parser(
+        "sample", parents=[common, model, size, mode], help="sample a graph, write an edge list"
     )
     p.set_defaults(handler=cmd_sample)
 
-    p = sub.add_parser("evolve", parents=[common], help="grow a graph one vertex at a time")
-    p.add_argument("--model", help=_MODEL_HELP)
+    p = sub.add_parser(
+        "evolve", parents=[common, model, mode], help="grow a graph one vertex at a time"
+    )
     p.add_argument("--from", dest="n_from", type=int, help="starting vertex count")
     p.add_argument("--to", dest="n_to", type=int, help="final vertex count")
-    p.add_argument(
-        "--mode",
-        dest="normalizer_mode",
-        choices=[m.value for m in NormalizerMode],
-        help="normalizer L (default mu-n; empirical is not monotone and is rejected)",
-    )
     p.set_defaults(handler=cmd_evolve)
 
-    p = sub.add_parser("components", parents=[common], help="component summary of an edge list")
-    p.add_argument("--in", dest="graph", help="input edge-list file")
-    p.add_argument("--n", type=int, help="vertex count override for headerless files")
+    p = sub.add_parser(
+        "components", parents=[common, edge_list, size], help="component summary of an edge list"
+    )
     p.set_defaults(handler=cmd_components)
 
-    p = sub.add_parser("stats", parents=[common], help="degree statistics of an edge list")
-    p.add_argument("--in", dest="graph", help="input edge-list file")
-    p.add_argument("--n", type=int, help="vertex count override for headerless files")
-    p.add_argument("--model", help="optional model to fit degrees against")
-    p.add_argument("--kmax", type=int, help="degree truncation for the fit")
-    p.add_argument("--threshold", type=float, help="TV pass threshold for the fit")
+    p = sub.add_parser(
+        "stats",
+        parents=[common, edge_list, size, model, fit],
+        help="degree statistics of an edge list, with an optional degree fit to --model",
+    )
     p.set_defaults(handler=cmd_stats)
 
-    p = sub.add_parser("survival", parents=[common], help="limiting cluster fractions")
-    p.add_argument("--model", help=_MODEL_HELP)
+    p = sub.add_parser("survival", parents=[common, model], help="limiting cluster fractions")
     p.add_argument(
         "--config",
         dest="configuration",
         choices=list(CONFIGURATIONS),
-        help="construction the fractions refer to (default plain)",
+        help=f"construction the fractions refer to (default {_DEFAULTS.configuration})",
     )
     p.add_argument(
-        "--tol", type=float, help="relative tolerance of the survival roots (default 1e-10)"
+        "--tol",
+        type=float,
+        help=f"relative tolerance of the survival roots (default {_DEFAULTS.tol})",
     )
     p.set_defaults(handler=cmd_survival)
 
-    p = sub.add_parser("scaling", parents=[common], help="critical cluster-size scaling")
-    p.add_argument("--model", help=_MODEL_HELP + " (must be critically tuned)")
+    p = sub.add_parser(
+        "scaling",
+        parents=[common, model],
+        help="critical cluster-size scaling of a critically tuned --model or --tau",
+    )
     p.add_argument("--tau", type=float, help="capacity tail exponent for a Pareto run")
     p.add_argument(
         "--critical",
@@ -414,9 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tune the Pareto scale to criticality (with --tau)",
     )
     p.add_argument("--n-list", dest="n_list", type=_n_list, help="comma-separated sizes")
-    p.add_argument("--reps", type=int, help="replicates per size (default 10)")
-    p.add_argument("--sources", type=int, help="forward-cluster root sample size")
-    p.add_argument("--bootstrap", type=int, help="bootstrap resamples for the CI")
+    p.add_argument("--reps", type=int, help=f"replicates per size (default {_DEFAULTS.reps})")
+    p.add_argument(
+        "--sources", type=int, help=f"forward-cluster roots (default {_DEFAULTS.sources})"
+    )
+    p.add_argument(
+        "--bootstrap", type=int, help=f"bootstrap resamples (default {_DEFAULTS.bootstrap})"
+    )
     p.add_argument(
         "--threads",
         type=int,
@@ -431,12 +438,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_scaling)
 
-    p = sub.add_parser("verify", parents=[common], help="run proposition checks")
+    p = sub.add_parser(
+        "verify",
+        parents=[common, size, model, fit],
+        help="run proposition checks, or check --graph against --model",
+    )
     p.add_argument("--suite", choices=list(SUITES), help="check suite (default quick)")
     p.add_argument("--graph", help="check an existing edge-list file instead")
-    p.add_argument("--model", help="model the graph is checked against")
-    p.add_argument("--kmax", type=int, help="degree truncation for the file check")
-    p.add_argument("--threshold", type=float, help="TV pass threshold for the file check")
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -446,15 +454,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return args.handler(cfg)
+        return args.handler(_merge_config(args))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (IOFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

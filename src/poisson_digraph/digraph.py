@@ -206,8 +206,9 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
     are skipped, and a line whose first non-blank character is '#' is a
     comment, read as ``key=value`` metadata when it has an '='.  A comment
     may hold any bytes, but a ``key=value`` one must be UTF-8.  n is taken
-    from the header unless supplied explicitly.  Malformed data lines and
-    metadata that is not UTF-8 raise ValueError naming the line number.
+    from the header unless supplied explicitly.  Malformed data lines,
+    metadata that is not UTF-8, and an ``n`` that is not an integer or
+    disagrees with an earlier one, raise ValueError naming the line number.
     """
     raw = _read_bytes(path)
     meta: dict[str, str] = {}
@@ -227,7 +228,16 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
                 lineno = raw.count(b"\n", 0, at) + 1
                 byte = exc.object[exc.start]
                 raise ValueError(f"line {lineno}: comment is not UTF-8 (byte 0x{byte:02x})") from None
-            meta[key.strip()] = value.strip()
+            key, value = key.strip(), value.strip()
+            # n is the one key the reader acts on; a repeat must agree
+            if key == "n" and not (
+                _INT_FIELD.fullmatch(value) and int(meta.get("n", value)) == int(value)
+            ):
+                lineno = raw.count(b"\n", 0, at) + 1
+                if not _INT_FIELD.fullmatch(value):
+                    raise ValueError(f"line {lineno}: n={value!r} is not an integer")
+                raise ValueError(f"line {lineno}: n={value} conflicts with n={meta['n']} above")
+            meta[key] = value
         at = raw.find(b"#", end)
     source = _loadtxt_source(path, raw)
     # parsed by name, the file is not held in memory twice; it is read

@@ -32,11 +32,10 @@ from .digraph import MultiDigraph
 from .streams import stream
 from .weights import (
     Marginal,
+    MirroredCapacity,
     NormalizerMode,
     WeightModel,
     WeightSequence,
-    capacity_marginal,
-    is_mirrored,
     moments,
     normalizer,
     sample_weights,
@@ -69,16 +68,16 @@ def _unit_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> MultiDigraph:
     return MultiDigraph(n, src, dst, np.ones(src.size, dtype=np.int64))
 
 
-def sample_graph_naive(
-    w: WeightSequence, l_n: float, seed: int, max_n: int = NAIVE_DEFAULT_CAP, *, reps: int = 1
-) -> MultiDigraph:
+def sample_graph_naive(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1) -> MultiDigraph:
     """Reference sampler: one Poisson draw per ordered pair, O(n^2) per block.
 
-    Guarded at ``max_n`` vertices per block; intended as the distributional
-    oracle for the fast sampler.
+    Guarded at ``NAIVE_DEFAULT_CAP`` vertices per block; intended as the
+    distributional oracle for the fast sampler.
     """
-    if w.n > max_n:
-        raise ValueError(f"naive sampler is O(n^2); n={w.n} exceeds max_n={max_n}")
+    if w.n > NAIVE_DEFAULT_CAP:
+        raise ValueError(
+            f"naive sampler is O(n^2); n={w.n} exceeds NAIVE_DEFAULT_CAP={NAIVE_DEFAULT_CAP}"
+        )
     _check(l_n, reps)
     n = w.n
     rng = stream(seed, "naive")
@@ -326,8 +325,8 @@ def _one_sided_capacity(model) -> Marginal:
         raise TypeError("pass a Marginal or mirrored WeightModel, not a number")
     if isinstance(model, Marginal):
         return model
-    if is_mirrored(model):
-        return capacity_marginal(model)
+    if isinstance(model, MirroredCapacity):
+        return model.capacity
     raise ValueError(f"independent-sum constituents must be one-sided, got {model!r}")
 
 

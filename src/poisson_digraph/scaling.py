@@ -18,14 +18,7 @@ import numpy as np
 from .sampler import oriented_sum_parts
 from .streams import derive_seed, stream
 from .structure import component_summary, forward_cluster_sizes
-from .weights import (
-    ParetoMarginal,
-    WeightModel,
-    capacity_marginal,
-    is_mirrored,
-    moments,
-    sample_weights,
-)
+from .weights import MirroredCapacity, ParetoMarginal, WeightModel, moments, sample_weights
 
 __all__ = [
     "STATISTICS",
@@ -37,6 +30,9 @@ __all__ = [
 ]
 
 STATISTICS = ("weak", "forward", "strong", "constituent")
+
+# largest |nu / mu - 1| that assert_critical accepts
+CRITICAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,18 +96,20 @@ class ScalingResult:
 
 def theoretical_alpha(model: WeightModel) -> float:
     """Reference growth exponent min((tau - 2) / (tau - 1), 2/3)."""
-    cap = capacity_marginal(model)
+    if not isinstance(model, MirroredCapacity):
+        raise ValueError(f"model {model!r} has no single capacity marginal")
+    cap = model.capacity
     if isinstance(cap, ParetoMarginal):
         return min((cap.tau - 2.0) / (cap.tau - 1.0), 2.0 / 3.0)
     return 2.0 / 3.0
 
 
-def assert_critical(model: WeightModel, rel_tol: float = 1e-6) -> None:
-    """Refuse models whose size-biased mean offspring is not exactly 1."""
+def assert_critical(model: WeightModel) -> None:
+    """Refuse models whose size-biased mean offspring is not 1 within ``CRITICAL_TOL``."""
     mom = moments(model)
     for side, nu in (("in", mom.nu_in), ("out", mom.nu_out)):
         ratio = nu / mom.mu
-        if not math.isfinite(ratio) or abs(ratio - 1.0) > rel_tol:
+        if not math.isfinite(ratio) or abs(ratio - 1.0) > CRITICAL_TOL:
             raise ValueError(
                 f"model is not critical: nu_{side}/mu = {ratio}, need 1"
                 " (tune the capacity scale, e.g. critical_pareto_mirrored)"
@@ -152,7 +150,7 @@ def scaling_exponent_experiment(
     about 5 % faster.
     """
     assert_critical(model)
-    if not is_mirrored(model):
+    if not isinstance(model, MirroredCapacity):
         raise ValueError("the experiment follows the mirrored sum construction")
     n_values = tuple(sorted(int(n) for n in n_list))
     if len(n_values) < 2:

@@ -36,8 +36,6 @@ __all__ = [
     "moments",
     "sample_weights",
     "normalizer",
-    "is_mirrored",
-    "capacity_marginal",
     "critical_pareto_mirrored",
     "model_to_json",
     "model_from_json",
@@ -152,18 +150,6 @@ def ParetoMirrored(tau: float, xmin: float = 1.0) -> MirroredCapacity:
 WeightModel = IndependentProduct | MirroredCapacity
 
 
-def is_mirrored(model: WeightModel) -> bool:
-    """True when the model forces w_in == w_out at every vertex."""
-    return isinstance(model, MirroredCapacity)
-
-
-def capacity_marginal(model: WeightModel) -> Marginal:
-    """The single capacity marginal of a mirrored model."""
-    if isinstance(model, MirroredCapacity):
-        return model.capacity
-    raise ValueError(f"model {model!r} has no single capacity marginal")
-
-
 def critical_pareto_mirrored(tau: float) -> MirroredCapacity:
     """Mirrored Pareto model rescaled so E[W^2] / E[W] = 1.
 
@@ -234,9 +220,6 @@ class WeightSequence:
     @property
     def n(self) -> int:
         return self.w_in.size
-
-    def __len__(self) -> int:
-        return self.n
 
     def prefix(self, n: int) -> "WeightSequence":
         """The first n pairs as a new sequence."""
@@ -379,9 +362,9 @@ def model_to_json(model: WeightModel) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def model_from_json(text: str | dict) -> WeightModel:
+def model_from_json(text: str) -> WeightModel:
     """Parse a model from its JSON form; unknown fields are rejected."""
-    d = json.loads(text) if isinstance(text, str) else text
+    d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("model JSON must be an object")
     kind = d.get("kind")

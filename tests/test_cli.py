@@ -1,4 +1,8 @@
-"""End-to-end tests of the command-line interface via subprocess.
+"""End-to-end tests of the command-line interface.
+
+Most commands run in process through ``cli.main``; the version flag, the
+pipe test, the golden digests and the import test start ``python -m
+poisson_digraph`` as a subprocess, so the module entry stays covered.
 
 Exit-code contract: 0 success, 1 a requested statistical check failed,
 2 usage error or a size that does not fit in memory, 3 input/output failure.
@@ -7,10 +11,12 @@ Exit-code contract: 0 success, 1 a requested statistical check failed,
 import ast
 import hashlib
 import inspect
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -24,11 +30,22 @@ CMD = [sys.executable, "-m", "poisson_digraph"]
 
 
 def run_cli(*args):
+    """Run ``cli.main`` in process, as ``subprocess.run`` would report it."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse: usage errors, --help, --version
+            code = exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
+
+
+def run_subprocess(*args):
     return subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=300)
 
 
 def test_version_flag():
-    res = run_cli("--version")
+    res = run_subprocess("--version")
     assert res.returncode == 0
     assert "poisson-digraph" in res.stdout
 
@@ -219,13 +236,37 @@ def test_headerless_file_needs_n_flag(tmp_path):
     assert json.loads(res.stdout)["n"] == 5
 
 
+def test_n_flag_outside_its_range_exits_two(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("# n=3\n1\t2\t1\n")
+    commands = (
+        ["sample", "--model", "constant:2"],
+        ["components", "--in", str(path)],
+        ["stats", "--in", str(path)],
+        ["verify", "--graph", str(path), "--model", "constant:2"],
+    )
+    for args in commands:
+        for n in (0, cli.MAX_N + 1):
+            res = run_cli(*args, "--n", str(n))
+            assert res.returncode == 2, args
+            assert res.stderr == f"error: --n must be an integer in 1..{cli.MAX_N}, got {n}\n"
+
+
+def test_bad_n_header_exits_three_naming_its_line(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("# n=3\n# n=4\n1\t2\t1\n")
+    res = run_cli("components", "--in", str(path))
+    assert res.returncode == 3
+    assert res.stderr == f"error: {path}: line 2: n=4 conflicts with n=3 above\n"
+
+
 def test_pipe_input_reads_like_the_file(tmp_path):
     graph = tmp_path / "g.tsv"
     sample = ["sample", "--model", "pareto-mirrored:3.5,1", "--n", "20000", "--seed", "11"]
-    assert run_cli(*sample, "--out", str(graph)).returncode == 0
+    assert run_subprocess(*sample, "--out", str(graph)).returncode == 0
     assert graph.stat().st_size > 2**16  # several times a pipe's buffer
     for args in (["components"], ["stats", "--model", "pareto-mirrored:3.5,1"]):
-        from_file = run_cli(*args, "--in", str(graph))
+        from_file = run_subprocess(*args, "--in", str(graph))
         assert from_file.returncode in (0, 1) and from_file.stdout
         # sample | <command> --in /dev/stdin
         producer = subprocess.Popen(CMD + sample, stdout=subprocess.PIPE)
@@ -364,6 +405,20 @@ def test_survival_constant_two(tmp_path):
     assert payload["pi_conjectural"] is False
 
 
+def test_survival_writes_strict_json():
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    # tau <= 3: nu / mu is infinite and is written as null
+    res = run_cli("survival", "--model", "pareto-mirrored:2.5")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout, parse_constant=refuse)
+    assert payload["critical_ratio_in"] is None and payload["critical_ratio_out"] is None
+    assert 0 < payload["zeta_f"] <= 1
+    finite = json.loads(run_cli("survival", "--model", "constant:2").stdout, parse_constant=refuse)
+    assert finite["critical_ratio_in"] == 2.0
+
+
 def test_survival_rejects_nonpositive_tol():
     for tol in ("0", "-1"):
         res = run_cli("survival", "--model", "constant:2", "--tol", tol)
@@ -469,6 +524,21 @@ def test_verify_graph_mode(tmp_path):
     assert json.loads(bad.stdout)["all_pass"] is False
 
 
+def test_verify_headerless_graph_with_n_flag(tmp_path):
+    out = tmp_path / "g.tsv"
+    run_cli("sample", "--model", "constant:2", "--n", "30000", "--seed", "6", "--out", str(out))
+    headerless = tmp_path / "plain.tsv"
+    rows = [line for line in out.read_text().splitlines(True) if not line.startswith("#")]
+    headerless.write_text("".join(rows))
+    args = ("verify", "--graph", str(headerless), "--model", "constant:2", "--threshold", "0.03")
+    assert run_cli(*args).returncode == 3  # no n anywhere
+    res = run_cli(*args, "--n", "30000")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["all_pass"] is True
+    with_header = run_cli("verify", "--graph", str(out), *args[3:]).stdout
+    assert res.stdout == with_header.replace(str(out), str(headerless))
+
+
 def test_verify_graph_rejects_negative_kmax(tmp_path):
     out = tmp_path / "g.tsv"
     run_cli("sample", "--model", "constant:2", "--n", "100", "--out", str(out))
@@ -491,6 +561,10 @@ def test_config_file_with_flag_override(tmp_path):
     assert from_file.stdout == explicit.stdout
     overridden = run_cli("sample", "--config-file", str(cfg), "--n", "12")
     assert "# n=12" in overridden.stdout
+    # a null value leaves the default: seed 0, mode mu-n
+    cfg.write_text(json.dumps({"model": "constant:2", "n": 30, "seed": None, "normalizer_mode": None}))
+    defaults = run_cli("sample", "--model", "constant:2", "--n", "30")
+    assert run_cli("sample", "--config-file", str(cfg)).stdout == defaults.stdout
 
 
 def test_config_file_unknown_field_exits_two(tmp_path):

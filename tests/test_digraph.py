@@ -270,6 +270,26 @@ def test_read_data_less_file_is_empty_graph(tmp_path, text):
     assert g == MultiDigraph.empty(3)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# n=abc\n", "line 1: n='abc' is not an integer"),
+        ("# n=3\n# n=4\n", "line 2: n=4 conflicts with n=3 above"),
+        ("# n=3\n# n=3\n# n=x\n", "line 3: n='x' is not an integer"),
+    ],
+    ids=["not-an-integer", "conflicting", "repeated-then-bad"],
+)
+def test_read_names_a_bad_n_header(tmp_path, header, message):
+    path = tmp_path / "g.tsv"
+    path.write_text(header + "1\t2\t1\n")
+    for n in (None, 5):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_edge_list(path, n)
+    # a repeat that agrees is what the writer emits for metadata read back
+    path.write_text("# n=3\n# n=3\n1\t2\t1\n")
+    assert read_edge_list(path)[0].n == 3
+
+
 def test_read_reports_malformed_line_number(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("# n=3\n1\t2\t1\n1\ttwo\t1\n")

@@ -12,6 +12,7 @@ the acceptance module run the same laws at 1e5 replicates.
 import numpy as np
 import pytest
 
+from poisson_digraph import sampler
 from poisson_digraph.analysis import poisson_chisquare, product_poisson_chisquare
 from poisson_digraph.sampler import (
     _sum_parts,
@@ -147,11 +148,13 @@ def test_total_arcs_poisson_law():
     assert poisson_chisquare(_block_totals(g, reps), 100.0).pvalue >= 1e-3
 
 
-def test_naive_cap_guard():
+def test_naive_cap_guard(monkeypatch):
     w = _const_pair(6)
-    with pytest.raises(ValueError, match="max_n=5"):
-        sample_graph_naive(w, 12.0, 0, max_n=5)
-    g = sample_graph_naive(w, 12.0, 0, max_n=6)
+    monkeypatch.setattr(sampler, "NAIVE_DEFAULT_CAP", 5)
+    with pytest.raises(ValueError, match="NAIVE_DEFAULT_CAP=5"):
+        sample_graph_naive(w, 12.0, 0)
+    monkeypatch.setattr(sampler, "NAIVE_DEFAULT_CAP", 6)
+    g = sample_graph_naive(w, 12.0, 0)
     assert g.n == 6
 
 

@@ -31,6 +31,8 @@ def test_theoretical_alpha_values():
     assert theoretical_alpha(critical_pareto_mirrored(4.0)) == pytest.approx(2.0 / 3.0)
     assert theoretical_alpha(critical_pareto_mirrored(6.0)) == pytest.approx(2.0 / 3.0)
     assert theoretical_alpha(Constant(1.0)) == pytest.approx(2.0 / 3.0)
+    with pytest.raises(ValueError, match="no single capacity marginal"):
+        theoretical_alpha(IndependentProduct(ConstantMarginal(1.0), ConstantMarginal(1.0)))
 
 
 def test_assert_critical():
