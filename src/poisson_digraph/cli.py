@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import degree_fit_test
 from .branching import CONFIGURATIONS, DEFAULT_TOL, survival_fractions
-from .digraph import MAX_N, edge_list_text, read_edge_list
+from .digraph import MAX_N, _write_in_slices, edge_list_text, read_edge_list
 from .sampler import evolve_chain, sample_graph_fast
 from .scaling import scaling_exponent_experiment
 from .structure import component_summary, degree_arrays
@@ -163,10 +163,11 @@ def _model(cfg: RunConfig):
 
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        _write_in_slices(sys.stdout, text)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            _write_in_slices(f, text)
     except OSError as exc:
         raise IOFailure(f"cannot write {out}: {exc}") from exc
 

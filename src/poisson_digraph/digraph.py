@@ -30,6 +30,11 @@ MAX_N = math.isqrt(_INT64_MAX + 1) - 1
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 # names np.loadtxt would decompress rather than read as text
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# rows the writer renders at a time: its transients stay a few MB, and the
+# per-chunk numpy calls are few
+_CHUNK_ROWS = 2**16
+# characters handed to a text file per write
+_WRITE_CHARS = 2**20
 
 
 class MultiDigraph:
@@ -153,50 +158,70 @@ def edge_list_text(g: MultiDigraph, meta: dict | None = None) -> str:
     """Render 'src<TAB>dst<TAB>multiplicity' rows with '#' header lines.
 
     The header always carries n; extra provenance (seed, model JSON,
-    normalizer mode, L value) is passed through ``meta``.  Output is
-    byte-identical for identical inputs.
+    normalizer mode, L value) is passed through ``meta``.  An ``n`` in
+    ``meta``, as ``read_edge_list`` returns it, is written once if it equals
+    g.n and raises ValueError if it differs.  Output is byte-identical for
+    identical inputs.
     """
     lines = [f"# {_FORMAT_TAG}", f"# n={g.n}"]
     for key, value in (meta or {}).items():
+        if key == "n":
+            if not (_INT_FIELD.fullmatch(str(value).strip()) and int(value) == g.n):
+                raise ValueError(f"meta n={value} conflicts with the graph's n={g.n}")
+            continue
         if isinstance(value, float):
             value = repr(value)
         elif isinstance(value, (dict, list)):
             value = json.dumps(value, sort_keys=True)
         lines.append(f"# {key}={value}")
     lines.append("# src\tdst\tmultiplicity")
-    return "\n".join(lines) + "\n" + _rows_text(g.src, g.dst, g.mult)
+    # one join: no second whole-text copy for the header
+    return "".join(["\n".join(lines) + "\n", *_row_chunks(g.src, g.dst, g.mult)])
 
 
-def _rows_text(src: np.ndarray, dst: np.ndarray, mult: np.ndarray) -> str:
-    """'src<TAB>dst<TAB>mult' rows of nonnegative int64 arrays, in one numpy pass.
+def _row_chunks(src: np.ndarray, dst: np.ndarray, mult: np.ndarray):
+    """'src<TAB>dst<TAB>mult' rows of nonnegative int64 arrays, ``_CHUNK_ROWS`` per string.
 
-    Each column fills a block of byte cells as wide as its largest value,
-    digits right-aligned and followed by a tab or newline; the cells left
-    of each value's leading digit are masked out.
+    Each column fills a block of byte cells as wide as its largest value
+    over all rows, digits right-aligned and followed by a tab or newline;
+    the cells left of each value's leading digit are masked out.  Chunks
+    keep the cell matrices and digit arrays a few MB at any graph size.
     """
     if src.size == 0:
-        return ""
+        return
     columns = (src, dst, mult)
     widths = [len(str(int(col.max()))) for col in columns]
-    cells = np.empty((src.size, sum(widths) + 3), dtype=np.uint8)
-    keep = np.ones(cells.shape, dtype=bool)
-    end = 0
-    for col, width, sep in zip(columns, widths, b"\t\t\n"):
-        q = col
-        for j in reversed(range(end, end + width)):
-            q, digit = np.divmod(q, 10)
-            cells[:, j] = digit + ord("0")
-            if j > end:
-                keep[:, j - 1] = q != 0
-        end += width
-        cells[:, end] = sep
-        end += 1
-    return cells[keep].tobytes().decode("ascii")
+    for lo in range(0, src.size, _CHUNK_ROWS):
+        rows = [col[lo : lo + _CHUNK_ROWS] for col in columns]
+        cells = np.empty((rows[0].size, sum(widths) + 3), dtype=np.uint8)
+        keep = np.ones(cells.shape, dtype=bool)
+        end = 0
+        for q, width, sep in zip(rows, widths, b"\t\t\n"):
+            for j in reversed(range(end, end + width)):
+                q, digit = np.divmod(q, 10)
+                cells[:, j] = digit + ord("0")
+                if j > end:
+                    keep[:, j - 1] = q != 0
+            end += width
+            cells[:, end] = sep
+            end += 1
+        yield cells[keep].tobytes().decode("ascii")
 
 
 def write_edge_list(g: MultiDigraph, path: str | Path, meta: dict | None = None) -> None:
     """Write the edge-list rendering of ``edge_list_text`` to ``path``."""
-    Path(path).write_text(edge_list_text(g, meta))
+    with open(path, "w") as f:
+        _write_in_slices(f, edge_list_text(g, meta))
+
+
+def _write_in_slices(f, text: str) -> None:
+    """Write ``text`` to the text file ``f`` ``_WRITE_CHARS`` at a time.
+
+    A text file encodes each string it is given in one piece, so a whole
+    edge list written at once is held twice, as text and as its bytes.
+    """
+    for lo in range(0, len(text), _WRITE_CHARS):
+        f.write(text[lo : lo + _WRITE_CHARS])
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph, dict]:

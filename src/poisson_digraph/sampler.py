@@ -64,8 +64,24 @@ def _check(l_n: float, reps: int = 1) -> None:
 
 
 def _unit_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> MultiDigraph:
-    """The graph with one arc per (src, dst) row, duplicates merged."""
-    return MultiDigraph(n, src, dst, np.ones(src.size, dtype=np.int64))
+    """The graph with one arc per (src, dst) row, duplicates merged.
+
+    One in-place value sort of the arc codes src * (n + 1) + dst, the key
+    ``MultiDigraph`` orders by; each distinct code's multiplicity is the
+    length of its run.  The constructor then sees strictly increasing codes
+    and skips its own sort.
+    """
+    codes = src * (n + 1)
+    codes += dst
+    codes.sort()
+    run_start = np.empty(codes.size, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
+    mult = np.diff(np.flatnonzero(run_start), append=codes.size)
+    src, dst = np.divmod(codes[run_start], n + 1)
+    # the constructor copies the kept rows; the codes need not outlive this
+    del codes, run_start
+    return MultiDigraph(n, src, dst, mult)
 
 
 def sample_graph_naive(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1) -> MultiDigraph:

@@ -183,11 +183,14 @@ def scaling_exponent_experiment(
         medians[stat] = tuple(float(x) for x in med)
         means[stat] = tuple(float(x) for x in sizes[stat].mean(axis=1))
         slope = float(np.polyfit(log_n, np.log(np.maximum(med, 1.0)), 1)[0])
-        boots = np.empty(bootstrap)
-        for b in range(bootstrap):
-            idx = boot_rng.integers(0, reps, size=(len(n_values), reps))
-            bmed = np.median(np.take_along_axis(sizes[stat], idx, axis=1), axis=1)
-            boots[b] = np.polyfit(log_n, np.log(np.maximum(bmed, 1.0)), 1)[0]
+        # one draw call per resample keeps the bootstrap stream, and so the
+        # bounds, those of a loop over resamples; the medians and slopes of
+        # all resamples are then one call each
+        idx = np.stack(
+            [boot_rng.integers(0, reps, size=(len(n_values), reps)) for _ in range(bootstrap)]
+        )
+        bmed = np.median(np.take_along_axis(sizes[stat][None], idx, axis=2), axis=2)
+        boots = np.polyfit(log_n, np.log(np.maximum(bmed, 1.0)).T, 1)[0]
         lo, hi = np.percentile(boots, [2.5, 97.5])
         slopes[stat] = SlopeFit(slope=slope, ci_low=float(lo), ci_high=float(hi))
     return ScalingResult(

@@ -3,6 +3,7 @@
 import io
 import os
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from poisson_digraph.digraph import (
+    _CHUNK_ROWS,
     MAX_N,
     MultiDigraph,
     _loadtxt_source,
@@ -17,6 +19,8 @@ from poisson_digraph.digraph import (
     read_edge_list,
     write_edge_list,
 )
+from poisson_digraph.sampler import sample_graph_fast
+from poisson_digraph.weights import ParetoMirrored, moments, sample_weights
 from graph_helpers import arc_dict, graph_from_arcs
 
 
@@ -149,6 +153,22 @@ def test_edge_list_file_round_trip(tmp_path):
     assert "constant" in meta["model"]
 
 
+def test_reader_meta_n_is_written_once_and_must_agree(tmp_path):
+    g = graph_from_arcs(4, {(1, 2): 2, (4, 1): 5})
+    first, again = tmp_path / "first.tsv", tmp_path / "again.tsv"
+    write_edge_list(g, first, meta={"seed": 7})
+    back, meta = read_edge_list(first)
+    assert meta["n"] == "4"
+    write_edge_list(back, again, meta)
+    text = again.read_text()
+    assert text.count("# n=") == 1
+    assert text == first.read_text()
+    assert read_edge_list(again) == (g, meta)
+    for bad in ("5", 5, "four"):
+        with pytest.raises(ValueError, match=f"n={bad} conflicts with the graph's n=4"):
+            edge_list_text(g, {"n": bad})
+
+
 def test_edge_list_text_is_deterministic():
     g = graph_from_arcs(3, {(2, 1): 1, (1, 3): 2})
     assert edge_list_text(g, {"seed": 0}) == edge_list_text(g, {"seed": 0})
@@ -161,6 +181,15 @@ def _row_loop_text(g):
     for s, d, m in zip(g.src, g.dst, g.mult):
         lines.append(f"{s}\t{d}\t{m}")
     return "\n".join(lines) + "\n"
+
+
+def _two_chunk_graph():
+    """2 * _CHUNK_ROWS + 7 rows, about 2 MB of text; src and mult are wider in the last chunk."""
+    k = 2 * _CHUNK_ROWS + 7
+    mult = np.ones(k, dtype=np.int64)
+    mult[-1] = 10**12
+    dst = np.random.default_rng(6).integers(1, 10**6 + 1, k)
+    return MultiDigraph(10**6, np.arange(1, k + 1), dst, mult)
 
 
 def _random_graph():
@@ -180,17 +209,34 @@ def _random_graph():
         _random_graph(),
         MultiDigraph(1, np.array([1]), np.array([1]), np.array([3])),
         MultiDigraph.empty(3),
+        _two_chunk_graph(),
     ],
-    ids=["random", "single-loop", "empty"],
+    ids=["random", "single-loop", "empty", "two-chunks"],
 )
 def test_edge_list_text_matches_row_loop(g, tmp_path):
     text = edge_list_text(g)
     assert text == _row_loop_text(g)
     path = tmp_path / "g.tsv"
-    path.write_text(text)
+    write_edge_list(g, path)
+    assert path.read_text() == text
     back, meta = read_edge_list(path)
     assert back == g
     assert meta["n"] == str(g.n)
+
+
+def test_edge_list_text_peak_memory():
+    # a cell matrix of the whole graph peaks at 5.2 times the text,
+    # 65,536-row chunks at 2.0
+    model = ParetoMirrored(3.5)
+    w = sample_weights(model, 200_000, 1)
+    g = sample_graph_fast(w, moments(model).mu * w.n, 1)
+    tracemalloc.start()
+    try:
+        text = edge_list_text(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
 
 
 def test_read_skips_blank_lines_and_reads_comments_anywhere(tmp_path):

@@ -9,11 +9,14 @@ referred to chi-square on the summed degrees of freedom.  Criteria 1-3 of
 the acceptance module run the same laws at 1e5 replicates.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from poisson_digraph import sampler
 from poisson_digraph.analysis import poisson_chisquare, product_poisson_chisquare
+from poisson_digraph.digraph import MultiDigraph
 from poisson_digraph.sampler import (
     _sum_parts,
     evolve,
@@ -137,6 +140,39 @@ def test_fast_tracked_pair_counts_follow_the_exact_law():
         ]
     ) / l_n
     assert product_poisson_chisquare(np.concatenate(counts), rates).pvalue >= 1e-3
+
+
+@pytest.mark.parametrize(
+    "n, src, dst",
+    [
+        (5, [3, 1, 3, 5, 1, 3, 2, 5], [2, 4, 2, 5, 4, 2, 1, 1]),
+        (4, [], []),
+        (1, [1, 1, 1], [1, 1, 1]),
+        # three blocks of n = 4, as a sampler called with reps=3 shifts them
+        (12, [9, 2, 12, 5, 9, 5, 1], [12, 3, 9, 8, 12, 8, 4]),
+    ],
+    ids=["repeats", "empty", "n1", "blocks"],
+)
+def test_unit_arcs_match_the_constructor(n, src, dst):
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    expected = MultiDigraph(n, src, dst, np.ones(src.size, dtype=np.int64))
+    assert sampler._unit_arcs(n, src, dst) == expected
+
+
+def test_sample_graph_fast_peak_memory():
+    # in units of one int64 array of the K arcs (8 K bytes), a build by
+    # stable argsort and gathers peaks at 12.1, one in-place value sort at 9.3
+    model = ParetoMirrored(3.5)
+    w = sample_weights(model, 200_000, 1)
+    l_n = moments(model).mu * w.n
+    k = sample_graph_fast(w, l_n, 1).total_arcs
+    tracemalloc.start()
+    try:
+        sample_graph_fast(w, l_n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * k
 
 
 def test_total_arcs_poisson_law():

@@ -1,5 +1,6 @@
 """Tests for the critical-window cluster-size experiment."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -93,6 +94,12 @@ def test_experiment_shape_and_determinism():
     assert any(
         not np.array_equal(a.medians[s], different.medians[s]) for s in STATISTICS
     )
+
+
+def test_tiny_run_bytes_are_pinned():
+    # the medians, means, slopes and bootstrap bounds, to the last bit
+    digest = hashlib.sha256(_tiny_run().to_json().encode()).hexdigest()
+    assert digest == "0e5530a26fa10cb8520e518f98099ac037af44fd360c039183adc98f5ad9ed13"
 
 
 def test_thread_count_does_not_change_results():
