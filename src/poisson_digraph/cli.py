@@ -138,7 +138,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             text = Path(args.config_file).read_text()
         except OSError as exc:
             raise IOFailure(f"cannot read config file: {exc}") from exc
-        layers.append(asdict(RunConfig.from_json(text)))
+        from_file = asdict(RunConfig.from_json(text))
+        if "graph" in vars(args):
+            # a file's n is sample's size; a reader overrides a header with --n only
+            from_file["n"] = None
+        layers.append(from_file)
     layers.append(vars(args))
     cfg = _DEFAULTS
     for layer in layers:
@@ -428,7 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        help="accepted for compatibility, must be >= 1; replicates run in one thread",
+        help="run replicates in up to this many worker processes, capped at the usable"
+        f" CPUs; the output does not change (default {_DEFAULTS.threads})",
     )
     p.add_argument(
         "--json",

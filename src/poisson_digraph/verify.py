@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .analysis import (
     conditional_degree_params,
@@ -235,6 +234,8 @@ def _check_survival_consistency(seed: int) -> CheckResult:
 
 
 def _check_tv_properties(seed: int) -> CheckResult:
+    from scipy.special import gammaln
+
     rng = stream(seed, "verify-tv")
     worst = 0.0
     for _ in range(300):

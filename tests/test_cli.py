@@ -136,6 +136,8 @@ import sys
 import poisson_digraph.cli as cli
 assert 'scipy.stats' not in sys.modules
 assert 'scipy.optimize' not in sys.modules
+assert 'scipy.special' not in sys.modules
+assert 'multiprocessing' not in sys.modules
 assert cli.main(['sample', '--model', 'constant:2', '--n', '2000', '--out', {graph!r}]) == 0
 assert cli.main(['stats', '--in', {graph!r}, '--model', 'constant:2']) in (0, 1)
 assert cli.main(['verify', '--suite', 'quick', '--seed', '0']) == 0
@@ -492,6 +494,17 @@ def test_scaling_tsv_and_json(tmp_path):
     assert "slopes" in payload
 
 
+def test_scaling_bytes_do_not_depend_on_threads():
+    args = (
+        "scaling", "--tau", "3.5", "--critical", "--n-list", "256,512", "--reps", "4",
+        "--sources", "8", "--bootstrap", "20", "--seed", "2", "--json",
+    )
+    one = run_cli(*args, "--threads", "1")
+    two = run_cli(*args, "--threads", "2")
+    assert one.returncode == two.returncode == 0
+    assert two.stdout == one.stdout
+
+
 def test_scaling_model_and_tau_are_exclusive():
     res = run_cli("scaling", "--model", "constant:1", "--tau", "3.5", "--n-list", "128,256")
     assert res.returncode == 2
@@ -565,6 +578,24 @@ def test_config_file_with_flag_override(tmp_path):
     cfg.write_text(json.dumps({"model": "constant:2", "n": 30, "seed": None, "normalizer_mode": None}))
     defaults = run_cli("sample", "--model", "constant:2", "--n", "30")
     assert run_cli("sample", "--config-file", str(cfg)).stdout == defaults.stdout
+
+
+def test_config_file_n_sizes_sample_and_leaves_headers_alone(tmp_path):
+    # one config for sample and the readers: its n is sample's size, and
+    # only the --n flag overrides an input file's header
+    cfg = tmp_path / "cfg.json"
+    graph = str(tmp_path / "g.tsv")
+    cfg.write_text(json.dumps({"model": "constant:2", "n": 500, "seed": 4}))
+    assert run_cli("sample", "--config-file", str(cfg), "--n", "2000", "--out", graph).returncode == 0
+    stats = run_cli("stats", "--in", graph, "--config-file", str(cfg))
+    assert stats.returncode in (0, 1), stats.stderr
+    assert json.loads(stats.stdout)["n"] == 2000
+    assert run_cli("components", "--in", graph, "--config-file", str(cfg)).returncode == 0
+    check = run_cli("verify", "--graph", graph, "--config-file", str(cfg))
+    assert check.returncode in (0, 1), check.stderr
+    flag = run_cli("stats", "--in", graph, "--config-file", str(cfg), "--n", "500")
+    assert flag.returncode == 3
+    assert "vertex ids must lie in 1..500" in flag.stderr
 
 
 def test_config_file_unknown_field_exits_two(tmp_path):

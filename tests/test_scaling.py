@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from graph_helpers import forward_cluster
+from poisson_digraph import scaling
 from poisson_digraph.sampler import oriented_sum_parts
 from poisson_digraph.scaling import (
     STATISTICS,
@@ -97,9 +101,68 @@ def test_experiment_shape_and_determinism():
 
 
 def test_tiny_run_bytes_are_pinned():
-    # the medians, means, slopes and bootstrap bounds, to the last bit
-    digest = hashlib.sha256(_tiny_run().to_json().encode()).hexdigest()
-    assert digest == "0e5530a26fa10cb8520e518f98099ac037af44fd360c039183adc98f5ad9ed13"
+    # the medians, means, slopes and bootstrap bounds, to the last bit, in
+    # process and from two workers
+    for threads in (1, 2):
+        digest = hashlib.sha256(_tiny_run(threads=threads).to_json().encode()).hexdigest()
+        assert digest == "0e5530a26fa10cb8520e518f98099ac037af44fd360c039183adc98f5ad9ed13", threads
+    assert multiprocessing.active_children() == []
+
+
+needs_two_workers = pytest.mark.skipif(
+    scaling._worker_count(2, 2) < 2, reason="this process may use one CPU"
+)
+
+
+def _pid(n, rep_seed):
+    return os.getpid()
+
+
+def _fail_at_256(model, mu, sources, n, rep_seed):
+    if n == 256:
+        raise RuntimeError(f"replicate failed in process {os.getpid()}")
+    return 1, 1, 1, 1
+
+
+@needs_two_workers
+def test_replicates_run_in_workers_unless_threads_run():
+    tasks = [(64, r) for r in range(6)]
+    assert os.getpid() not in scaling._run_replicates(_pid, tasks, 2)
+    assert scaling._run_replicates(_pid, tasks, 1) == [os.getpid()] * 6
+    # a fork would copy no thread but the caller's, so the loop stays here
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert scaling._run_replicates(_pid, tasks, 2) == [os.getpid()] * 6
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert multiprocessing.active_children() == []
+
+
+@needs_two_workers
+def test_worker_error_reaches_the_caller_and_ends_the_pool(monkeypatch):
+    monkeypatch.setattr(scaling, "_one_replicate", _fail_at_256)
+    with pytest.raises(RuntimeError, match="replicate failed in process") as info:
+        _tiny_run(threads=2)
+    assert int(str(info.value).rsplit(" ", 1)[1]) != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_is_capped_by_cpus_and_tasks(monkeypatch):
+    # no process starts: the count is computed, never used
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert scaling._worker_count(8, 80) == 8
+    assert scaling._worker_count(10**6, 80) == 64
+    assert scaling._worker_count(8, 5) == 5
+    assert scaling._worker_count(1, 80) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert scaling._worker_count(8, 80) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert scaling._worker_count(8, 80) == 3
 
 
 def test_thread_count_does_not_change_results():
