@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import degree_fit_test
 from .branching import CONFIGURATIONS, DEFAULT_TOL, survival_fractions
-from .digraph import MAX_N, _write_in_slices, edge_list_text, read_edge_list
+from .digraph import MAX_N, _edge_list_chunks, _write_in_slices, read_edge_list
 from .sampler import evolve_chain, sample_graph_fast
 from .scaling import scaling_exponent_experiment
 from .structure import component_summary, degree_arrays
@@ -165,13 +165,14 @@ def _model(cfg: RunConfig):
     return parse_model(cfg.model)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: list[str], out: str | None) -> None:
+    """Write the strings of ``chunks``, in order and unjoined, to ``out`` or stdout."""
     if out is None or out == "-":
-        _write_in_slices(sys.stdout, text)
+        _write_in_slices(sys.stdout, chunks)
         return
     try:
         with open(out, "w") as f:
-            _write_in_slices(f, text)
+            _write_in_slices(f, chunks)
     except OSError as exc:
         raise IOFailure(f"cannot write {out}: {exc}") from exc
 
@@ -189,7 +190,7 @@ def _read_graph(cfg: RunConfig):
 
 
 def _print_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _emit([json.dumps(payload, sort_keys=True, indent=2) + "\n"], out)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -213,7 +214,12 @@ def cmd_sample(cfg: RunConfig) -> int:
     w = sample_weights(model, cfg.n, cfg.seed)
     l_n = normalizer(w, moments(model).mu, mode)
     g = sample_graph_fast(w, l_n, cfg.seed)
-    _emit(edge_list_text(g, _header_meta(model, cfg, l_n=float(l_n))), cfg.out)
+    # the rendered chunks are all that is written: the weights and the
+    # graph go before the output is opened
+    del w
+    chunks = _edge_list_chunks(g, _header_meta(model, cfg, l_n=float(l_n)))
+    del g
+    _emit(chunks, cfg.out)
     return 0
 
 
@@ -224,14 +230,16 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if not 1 <= cfg.n_from <= cfg.n_to <= MAX_N:
         raise UsageError(f"need 1 <= from <= to <= {MAX_N}, got {cfg.n_from}..{cfg.n_to}")
     g = evolve_chain(model, cfg.n_from, cfg.n_to, cfg.seed, NormalizerMode(cfg.normalizer_mode))
-    meta = _header_meta(model, cfg, n_from=cfg.n_from, n_to=cfg.n_to)
-    _emit(edge_list_text(g, meta), cfg.out)
+    chunks = _edge_list_chunks(g, _header_meta(model, cfg, n_from=cfg.n_from, n_to=cfg.n_to))
+    del g
+    _emit(chunks, cfg.out)
     return 0
 
 
 def cmd_components(cfg: RunConfig) -> int:
-    g, _ = _read_graph(cfg)
-    _emit(component_summary(g).to_json(topk=5) + "\n", cfg.out)
+    # the graph is freed once the summary has built its adjacency
+    summary = component_summary(_read_graph(cfg)[0])
+    _emit([summary.to_json(topk=5) + "\n"], cfg.out)
     return 0
 
 
@@ -265,7 +273,7 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 def cmd_survival(cfg: RunConfig) -> int:
     report = survival_fractions(_model(cfg), cfg.configuration, tol=cfg.tol)
-    _emit(report.to_json() + "\n", cfg.out)
+    _emit([report.to_json() + "\n"], cfg.out)
     return 0
 
 
@@ -290,7 +298,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
         bootstrap=cfg.bootstrap,
     )
     text = result.to_json() + "\n" if cfg.as_json else result.to_tsv()
-    _emit(text, cfg.out)
+    _emit([text], cfg.out)
     return 0
 
 

@@ -43,39 +43,59 @@ class MultiDigraph:
 
         Duplicate (src, dst) rows are merged; zero-multiplicity rows are
         dropped.  Raises ValueError on n outside 1..MAX_N, ids outside 1..n
-        or negative counts.
+        or negative counts.  The arrays are copied, so the caller's stay theirs.
         """
+        self._build(n, src, dst, mult, np.array)
+
+    @classmethod
+    def _adopt(cls, n: int, src: np.ndarray, dst: np.ndarray, mult: np.ndarray) -> "MultiDigraph":
+        """The constructor on fresh int64 arrays, which the graph takes over uncopied.
+
+        Same checks, merging and errors as ``MultiDigraph(n, src, dst, mult)``;
+        the caller must neither write nor keep the arrays it hands over.
+        """
+        g = cls.__new__(cls)
+        g._build(n, src, dst, mult, np.asarray)
+        return g
+
+    def _build(self, n: int, src, dst, mult, as_int64) -> None:
+        """The body of both entry points; ``as_int64`` copies (np.array) or adopts (np.asarray)."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if n > MAX_N:
             raise ValueError(f"n={n} exceeds the largest supported vertex count {MAX_N}")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        mult = np.asarray(mult, dtype=np.int64)
+        src, dst, mult = (as_int64(a, dtype=np.int64) for a in (src, dst, mult))
         if not (src.shape == dst.shape == mult.shape) or src.ndim != 1:
             raise ValueError("src, dst, mult must be 1-d arrays of equal length")
         if src.size:
             if src.min() < 1 or src.max() > n or dst.min() < 1 or dst.max() > n:
                 raise ValueError(f"vertex ids must lie in 1..{n}")
-            if mult.min() < 0:
+            low = mult.min()
+            if low < 0:
                 raise ValueError("multiplicities must be nonnegative")
             # merged counts and total_arcs are int64 sums; max * size bounds them cheaply
             if mult.max() > _INT64_MAX // mult.size and sum(mult.tolist()) > _INT64_MAX:
                 raise ValueError("total multiplicity exceeds 2**63 - 1")
-        # a copy, so the caller's arrays stay theirs
-        keep = mult > 0
-        src, dst, mult = src[keep], dst[keep], mult[keep]
-        codes = src * (n + 1) + dst
+            if low == 0:
+                keep = mult > 0
+                src, dst, mult = src[keep], dst[keep], mult[keep]
+        codes = src * (n + 1)
+        codes += dst
         # strictly increasing codes, as in every file the writer makes, are
         # already canonical: nothing to sort or merge
         if np.any(codes[1:] <= codes[:-1]):
-            # merge duplicates and fix a canonical (src, dst) order
-            order = np.argsort(codes, kind="stable")
-            codes, src, dst, mult = codes[order], src[order], dst[order], mult[order]
+            # merge duplicates in the canonical (src, dst) order; the ids are
+            # read back off the sorted codes, so src and dst need not follow them
+            del src, dst
+            order = np.argsort(codes)
+            codes = codes[order]
+            mult = mult[order]
+            del order
             start = np.flatnonzero(np.diff(codes, prepend=-1))
             if start.size != codes.size:
                 mult = np.add.reduceat(mult, start)
-                src, dst = src[start], dst[start]
+                codes = codes[start]
+            src, dst = np.divmod(codes, n + 1)
         self.n = int(n)
         self.src = src
         self.dst = dst
@@ -115,15 +135,17 @@ class MultiDigraph:
         Read-only and computed once per graph, so every reader of the
         degrees shares one pass.
         """
-        degrees = np.zeros((3, self.n), dtype=np.int64)
+        # rows n + 1 wide, indexed by the 1-based ids: no shifted copy of an
+        # arc array; column 0 stays zero and is cut off
+        degrees = np.zeros((3, self.n + 1), dtype=np.int64)
         d_in, d_out, loops = degrees
         # merged arcs hold at most one loop row per vertex
-        loops[self.src[self.loop_mask] - 1] = self.mult[self.loop_mask]
-        # out-degrees are sums over the sorted rows, read off one running total
-        running = np.concatenate(([0], np.cumsum(self.mult)))
-        np.subtract(np.diff(running[self._indptr]), loops, out=d_out)
-        np.add.at(d_in, self.dst - 1, self.mult)
+        loops[self.src[self.loop_mask]] = self.mult[self.loop_mask]
+        np.add.at(d_out, self.src, self.mult)
+        np.add.at(d_in, self.dst, self.mult)
+        d_out -= loops
         d_in -= loops
+        degrees = degrees[:, 1:]
         degrees.setflags(write=False)
         return degrees
 
@@ -163,6 +185,11 @@ def edge_list_text(g: MultiDigraph, meta: dict | None = None) -> str:
     g.n and raises ValueError if it differs.  Output is byte-identical for
     identical inputs.
     """
+    return "".join(_edge_list_chunks(g, meta))
+
+
+def _edge_list_chunks(g: MultiDigraph, meta: dict | None = None) -> list[str]:
+    """The text of ``edge_list_text`` as the header and the row chunks, unjoined."""
     lines = [f"# {_FORMAT_TAG}", f"# n={g.n}"]
     for key, value in (meta or {}).items():
         if key == "n":
@@ -175,8 +202,7 @@ def edge_list_text(g: MultiDigraph, meta: dict | None = None) -> str:
             value = json.dumps(value, sort_keys=True)
         lines.append(f"# {key}={value}")
     lines.append("# src\tdst\tmultiplicity")
-    # one join: no second whole-text copy for the header
-    return "".join(["\n".join(lines) + "\n", *_row_chunks(g.src, g.dst, g.mult)])
+    return ["\n".join(lines) + "\n", *_row_chunks(g.src, g.dst, g.mult)]
 
 
 def _row_chunks(src: np.ndarray, dst: np.ndarray, mult: np.ndarray):
@@ -191,37 +217,49 @@ def _row_chunks(src: np.ndarray, dst: np.ndarray, mult: np.ndarray):
         return
     columns = (src, dst, mult)
     widths = [len(str(int(col.max()))) for col in columns]
+    # the narrowest unsigned type that holds each column's values
+    kinds = [np.min_scalar_type(10**width - 1) for width in widths]
     for lo in range(0, src.size, _CHUNK_ROWS):
-        rows = [col[lo : lo + _CHUNK_ROWS] for col in columns]
+        rows = [col[lo : lo + _CHUNK_ROWS].astype(kind) for col, kind in zip(columns, kinds)]
         cells = np.empty((rows[0].size, sum(widths) + 3), dtype=np.uint8)
         keep = np.ones(cells.shape, dtype=bool)
         end = 0
         for q, width, sep in zip(rows, widths, b"\t\t\n"):
             for j in reversed(range(end, end + width)):
-                q, digit = np.divmod(q, 10)
-                cells[:, j] = digit + ord("0")
+                rest = q // 10
+                q -= rest * 10
+                q += ord("0")
+                cells[:, j] = q
+                q = rest
                 if j > end:
                     keep[:, j - 1] = q != 0
             end += width
             cells[:, end] = sep
             end += 1
-        yield cells[keep].tobytes().decode("ascii")
+        yield str(cells[keep], "ascii")
 
 
 def write_edge_list(g: MultiDigraph, path: str | Path, meta: dict | None = None) -> None:
-    """Write the edge-list rendering of ``edge_list_text`` to ``path``."""
+    """Write the edge-list rendering of ``edge_list_text`` to ``path``.
+
+    The whole text is rendered before the file is opened, so a failed
+    render leaves the file untouched.
+    """
+    chunks = _edge_list_chunks(g, meta)
     with open(path, "w") as f:
-        _write_in_slices(f, edge_list_text(g, meta))
+        _write_in_slices(f, chunks)
 
 
-def _write_in_slices(f, text: str) -> None:
-    """Write ``text`` to the text file ``f`` ``_WRITE_CHARS`` at a time.
+def _write_in_slices(f, chunks) -> None:
+    """Write each string of ``chunks`` to the text file ``f``, ``_WRITE_CHARS`` at a time.
 
     A text file encodes each string it is given in one piece, so a whole
-    edge list written at once is held twice, as text and as its bytes.
+    edge list written at once is held twice, as text and as its bytes;
+    writing the chunks one by one needs no joined copy of them either.
     """
-    for lo in range(0, len(text), _WRITE_CHARS):
-        f.write(text[lo : lo + _WRITE_CHARS])
+    for text in chunks:
+        for lo in range(0, len(text), _WRITE_CHARS):
+            f.write(text[lo : lo + _WRITE_CHARS])
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph, dict]:
@@ -281,8 +319,10 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
         if "n" not in meta:
             raise ValueError("no n declared in header and none supplied")
         n = int(meta["n"])
-    src, dst, mult = rows.reshape(-1, 3).T
-    return MultiDigraph(n, src, dst, mult), meta
+    # contiguous columns, and the row matrix dropped before the graph adopts them
+    src, dst, mult = (np.ascontiguousarray(column) for column in rows.reshape(-1, 3).T)
+    del rows
+    return MultiDigraph._adopt(n, src, dst, mult), meta
 
 
 def _read_bytes(path: str | Path) -> bytes:

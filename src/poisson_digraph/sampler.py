@@ -64,24 +64,31 @@ def _check(l_n: float, reps: int = 1) -> None:
 
 
 def _unit_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> MultiDigraph:
-    """The graph with one arc per (src, dst) row, duplicates merged.
+    """The graph with one arc per (src, dst) row, duplicates merged."""
+    return _unit_arc_codes(n, src * (n + 1) + dst)
 
-    One in-place value sort of the arc codes src * (n + 1) + dst, the key
-    ``MultiDigraph`` orders by; each distinct code's multiplicity is the
-    length of its run.  The constructor then sees strictly increasing codes
-    and skips its own sort.
+
+def _unit_arc_codes(n: int, codes: np.ndarray) -> MultiDigraph:
+    """The graph with one arc per code src * (n + 1) + dst; sorts ``codes`` in place.
+
+    One in-place value sort of the codes, the key ``MultiDigraph`` orders
+    by; each distinct code's multiplicity is the length of its run.  The
+    graph adopts the decoded rows, and its check sees strictly increasing
+    codes, so it skips its own sort.
     """
-    codes = src * (n + 1)
-    codes += dst
     codes.sort()
     run_start = np.empty(codes.size, dtype=bool)
     run_start[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
-    mult = np.diff(np.flatnonzero(run_start), append=codes.size)
-    src, dst = np.divmod(codes[run_start], n + 1)
-    # the constructor copies the kept rows; the codes need not outlive this
-    del codes, run_start
-    return MultiDigraph(n, src, dst, mult)
+    start = np.flatnonzero(run_start)
+    mult = np.diff(start, append=codes.size)
+    # each array is dropped once the next is made: with the caller's codes,
+    # at most five K-row arrays live at once
+    distinct = codes[start]
+    del run_start, start
+    src, dst = np.divmod(distinct, n + 1)
+    del distinct
+    return MultiDigraph._adopt(n, src, dst, mult)
 
 
 def sample_graph_naive(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1) -> MultiDigraph:
@@ -104,7 +111,7 @@ def sample_graph_naive(w: WeightSequence, l_n: float, seed: int, *, reps: int = 
         counts = rng.poisson(np.outer(w.w_out[rows % n], w.w_in) / l_n)
         r, c = np.nonzero(counts)
         parts.append((rows[r] + 1, rows[r] // n * n + c + 1, counts[r, c]))
-    return MultiDigraph(reps * n, *map(np.concatenate, zip(*parts)))
+    return MultiDigraph._adopt(reps * n, *map(np.concatenate, zip(*parts)))
 
 
 def _draw_vertices(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,8 +140,14 @@ def sample_graph_fast(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1
     k = int(rng.poisson(reps * w.sum_out * w.sum_in / l_n))
     # sources from w_out tiled reps times pick their block; targets join it
     src = _draw_vertices(np.tile(w.w_out, reps), k, rng)
-    dst = rng.permutation(_draw_vertices(w.w_in, k, rng)) + (src - 1) // w.n * w.n
-    return _unit_arcs(reps * w.n, src, dst)
+    dst = rng.permutation(_draw_vertices(w.w_in, k, rng))
+    dst += (src - 1) // w.n * w.n
+    # the arc codes src * (n + 1) + dst, built in the source buffer
+    n = reps * w.n
+    src *= n + 1
+    src += dst
+    del dst
+    return _unit_arc_codes(n, src)
 
 
 # -- growth by one vertex -----------------------------------------------------
@@ -181,7 +194,7 @@ def evolve(
     src = np.concatenate([g.src + (g.src - 1) // n, np.repeat(new, n_new), block[:, :n].ravel()])
     dst = np.concatenate([g.dst + (g.dst - 1) // n, block.ravel(), np.repeat(new, n)])
     mult = np.concatenate([kept, out_counts.ravel(), in_counts.ravel()])
-    return MultiDigraph(reps * n_new, src, dst, mult)
+    return MultiDigraph._adopt(reps * n_new, src, dst, mult)
 
 
 def evolve_chain(

@@ -196,13 +196,14 @@ class ComponentSummary:
     def weak_sizes(self) -> np.ndarray:
         return self._sizes(self.weak_labels)
 
+    # the largest class count, without sorting every class size
     @property
     def largest_strong(self) -> int:
-        return int(self.strong_sizes[0])
+        return int(np.bincount(self.strong_labels).max())
 
     @property
     def largest_weak(self) -> int:
-        return int(self.weak_sizes[0])
+        return int(np.bincount(self.weak_labels).max())
 
     def to_json(self, topk: int = 5) -> str:
         # strong first, so the weak labels come from its condensation

@@ -4,9 +4,11 @@ The cluster helpers are a plain breadth-first search over ``arc_dict``,
 independent of the package's traversal, so tests can use them as an oracle.
 The batch helpers read per-block counts of a sampler's block graph through
 ``verify._decode_blocks`` and combine independent chi-square statistics into
-one p-value.
+one p-value.  ``traced_peak`` measures a call's peak memory for the
+peak-memory tests.
 """
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -73,3 +75,18 @@ def block_pairs(g, reps):
 def summed_pvalue(results):
     """p-value of independent Pearson statistics summed, against chi-square on the summed dof."""
     return float(chi2.sf(sum(r.statistic for r in results), sum(r.dof for r in results)))
+
+
+def traced_peak(unit_bytes, call, *args, **kwargs):
+    """Peak memory tracemalloc traces while ``call(*args, **kwargs)`` runs, in units of ``unit_bytes``.
+
+    Graph tests pass 8 K for a graph of K arcs, so the peak reads as a count
+    of int64 arrays of the K arcs.  Memory the call keeps, such as a module
+    it imports on first use, counts too, so callers warm it up first.
+    """
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / unit_bytes
+    finally:
+        tracemalloc.stop()

@@ -3,7 +3,6 @@
 import io
 import os
 import threading
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from poisson_digraph.digraph import (
 )
 from poisson_digraph.sampler import sample_graph_fast
 from poisson_digraph.weights import ParetoMirrored, moments, sample_weights
-from graph_helpers import arc_dict, graph_from_arcs
+from graph_helpers import arc_dict, graph_from_arcs, traced_peak
 
 
 def test_duplicate_arcs_are_merged():
@@ -133,6 +132,53 @@ def test_sorted_and_shuffled_input_build_equal_graphs():
         assert arc_dict(g) == expected
 
 
+_BAD_INPUTS = {
+    "n-zero": (0, [], [], []),
+    "n-past-cap": (MAX_N + 1, [], [], []),
+    "src-out-of-range": (3, [1, 4], [2, 2], [1, 1]),
+    "dst-out-of-range": (3, [1, 2], [0, 2], [1, 1]),
+    "negative-count": (3, [1, 2], [2, 3], [1, -1]),
+    "int64-overflow": (3, [1, 2], [2, 3], [2**62, 2**62]),
+    "unequal-lengths": (3, [1, 2], [2], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("n, src, dst, mult", _BAD_INPUTS.values(), ids=_BAD_INPUTS)
+def test_adopt_raises_as_the_constructor_does(n, src, dst, mult):
+    messages = []
+    for build in (MultiDigraph, MultiDigraph._adopt):
+        with pytest.raises(ValueError) as info:
+            build(n, *(np.array(a, dtype=np.int64) for a in (src, dst, mult)))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+_GOOD_INPUTS = {
+    "unsorted": (4, [3, 1, 4, 2], [1, 2, 4, 3], [1, 2, 3, 4]),
+    "duplicates": (4, [2, 1, 2, 2, 1], [3, 1, 3, 3, 1], [1, 2, 3, 4, 5]),
+    "zero-counts": (4, [1, 2, 3, 4], [1, 2, 3, 4], [0, 5, 0, 1]),
+    "canonical": (4, [1, 1, 3], [2, 4, 3], [2, 1, 7]),
+    "empty": (4, [], [], []),
+}
+
+
+@pytest.mark.parametrize("n, src, dst, mult", _GOOD_INPUTS.values(), ids=_GOOD_INPUTS)
+def test_adopt_builds_what_the_constructor_builds(n, src, dst, mult):
+    arrays = [np.array(a, dtype=np.int64) for a in (src, dst, mult)]
+    copied = MultiDigraph(n, *arrays)
+    adopted = MultiDigraph._adopt(n, *(a.copy() for a in arrays))
+    assert adopted == copied
+    assert adopted.src.dtype == adopted.dst.dtype == adopted.mult.dtype == np.int64
+    assert adopted.src.flags.c_contiguous and adopted.mult.flags.c_contiguous
+
+
+def test_adopt_keeps_canonical_arrays_uncopied():
+    src, dst, mult = (np.array(a, dtype=np.int64) for a in ([1, 1, 3], [2, 4, 3], [2, 1, 7]))
+    g = MultiDigraph._adopt(4, src, dst, mult)
+    assert g.src is src and g.dst is dst and g.mult is mult
+    assert not np.shares_memory(MultiDigraph(4, src, dst, mult).src, src)
+
+
 def test_multiplicity_matches_arc_map():
     arcs = {(1, 2): 3, (2, 2): 1, (5, 1): 2}
     g = graph_from_arcs(5, arcs)
@@ -230,13 +276,7 @@ def test_edge_list_text_peak_memory():
     model = ParetoMirrored(3.5)
     w = sample_weights(model, 200_000, 1)
     g = sample_graph_fast(w, moments(model).mu * w.n, 1)
-    tracemalloc.start()
-    try:
-        text = edge_list_text(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * len(text)
+    assert traced_peak(len(edge_list_text(g)), edge_list_text, g) <= 2.5
 
 
 def test_read_skips_blank_lines_and_reads_comments_anywhere(tmp_path):
