@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import MultiDigraph
-from .structure import degree_arrays
+from .digraph import _CHUNK_ROWS, MultiDigraph
+from .structure import DegreeArrays, degree_arrays
 from .streams import stream
 from .weights import (
     ConstantMarginal,
@@ -311,19 +311,32 @@ def degree_fit_test(
     exclude loops.  The comparison is asymptotic in n; a warning is issued
     for n below 1000.  ``seed`` is accepted for compatibility and ignored.
     """
+    return _degree_fit(degree_arrays(g), g.n, model, kmax, threshold)
+
+
+def _degree_fit(
+    arr: DegreeArrays, n: int, model: WeightModel, kmax: int, threshold: float
+) -> DegreeFitResult:
+    """``degree_fit_test`` on the degrees of a graph on n vertices, without the graph."""
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if g.n < 1000:
+    if n < 1000:
         warnings.warn(
-            f"degree fit is an asymptotic test; n={g.n} gives little power",
-            stacklevel=2,
+            f"degree fit is an asymptotic test; n={n} gives little power",
+            stacklevel=3,
         )
-    arr = degree_arrays(g)
-    # cell (i, j) of the (kmax + 2)-square grid, overflow in row and column kmax + 1
-    cells = np.minimum(arr.d_in, kmax + 1) * (kmax + 2) + np.minimum(arr.d_out, kmax + 1)
-    emp = np.bincount(cells, minlength=(kmax + 2) ** 2).reshape(kmax + 2, kmax + 2) / g.n
+    # cell (i, j) of the (kmax + 2)-square grid, overflow in row and column
+    # kmax + 1, counted a vertex chunk at a time
+    side = kmax + 2
+    counts = np.zeros(side**2, dtype=np.int64)
+    for lo in range(0, n, _CHUNK_ROWS):
+        cells = np.minimum(arr.d_in[lo : lo + _CHUNK_ROWS], side - 1)
+        cells *= side
+        cells += np.minimum(arr.d_out[lo : lo + _CHUNK_ROWS], side - 1)
+        counts += np.bincount(cells, minlength=side**2)
+    emp = counts.reshape(side, side) / n
     emp_grid = emp[: kmax + 1, : kmax + 1]
     emp_tail = float(1.0 - emp_grid.sum())
     theory = mixed_poisson_pmf(model, kmax)
@@ -334,7 +347,7 @@ def degree_fit_test(
         statistic=statistic,
         threshold=threshold,
         passed=statistic < threshold,
-        n=g.n,
+        n=n,
         kmax=kmax,
         empirical_tail=emp_tail,
         model_tail=theory.tail_mass,

@@ -20,13 +20,22 @@ import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .analysis import degree_fit_test
+from .analysis import _degree_fit
 from .branching import CONFIGURATIONS, DEFAULT_TOL, survival_fractions
-from .digraph import MAX_N, _edge_list_chunks, _write_in_slices, read_edge_list
-from .sampler import evolve_chain, sample_graph_fast
+from .digraph import (
+    MAX_N,
+    _edge_list_chunks,
+    _read_degrees,
+    _write_in_slices,
+    _write_text,
+    read_edge_list,
+)
+from .sampler import _fast_arc_codes, _unit_arc_codes, evolve_chain
 from .scaling import scaling_exponent_experiment
-from .structure import component_summary, degree_arrays
+from .structure import DegreeArrays, component_summary
 from .verify import SUITES, check_graph_against_model, run_suite
 from .weights import (
     NormalizerMode,
@@ -165,24 +174,29 @@ def _model(cfg: RunConfig):
     return parse_model(cfg.model)
 
 
-def _emit(chunks: list[str], out: str | None) -> None:
-    """Write the strings of ``chunks``, in order and unjoined, to ``out`` or stdout."""
+def _emit(chunks, out: str | None) -> None:
+    """Write the strings of ``chunks``, in order and unjoined, to ``out`` or stdout.
+
+    A file is written whole or not at all (``digraph._write_text``), a
+    chunk at a time; stdout gets every chunk rendered before the first is
+    written, so a failed render writes nothing there either.
+    """
     if out is None or out == "-":
-        _write_in_slices(sys.stdout, chunks)
+        _write_in_slices(sys.stdout, list(chunks))
         return
     try:
-        with open(out, "w") as f:
-            _write_in_slices(f, chunks)
+        _write_text(out, chunks)
     except OSError as exc:
         raise IOFailure(f"cannot write {out}: {exc}") from exc
 
 
-def _read_graph(cfg: RunConfig):
+def _read_input(cfg: RunConfig, reader=read_edge_list):
+    """``reader(cfg.graph, cfg.n)``, with its errors as CLI failures."""
     if cfg.graph is None:
         raise UsageError("an input edge-list file is required")
     _check_n(cfg, required=False)
     try:
-        return read_edge_list(cfg.graph, cfg.n)
+        return reader(cfg.graph, cfg.n)
     except OSError as exc:
         raise IOFailure(f"cannot read {cfg.graph}: {exc}") from exc
     except ValueError as exc:
@@ -213,13 +227,11 @@ def cmd_sample(cfg: RunConfig) -> int:
     mode = NormalizerMode(cfg.normalizer_mode)
     w = sample_weights(model, cfg.n, cfg.seed)
     l_n = normalizer(w, moments(model).mu, mode)
-    g = sample_graph_fast(w, l_n, cfg.seed)
-    # the rendered chunks are all that is written: the weights and the
-    # graph go before the output is opened
+    # the weights go once the arcs are drawn, before the graph is built
+    codes = _fast_arc_codes(w, l_n, cfg.seed)
     del w
-    chunks = _edge_list_chunks(g, _header_meta(model, cfg, l_n=float(l_n)))
-    del g
-    _emit(chunks, cfg.out)
+    g = _unit_arc_codes(cfg.n, codes)
+    _emit(_edge_list_chunks(g, _header_meta(model, cfg, l_n=float(l_n))), cfg.out)
     return 0
 
 
@@ -230,36 +242,37 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if not 1 <= cfg.n_from <= cfg.n_to <= MAX_N:
         raise UsageError(f"need 1 <= from <= to <= {MAX_N}, got {cfg.n_from}..{cfg.n_to}")
     g = evolve_chain(model, cfg.n_from, cfg.n_to, cfg.seed, NormalizerMode(cfg.normalizer_mode))
-    chunks = _edge_list_chunks(g, _header_meta(model, cfg, n_from=cfg.n_from, n_to=cfg.n_to))
-    del g
-    _emit(chunks, cfg.out)
+    meta = _header_meta(model, cfg, n_from=cfg.n_from, n_to=cfg.n_to)
+    _emit(_edge_list_chunks(g, meta), cfg.out)
     return 0
 
 
 def cmd_components(cfg: RunConfig) -> int:
-    # the graph is freed once the summary has built its adjacency
-    summary = component_summary(_read_graph(cfg)[0])
+    # the summary is handed the only reference to the graph, so each graph
+    # array goes once its adjacency array is built
+    summary = component_summary(_read_input(cfg)[0])
     _emit([summary.to_json(topk=5) + "\n"], cfg.out)
     return 0
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    g, _ = _read_graph(cfg)
-    arr = degree_arrays(g)
+    # degrees counted as the file is read, without the graph
+    n, total_arcs, total_loops, rows = _read_input(cfg, _read_degrees)
+    arr = DegreeArrays(*rows)
     payload = {
-        "n": g.n,
-        "total_arcs": g.total_arcs,
-        "total_loops": g.total_loops,
+        "n": n,
+        "total_arcs": total_arcs,
+        "total_loops": total_loops,
         "mean_in_degree": float(arr.d_in.mean()),
         "mean_out_degree": float(arr.d_out.mean()),
         "max_in_degree": int(arr.d_in.max()),
         "max_out_degree": int(arr.d_out.max()),
-        "max_total_degree": int(arr.total.max()),
-        "vertices_with_loops": int((arr.loops > 0).sum()),
+        "max_total_degree": arr.max_total(),
+        "vertices_with_loops": int(np.count_nonzero(arr.loops)),
     }
     code = 0
     if cfg.model is not None:
-        fit = degree_fit_test(g, _model(cfg), kmax=cfg.kmax, threshold=cfg.threshold)
+        fit = _degree_fit(arr, n, _model(cfg), kmax=cfg.kmax, threshold=cfg.threshold)
         payload["degree_fit"] = {
             "statistic": fit.statistic,
             "threshold": fit.threshold,
@@ -308,7 +321,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.graph is not None:
         if cfg.model is None:
             raise UsageError("--graph mode needs --model to compare against")
-        g, _ = _read_graph(cfg)
+        g, _ = _read_input(cfg)
         checks = [
             check_graph_against_model(
                 g, _model(cfg), kmax=cfg.kmax, threshold=cfg.threshold, source=cfg.graph

@@ -16,6 +16,7 @@ import re
 import stat
 import warnings
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,19 @@ _INT64_MAX = 2**63 - 1
 # fit in int64 (about 3.04e9)
 MAX_N = math.isqrt(_INT64_MAX + 1) - 1
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
-# names np.loadtxt would decompress rather than read as text
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# rows the writer renders at a time: its transients stay a few MB, and the
-# per-chunk numpy calls are few
+# rows handled at a time by the writer and by the checks that walk whole
+# arc arrays: their transients stay a few MB, and the numpy calls are few
 _CHUNK_ROWS = 2**16
 # characters handed to a text file per write
 _WRITE_CHARS = 2**20
+# bytes the reader takes at a time; each block is cut at its last line end
+_BLOCK_BYTES = 2**18
+# MultiDigraph's checks on arc rows, in the order they are applied
+_ARC_FAULTS = (
+    "vertex ids must lie in 1..{n}",
+    "multiplicities must be nonnegative",
+    "total multiplicity exceeds 2**63 - 1",
+)
 
 
 class MultiDigraph:
@@ -67,25 +74,19 @@ class MultiDigraph:
         src, dst, mult = (as_int64(a, dtype=np.int64) for a in (src, dst, mult))
         if not (src.shape == dst.shape == mult.shape) or src.ndim != 1:
             raise ValueError("src, dst, mult must be 1-d arrays of equal length")
-        if src.size:
-            if src.min() < 1 or src.max() > n or dst.min() < 1 or dst.max() > n:
-                raise ValueError(f"vertex ids must lie in 1..{n}")
-            low = mult.min()
-            if low < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            # merged counts and total_arcs are int64 sums; max * size bounds them cheaply
-            if mult.max() > _INT64_MAX // mult.size and sum(mult.tolist()) > _INT64_MAX:
-                raise ValueError("total multiplicity exceeds 2**63 - 1")
-            if low == 0:
-                keep = mult > 0
-                src, dst, mult = src[keep], dst[keep], mult[keep]
-        codes = src * (n + 1)
-        codes += dst
+        fault = _arc_fault(n, src, dst, mult)[0]
+        if fault is not None:
+            raise ValueError(_ARC_FAULTS[fault].format(n=n))
+        if src.size and mult.min() == 0:
+            keep = mult > 0
+            src, dst, mult = src[keep], dst[keep], mult[keep]
         # strictly increasing codes, as in every file the writer makes, are
         # already canonical: nothing to sort or merge
-        if np.any(codes[1:] <= codes[:-1]):
+        if not _strictly_increasing(n, src, dst):
             # merge duplicates in the canonical (src, dst) order; the ids are
             # read back off the sorted codes, so src and dst need not follow them
+            codes = src * (n + 1)
+            codes += dst
             del src, dst
             order = np.argsort(codes)
             codes = codes[order]
@@ -135,19 +136,9 @@ class MultiDigraph:
         Read-only and computed once per graph, so every reader of the
         degrees shares one pass.
         """
-        # rows n + 1 wide, indexed by the 1-based ids: no shifted copy of an
-        # arc array; column 0 stays zero and is cut off
         degrees = np.zeros((3, self.n + 1), dtype=np.int64)
-        d_in, d_out, loops = degrees
-        # merged arcs hold at most one loop row per vertex
-        loops[self.src[self.loop_mask]] = self.mult[self.loop_mask]
-        np.add.at(d_out, self.src, self.mult)
-        np.add.at(d_in, self.dst, self.mult)
-        d_out -= loops
-        d_in -= loops
-        degrees = degrees[:, 1:]
-        degrees.setflags(write=False)
-        return degrees
+        _count_degrees(degrees, self.src, self.dst, self.mult)
+        return _degree_rows(degrees)
 
     def multiplicity(self, v: int, u: int) -> int:
         """Number of arcs from v to u; 0 for an absent pair or a vertex outside 1..n."""
@@ -173,6 +164,67 @@ class MultiDigraph:
         )
 
 
+def _arc_fault(n: int, src, dst, mult, total: int = 0) -> tuple[int | None, int]:
+    """The first of MultiDigraph's arc checks that int64 rows fail, and their running total.
+
+    Returns the index into ``_ARC_FAULTS`` of the first failed check, or
+    None, and ``total`` plus the exact sum of ``mult`` (``total`` itself
+    once a check fails).  The checks, in order: ids in 1..n, no negative
+    count, and the total, with the rows of earlier calls, at most 2**63 - 1,
+    so that merged counts and ``total_arcs`` are exact int64 sums.  Rows
+    that come in parts, as the reader's blocks do, are checked part by part.
+    """
+    if not src.size:
+        return None, total
+    if src.min() < 1 or src.max() > n or dst.min() < 1 or dst.max() > n:
+        return 0, total
+    if mult.min() < 0:
+        return 1, total
+    # max * size bounds the sum cheaply: within int64, numpy's sum is exact
+    if mult.max() > _INT64_MAX // mult.size:
+        total += sum(mult.tolist())
+    else:
+        total += int(mult.sum())
+    return (2 if total > _INT64_MAX else None), total
+
+
+def _strictly_increasing(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether the codes src * (n + 1) + dst strictly increase, checked a chunk at a time."""
+    for lo in range(0, src.size, _CHUNK_ROWS):
+        # each chunk starts at the last row of the one before
+        rows = slice(max(lo - 1, 0), lo + _CHUNK_ROWS)
+        codes = src[rows] * (n + 1)
+        codes += dst[rows]
+        if np.any(codes[1:] <= codes[:-1]):
+            return False
+    return True
+
+
+def _count_degrees(degrees: np.ndarray, src, dst, mult) -> None:
+    """Add arc rows to counting rows d_in, d_out, loops, exact in int64.
+
+    The rows are n + 1 wide and indexed by the 1-based ids, so no shifted
+    copy of an arc array is made; a loop counts in all three rows until
+    ``_degree_rows`` takes it back out of d_in and d_out.
+    """
+    d_in, d_out, loops = degrees
+    np.add.at(d_out, src, mult)
+    np.add.at(d_in, dst, mult)
+    loop = src == dst
+    np.add.at(loops, src[loop], mult[loop])
+
+
+def _degree_rows(degrees: np.ndarray) -> np.ndarray:
+    """The read-only degree rows of vertices 1..n from the counting rows of ``_count_degrees``."""
+    d_in, d_out, loops = degrees
+    d_out -= loops
+    d_in -= loops
+    # column 0, which no id indexes, is cut off
+    degrees = degrees[:, 1:]
+    degrees.setflags(write=False)
+    return degrees
+
+
 # -- edge-list files ----------------------------------------------------------
 
 
@@ -188,8 +240,11 @@ def edge_list_text(g: MultiDigraph, meta: dict | None = None) -> str:
     return "".join(_edge_list_chunks(g, meta))
 
 
-def _edge_list_chunks(g: MultiDigraph, meta: dict | None = None) -> list[str]:
-    """The text of ``edge_list_text`` as the header and the row chunks, unjoined."""
+def _edge_list_chunks(g: MultiDigraph, meta: dict | None = None):
+    """The text of ``edge_list_text``: the header, then the row chunks as they are rendered.
+
+    The header, and so any error in ``meta``, comes before the first row.
+    """
     lines = [f"# {_FORMAT_TAG}", f"# n={g.n}"]
     for key, value in (meta or {}).items():
         if key == "n":
@@ -202,7 +257,7 @@ def _edge_list_chunks(g: MultiDigraph, meta: dict | None = None) -> list[str]:
             value = json.dumps(value, sort_keys=True)
         lines.append(f"# {key}={value}")
     lines.append("# src\tdst\tmultiplicity")
-    return ["\n".join(lines) + "\n", *_row_chunks(g.src, g.dst, g.mult)]
+    return chain(["\n".join(lines) + "\n"], _row_chunks(g.src, g.dst, g.mult))
 
 
 def _row_chunks(src: np.ndarray, dst: np.ndarray, mult: np.ndarray):
@@ -242,12 +297,66 @@ def _row_chunks(src: np.ndarray, dst: np.ndarray, mult: np.ndarray):
 def write_edge_list(g: MultiDigraph, path: str | Path, meta: dict | None = None) -> None:
     """Write the edge-list rendering of ``edge_list_text`` to ``path``.
 
-    The whole text is rendered before the file is opened, so a failed
-    render leaves the file untouched.
+    The text goes, a chunk at a time, to a temporary file beside ``path``
+    that then replaces it, so a failed render or write leaves the file
+    untouched and no temporary behind (``_write_text``).
     """
-    chunks = _edge_list_chunks(g, meta)
-    with open(path, "w") as f:
-        _write_in_slices(f, chunks)
+    _write_text(path, _edge_list_chunks(g, meta))
+
+
+def _write_text(path: str | Path, chunks) -> None:
+    """Write the strings of ``chunks`` to the file ``path``, whole or not at all.
+
+    A regular file, or a new one, is written as a temporary file beside it,
+    which then replaces it: only one chunk is held at a time, and a failed
+    render or write leaves the old file as it was.  A symbolic link is
+    followed, so its target is replaced and the link stays.  The new file
+    keeps an existing file's permission bits, but it is a new inode: a hard
+    link to the old file keeps the old text.  Any other target, such as
+    /dev/null or a FIFO, or one whose directory takes no new file, gets the
+    chunks all rendered first and then written in place.
+    """
+    real = os.path.realpath(path)
+    try:
+        mode = os.stat(real).st_mode
+    except FileNotFoundError:
+        mode = None
+    except OSError:
+        mode = 0  # not known to be a regular file
+    temp = None
+    if mode is None or stat.S_ISREG(mode):
+        try:
+            fd, temp = _new_file_beside(real)
+        except OSError:
+            pass
+    if temp is None:
+        chunks = list(chunks)
+        with open(path, "w") as f:
+            _write_in_slices(f, chunks)
+        return
+    try:
+        with open(fd, "w") as f:
+            if mode is not None:
+                os.chmod(fd, stat.S_IMODE(mode))
+            _write_in_slices(f, chunks)
+        os.replace(temp, real)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _new_file_beside(path: str) -> tuple[int, str]:
+    """A new, empty file in the directory of ``path``: its descriptor and name.
+
+    Created as ``open`` creates a file, with mode 0o666 less the umask.
+    """
+    directory, name = os.path.split(path)
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
+        except FileExistsError:
+            continue
 
 
 def _write_in_slices(f, chunks) -> None:
@@ -272,23 +381,206 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
     from the header unless supplied explicitly.  Malformed data lines,
     metadata that is not UTF-8, and an ``n`` that is not an integer or
     disagrees with an earlier one, raise ValueError naming the line number.
+    The file is read once, in blocks, so a pipe or /dev/stdin reads alike.
     """
-    raw = _read_bytes(path)
     meta: dict[str, str] = {}
-    at = raw.find(b"#")
+    return _graph_from_blocks(_row_blocks(path, meta), meta, n), meta
+
+
+def _graph_from_blocks(blocks, meta: dict, n: int | None) -> MultiDigraph:
+    """The graph of the rows ``_row_blocks`` yields, with n as ``read_edge_list`` takes it."""
+    src, dst, mult = _columns(blocks)
+    if n is None:
+        if "n" not in meta:
+            raise ValueError("no n declared in header and none supplied")
+        n = int(meta["n"])
+    return MultiDigraph._adopt(n, src, dst, mult)
+
+
+def _read_degrees(path: str | Path, n: int | None = None) -> tuple[int, int, int, np.ndarray]:
+    """n, total arcs, total loops and ``_degrees`` of the graph ``read_edge_list(path, n)`` reads.
+
+    The degrees are counted from the reader's blocks as they come, so the
+    graph is never built.  Every block passes the graph's arc checks, and
+    the errors and their order are those of ``read_edge_list``: a bad line
+    anywhere before any failed check, and the checks in their own order
+    over the whole file.  Where n is not known when the first data block
+    arrives (no ``n`` argument, and no ``n`` comment up to that block's
+    end), is out of range, or sizes degree rows that do not fit in memory,
+    the graph is built.
+    """
+    meta: dict[str, str] = {}
+    blocks = _row_blocks(path, meta)
+    degrees = None
+    fault, total = None, 0
+    for rows, share in blocks:
+        if degrees is None:
+            vertices = n if n is not None else int(meta.get("n", 0))
+            degrees = _zero_degrees(vertices)
+            if degrees is None:
+                blocks = chain([(rows, share)], blocks)
+                break
+        src, dst, mult = rows.T
+        if fault is None:
+            fault, total = _arc_fault(vertices, src, dst, mult, total)
+            if fault is None:
+                _count_degrees(degrees, src, dst, mult)
+        else:
+            # a later block can still fail a check that comes first
+            later = _arc_fault(vertices, src, dst, mult)[0]
+            fault = fault if later is None else min(fault, later)
+    if degrees is None:
+        g = _graph_from_blocks(blocks, meta, n)
+        return g.n, g.total_arcs, g.total_loops, g._degrees
+    if fault is not None:
+        raise ValueError(_ARC_FAULTS[fault].format(n=vertices))
+    return vertices, total, int(degrees[2].sum()), _degree_rows(degrees)
+
+
+def _zero_degrees(n: int) -> np.ndarray | None:
+    """Zeroed counting rows for vertices 1..n, or None for an n out of range or too large."""
+    if not 1 <= n <= MAX_N:
+        return None
+    try:
+        return np.zeros((3, n + 1), dtype=np.int64)
+    except MemoryError:
+        return None
+
+
+def _columns(blocks) -> list[np.ndarray]:
+    """The src, dst and multiplicity columns of the (rows, 3) blocks of ``_row_blocks``.
+
+    The columns are sized from the rows so far over the share of the file
+    read, and grown in place, with a margin, when a block does not fit; a
+    pipe, whose size is unknown, doubles them.  They are cut to the rows
+    read at the end.
+    """
+    columns = [np.empty(0, dtype=np.int64) for _ in range(3)]
+    used = 0
+    for rows, share in blocks:
+        end = used + len(rows)
+        if end > columns[0].size:
+            margin = 1.0625 if used else 1.0
+            size = max(end, math.ceil(end / share * margin)) if share else 2 * end
+            if used:
+                for column in columns:
+                    column.resize(size, refcheck=False)
+            else:
+                # pages past the rows read stay untouched: a guess too high costs
+                # address space, not memory
+                columns = [np.empty(size, dtype=np.int64) for _ in range(3)]
+        for column, values in zip(columns, rows.T):
+            column[used:end] = values
+        used = end
+    for column in columns:
+        column.resize(used, refcheck=False)
+    return columns
+
+
+def _row_blocks(path: str | Path, meta: dict):
+    """Parse an edge-list file in one pass: each block's data rows, and the share of the file read.
+
+    Rows come as (rows, 3) int64 arrays; the share is None for a file of
+    unknown size, such as a pipe.  ``meta`` gathers the ``key=value``
+    comments as they are read.  A block is cut at a line end, with CRLF and
+    a lone CR read as LF.  A block in the writer's format, digits with
+    TAB, TAB, LF in turn after its leading comment lines, is parsed as one
+    string of numbers; any other goes through ``np.loadtxt``.  Comments
+    are read in file order; after a malformed data line only comments are,
+    and that line's error is raised at the end.
+    """
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+        lines = done = 0
+        bad = None
+        rest = []  # the start of a line that no block has ended yet
+        while True:
+            chunk = f.read(_BLOCK_BYTES)
+            if chunk:
+                # a block ends at the chunk's last LF, or at a CR that no LF may follow
+                cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
+                if not cut:
+                    rest.append(chunk)
+                    continue
+                block = b"".join([*rest, chunk[:cut]])
+                rest = [chunk[cut:]]
+            else:
+                block = b"".join(rest)
+                if not block:
+                    break
+                rest = []
+            done += len(block)
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if b"#" in block and _read_comments(block, lines, meta):
+                # a '#' after data on its line: the first bad line is at or before it
+                raise bad or _malformed_line(block, lines)
+            if bad is None:
+                rows, count, bad = _parse_block(block, lines)
+                if len(rows):
+                    yield rows, (done / size if size else None)
+            else:
+                count = block.count(b"\n")
+            lines += count
+        if bad is not None:
+            raise bad
+
+
+def _parse_block(block: bytes, lines: int) -> tuple[np.ndarray, int, ValueError | None]:
+    """The (rows, 3) data rows of a block that starts after line ``lines``, and its line count.
+
+    The third item is None, or the error naming the block's first bad line,
+    with no rows.
+    """
+    # the leading comment lines, such as the writer's header, are no data
+    head = 0
+    while block.startswith(b"#", head):
+        head = block.find(b"\n", head) + 1 or len(block)
+    body = block[head:]
+    separators = body.translate(None, b"0123456789")
+    count = len(separators) // 3
+    if separators == b"\t\t\n" * count:
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+        # an empty field leaves fewer numbers; a value past 10**18 may have
+        # been clipped to int64, so loadtxt judges it
+        if values.size == 3 * count and (count == 0 or values.max() < 10**18):
+            return values.reshape(count, 3), block.count(b"\n", 0, head) + count, None
+    count = block.count(b"\n")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(
+                io.BytesIO(body), dtype=np.int64, comments="#", ndmin=2, encoding="latin-1"
+            )
+        if rows.size and rows.shape[1] != 3:
+            raise ValueError
+    except ValueError:
+        return np.empty((0, 3), dtype=np.int64), count, _malformed_line(block, lines)
+    return rows.reshape(-1, 3), count, None
+
+
+def _read_comments(block: bytes, lines: int, meta: dict) -> bool:
+    """Read the comments of a block that starts after line ``lines`` into ``meta``.
+
+    Raises ValueError for metadata that is not UTF-8 and for a bad or
+    conflicting ``n``.  Returns whether it stopped at a '#' that follows
+    data on its line.
+    """
+    at = block.find(b"#")
     while at >= 0:
-        start = raw.rfind(b"\n", 0, at) + 1
-        end = raw.find(b"\n", at)
-        end = len(raw) if end < 0 else end
-        if raw[start:at].decode("latin-1").strip():
-            raise _malformed_line(raw)  # a '#' after data on the same line
-        body = raw[at + 1 : end]
+        start = block.rfind(b"\n", 0, at) + 1
+        end = block.find(b"\n", at)
+        end = len(block) if end < 0 else end
+        if block[start:at].decode("latin-1").strip():
+            return True
+        body = block[at + 1 : end]
         # only metadata is decoded; no byte of a multi-byte UTF-8 character is '='
         if b"=" in body:
             try:
                 key, _, value = body.decode().partition("=")
             except UnicodeDecodeError as exc:
-                lineno = raw.count(b"\n", 0, at) + 1
+                lineno = lines + block.count(b"\n", 0, at) + 1
                 byte = exc.object[exc.start]
                 raise ValueError(f"line {lineno}: comment is not UTF-8 (byte 0x{byte:02x})") from None
             key, value = key.strip(), value.strip()
@@ -296,70 +588,24 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
             if key == "n" and not (
                 _INT_FIELD.fullmatch(value) and int(meta.get("n", value)) == int(value)
             ):
-                lineno = raw.count(b"\n", 0, at) + 1
+                lineno = lines + block.count(b"\n", 0, at) + 1
                 if not _INT_FIELD.fullmatch(value):
                     raise ValueError(f"line {lineno}: n={value!r} is not an integer")
                 raise ValueError(f"line {lineno}: n={value} conflicts with n={meta['n']} above")
             meta[key] = value
-        at = raw.find(b"#", end)
-    source = _loadtxt_source(path, raw)
-    # parsed by name, the file is not held in memory twice; it is read
-    # again only to name a malformed line
-    del raw
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2, encoding="latin-1")
-        if rows.size and rows.shape[1] != 3:
-            raise ValueError
-    except ValueError:
-        raw = source.getvalue() if isinstance(source, io.BytesIO) else _read_bytes(path)
-        raise _malformed_line(raw) from None
-    if n is None:
-        if "n" not in meta:
-            raise ValueError("no n declared in header and none supplied")
-        n = int(meta["n"])
-    # contiguous columns, and the row matrix dropped before the graph adopts them
-    src, dst, mult = (np.ascontiguousarray(column) for column in rows.reshape(-1, 3).T)
-    del rows
-    return MultiDigraph._adopt(n, src, dst, mult), meta
+        at = block.find(b"#", end)
+    return False
 
 
-def _read_bytes(path: str | Path) -> bytes:
-    """The file's bytes, with CRLF and a lone CR read as LF."""
-    raw = Path(path).read_bytes()
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return raw
+def _malformed_line(block: bytes, lines: int) -> ValueError:
+    """The error naming the first data line of ``block`` that is not three int64 fields.
 
-
-def _loadtxt_source(path: str | Path, raw: bytes) -> str | io.BytesIO:
-    """What ``np.loadtxt`` parses: the file again by name, or the bytes already read.
-
-    Given a name, numpy's C reader parses the file in large chunks; given a
-    file object, it walks it line by line, at about twice the time.  The name
-    serves only a regular file whose suffix numpy would not decompress: a
-    pipe or ``/dev/stdin`` was drained by the first read, and a ``.gz``,
-    ``.bz2``, ``.xz`` or ``.lzma`` name holds plain text here.  The name is
-    made absolute because numpy's opener would fetch one that parses as a URL.
-    Both routes decode latin-1 and read CR and CRLF as line ends, so they
-    give the same rows.
+    Called only after the block failed the array parse, to report where;
+    the block starts after line ``lines`` of its file.  It reads lines as
+    loadtxt does (latin-1, any whitespace separates fields) and returns no
+    parsed values.
     """
-    path = Path(path)
-    if path.suffix.lower() not in _COMPRESSED_SUFFIXES and stat.S_ISREG(path.stat().st_mode):
-        return os.path.abspath(path)
-    # bytes, not str: a StringIO would hold four bytes per character
-    return io.BytesIO(raw)
-
-
-def _malformed_line(raw: bytes) -> ValueError:
-    """The error naming the first data line that is not three int64 fields.
-
-    Called only after ``raw`` failed the array parse, to report where; it
-    reads lines as loadtxt does (latin-1, any whitespace separates fields)
-    and returns no parsed values.
-    """
-    for lineno, line in enumerate(raw.decode("latin-1").split("\n"), start=1):
+    for lineno, line in enumerate(block.decode("latin-1").split("\n"), start=lines + 1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue

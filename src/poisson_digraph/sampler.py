@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .digraph import MultiDigraph
+from .digraph import _CHUNK_ROWS, MultiDigraph
 from .streams import stream
 from .weights import (
     Marginal,
@@ -69,25 +69,34 @@ def _unit_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> MultiDigraph:
 
 
 def _unit_arc_codes(n: int, codes: np.ndarray) -> MultiDigraph:
-    """The graph with one arc per code src * (n + 1) + dst; sorts ``codes`` in place.
+    """The graph with one arc per code src * (n + 1) + dst, built in the buffer of ``codes``.
 
-    One in-place value sort of the codes, the key ``MultiDigraph`` orders
-    by; each distinct code's multiplicity is the length of its run.  The
-    graph adopts the decoded rows, and its check sees strictly increasing
-    codes, so it skips its own sort.
+    ``codes`` is a fresh int64 array that the caller hands over.  One
+    in-place value sort orders it by the key ``MultiDigraph`` orders by;
+    each distinct code's multiplicity is the length of its run.  The
+    distinct codes are gathered into the run starts' buffer, and the sources
+    are decoded into the codes' own buffer, cut to their count, so three
+    K-row arrays at most live at once.  The graph adopts the decoded rows,
+    and its check sees strictly increasing codes, so it skips its own sort.
     """
     codes.sort()
     run_start = np.empty(codes.size, dtype=bool)
     run_start[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
     start = np.flatnonzero(run_start)
-    mult = np.diff(start, append=codes.size)
-    # each array is dropped once the next is made: with the caller's codes,
-    # at most five K-row arrays live at once
-    distinct = codes[start]
-    del run_start, start
-    src, dst = np.divmod(distinct, n + 1)
-    del distinct
+    del run_start
+    mult = np.empty_like(start)
+    np.subtract(start[1:], start[:-1], out=mult[:-1])
+    mult[-1:] = codes.size - start[-1:]
+    # the distinct codes, gathered chunk by chunk into the starts' own buffer
+    for lo in range(0, start.size, _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        start[rows] = codes[start[rows]]
+    distinct = start
+    del start
+    codes.resize(distinct.size, refcheck=False)
+    src = np.floor_divide(distinct, n + 1, out=codes)
+    dst = np.remainder(distinct, n + 1, out=distinct)
     return MultiDigraph._adopt(n, src, dst, mult)
 
 
@@ -119,9 +128,20 @@ def _draw_vertices(weights: np.ndarray, size: int, rng: np.random.Generator) -> 
 
     Inverse CDF of sorted uniforms: the lookups walk the cumulative sums in
     order.  u * total < total for every u in [0, 1), so no id exceeds n.
+    The uniforms are drawn into the ids' own buffer, sorted and scaled in
+    place, and each chunk of them is replaced by its ids.
     """
     cdf = np.cumsum(weights)
-    return np.searchsorted(cdf, np.sort(rng.random(size)) * cdf[-1], side="right") + 1
+    ids = np.empty(size, dtype=np.int64)
+    u = ids.view(np.float64)
+    rng.random(out=u)
+    u.sort()
+    u *= cdf[-1]
+    for lo in range(0, size, _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        ids[rows] = np.searchsorted(cdf, u[rows], side="right")
+    ids += 1
+    return ids
 
 
 def sample_graph_fast(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1) -> MultiDigraph:
@@ -135,19 +155,29 @@ def sample_graph_fast(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1
     i.i.d. sequence independent of the sources, so pairing them with the
     sorted sources gives the same arc multiset law as two i.i.d. sequences.
     """
+    return _unit_arc_codes(reps * w.n, _fast_arc_codes(w, l_n, seed, reps))
+
+
+def _fast_arc_codes(w: WeightSequence, l_n: float, seed: int, reps: int = 1) -> np.ndarray:
+    """The draw of ``sample_graph_fast``: its K arc codes src * (reps n + 1) + dst, unsorted.
+
+    ``_unit_arc_codes(reps * w.n, codes)`` makes them the graph; a caller
+    that holds the weights can drop them in between.
+    """
     _check(l_n, reps)
     rng = stream(seed, "fast")
     k = int(rng.poisson(reps * w.sum_out * w.sum_in / l_n))
     # sources from w_out tiled reps times pick their block; targets join it
-    src = _draw_vertices(np.tile(w.w_out, reps), k, rng)
-    dst = rng.permutation(_draw_vertices(w.w_in, k, rng))
-    dst += (src - 1) // w.n * w.n
-    # the arc codes src * (n + 1) + dst, built in the source buffer
-    n = reps * w.n
-    src *= n + 1
+    src = _draw_vertices(w.w_out if reps == 1 else np.tile(w.w_out, reps), k, rng)
+    dst = _draw_vertices(w.w_in, k, rng)
+    # the same stream as rng.permutation, without its copy
+    rng.shuffle(dst)
+    if reps > 1:
+        dst += (src - 1) // w.n * w.n
+    # the codes, built in the source buffer
+    src *= reps * w.n + 1
     src += dst
-    del dst
-    return _unit_arc_codes(n, src)
+    return src
 
 
 # -- growth by one vertex -----------------------------------------------------
@@ -248,7 +278,9 @@ def _nr_oriented_arcs(
     """
     k = rng.poisson(float(cap.sum()) ** 2 / (2.0 * l_n), size=reps)
     shift = np.repeat(np.arange(reps) * cap.size, k)
-    a, b = rng.permutation(_draw_vertices(cap, 2 * int(k.sum()), rng)).reshape(2, -1) + shift
+    ids = _draw_vertices(cap, 2 * int(k.sum()), rng)
+    rng.shuffle(ids)
+    a, b = ids.reshape(2, -1) + shift
     if orientation == "higher":
         return np.minimum(a, b), np.maximum(a, b)
     if orientation == "lower":

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .digraph import MultiDigraph
+from .digraph import _CHUNK_ROWS, MultiDigraph
 
 __all__ = [
     "DegreeArrays",
@@ -43,6 +43,14 @@ class DegreeArrays:
     @property
     def total(self) -> np.ndarray:
         return self.d_in + self.d_out + self.loops
+
+    def max_total(self) -> int:
+        """The largest entry of ``total``, summed a vertex chunk at a time."""
+        best = 0
+        for lo in range(0, self.d_in.size, _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            best = max(best, int((self.d_in[rows] + self.d_out[rows] + self.loops[rows]).max()))
+        return best
 
 
 def degree_arrays(g: MultiDigraph) -> DegreeArrays:
@@ -173,9 +181,11 @@ class ComponentSummary:
         tails = np.repeat(strong, np.diff(self.adjacency.indptr))
         heads = strong[self.adjacency.indices]
         cross = tails != heads
+        tails, heads = tails[cross], heads[cross]
+        del cross
         k = int(strong.max()) + 1
-        ones = np.ones(int(np.count_nonzero(cross)))
-        condensation = csr_matrix((ones, (tails[cross], heads[cross])), shape=(k, k))
+        condensation = csr_matrix((np.ones(tails.size), (tails, heads)), shape=(k, k))
+        del tails, heads
         labels = connected_components(condensation, directed=False)[1][strong]
         # scipy numbers weak classes in the order of their smallest vertex
         first = np.full(int(labels.max()) + 1, self.n)
@@ -219,10 +229,26 @@ class ComponentSummary:
 
 
 def component_summary(g: MultiDigraph) -> ComponentSummary:
-    """Strong and weak partitions of g (linear time each), computed on first read."""
-    # float64 data is the dtype scipy's graph routines take without a copy
-    ones = np.ones(g.src.size)
-    return ComponentSummary(g.n, csr_matrix((ones, g.dst - 1, g._indptr), shape=(g.n, g.n)))
+    """Strong and weak partitions of g (linear time each), computed on first read.
+
+    The adjacency's offsets and column ids are int32, the index type
+    scipy's graph routines take without a copy, up to 2**31 - 1 vertices
+    and arcs, and int64 above.  A caller that hands over its only
+    reference to g frees each graph array once it has been read.
+    """
+    n = g.n
+    index = np.int32 if max(n, g.src.size) <= np.iinfo(np.int32).max else np.int64
+    src, dst = g.src, g.dst
+    del g
+    indptr = np.cumsum(np.bincount(src, minlength=n + 1), dtype=index)
+    del src
+    indices = dst.astype(index)
+    del dst
+    indices -= 1
+    # the routines read no weight, but take float64 data without a copy: one
+    # value, broadcast, serves every arc
+    ones = np.broadcast_to(np.float64(1.0), indices.shape)
+    return ComponentSummary(n, csr_matrix((ones, indices, indptr), shape=(n, n)))
 
 
 # names for callers that read one partition; the other is never computed

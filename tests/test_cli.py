@@ -14,6 +14,7 @@ import inspect
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,10 +22,15 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import poisson_digraph
-from poisson_digraph import cli
+from poisson_digraph import cli, digraph
+from poisson_digraph.analysis import degree_fit_test
 from poisson_digraph.cli import RunConfig
-from poisson_digraph.digraph import read_edge_list, write_edge_list
+from poisson_digraph.digraph import MultiDigraph, read_edge_list, write_edge_list
+from poisson_digraph.structure import degree_arrays
+from poisson_digraph.weights import parse_model
 from graph_helpers import traced_peak
 
 CMD = [sys.executable, "-m", "poisson_digraph"]
@@ -366,7 +372,12 @@ def test_outputs_past_one_writer_chunk_are_pinned(large_edge_list):
 def test_command_peak_memory(command, large_edge_list, tmp_path):
     # in units of one int64 array of the K arcs (8 K bytes); with copying
     # constructors, a joined edge-list text and a graph held to the end,
-    # sample peaked at 9.9, components at 9.6 and stats at 7.8
+    # sample peaked at 9.9, components at 9.6 and stats at 7.8; with a
+    # loadtxt row matrix, float64 arc weights and the whole text rendered
+    # before writing, at 6.3, 6.4 and 6.2; the bounds are the readings of
+    # the block reader, int32 adjacency and streamed write plus 10 %:
+    # sample 5.2 (the graph and one rendered chunk), components 4.0, stats
+    # 2.5 (degree rows, no graph)
     k = read_edge_list(large_edge_list)[0].total_arcs
     argv = {
         "sample": [*LARGE_SAMPLE, "--out", str(tmp_path / "graph.tsv")],
@@ -378,7 +389,8 @@ def test_command_peak_memory(command, large_edge_list, tmp_path):
     }[command]
     # a first run, so the modules a command imports on first use stay out of the trace
     assert cli.main(argv) == 0
-    assert traced_peak(8 * k, cli.main, argv) <= 7
+    bound = {"sample": 5.7, "components": 4.4, "stats": 2.75}[command]
+    assert traced_peak(8 * k, cli.main, argv) <= bound
 
 
 def test_components_of_three_cycle(tmp_path):
@@ -407,6 +419,131 @@ def test_stats_degrees_are_exact_past_2_53(capsys, tmp_path):
     assert payload["total_arcs"] == big + 1
     assert payload["max_out_degree"] == big + 1
     assert payload["max_in_degree"] == big
+
+
+def _stats_of_graph(path, n=None, model="pareto-mirrored:3.5,1", kmax=30):
+    """What ``stats --model model --kmax kmax`` prints, computed from the graph the file holds."""
+    g, _ = read_edge_list(path, n)
+    arr = degree_arrays(g)
+    fit = degree_fit_test(g, parse_model(model), kmax=kmax, threshold=0.02)
+    payload = {
+        "n": g.n,
+        "total_arcs": g.total_arcs,
+        "total_loops": g.total_loops,
+        "mean_in_degree": float(arr.d_in.mean()),
+        "mean_out_degree": float(arr.d_out.mean()),
+        "max_in_degree": int(arr.d_in.max()),
+        "max_out_degree": int(arr.d_out.max()),
+        "max_total_degree": int(arr.total.max()),
+        "vertices_with_loops": int((arr.loops > 0).sum()),
+        "degree_fit": {
+            "statistic": fit.statistic,
+            "threshold": fit.threshold,
+            "passed": fit.passed,
+            "kmax": fit.kmax,
+        },
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("block", [512, 2**18], ids=["many-blocks", "one-block"])
+def test_stats_from_blocks_match_stats_of_the_graph(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block)
+    built = []
+    adopt = MultiDigraph._adopt.__func__
+    monkeypatch.setattr(
+        MultiDigraph, "_adopt", classmethod(lambda cls, *a: built.append(a[0]) or adopt(cls, *a))
+    )
+    header, *rows = _golden_edge_list().splitlines(keepends=True)
+    files = {name: tmp_path / f"{name}.tsv" for name in ("header", "headerless", "trailing-n")}
+    # unsorted rows with repeated pairs, zero counts and loops
+    files["header"].write_text(header + "".join(rows))
+    files["headerless"].write_text("".join(rows))
+    # n known only after the last row: stats builds the graph, unless the
+    # comment comes in the first block with data
+    files["trailing-n"].write_text("".join(rows) + header)
+    for name, path, n, graphs in (
+        ("header", files["header"], None, 0),
+        ("headerless", files["headerless"], 3000, 0),
+        ("trailing-n", files["trailing-n"], None, int(block < files["trailing-n"].stat().st_size)),
+    ):
+        expected = _stats_of_graph(path, n)
+        built.clear()
+        args = ["stats", "--in", str(path), "--model", "pareto-mirrored:3.5,1", "--kmax", "30"]
+        res = run_cli(*args, *(["--n", str(n)] if n else []))
+        assert (res.returncode, res.stdout) == (1, expected), name
+        assert len(built) == graphs, name
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1\t2\t-1\n" + "1\t2\t1\n" * 100 + "1\t9\t1\n", "vertex ids must lie in 1..3"),
+        (
+            f"1\t2\t{2**62}\n" * 2 + "1\t2\t1\n" * 100 + "1\t2\t-1\n",
+            "multiplicities must be nonnegative",
+        ),
+        (
+            "1\t9\t1\n" + "1\t2\t1\n" * 100 + "1\t2\n",
+            "line 103: expected 3 fields 'src dst multiplicity', got 2",
+        ),
+        ("1\t2\t1\n" * 100 + "# n=4\n", "line 102: n=4 conflicts with n=3 above"),
+    ],
+    ids=["ids-after-negative", "negative-after-overflow", "bad-line-after-bad-id", "bad-n-last"],
+)
+def test_stats_and_components_fail_alike_over_blocks(tmp_path, monkeypatch, rows, message):
+    # the first error of the whole file, in the order the graph's checks take
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", 64)
+    path = tmp_path / "bad.tsv"
+    path.write_text("# n=3\n" + rows)
+    for args in (["components"], ["stats", "--model", "constant:2"]):
+        res = run_cli(*args, "--in", str(path))
+        assert (res.returncode, res.stderr) == (3, f"error: {path}: {message}\n"), args
+
+
+def _failing_rows(*args):
+    yield "1\t1\t1\n"
+    raise MemoryError("Unable to allocate the next chunk")
+
+
+@pytest.mark.parametrize("command", ["sample", "evolve"])
+def test_failed_render_leaves_the_target_and_no_temporary(tmp_path, monkeypatch, command):
+    argv = {
+        "sample": ["sample", "--model", "constant:2", "--n", "100"],
+        "evolve": ["evolve", "--model", "constant:2", "--from", "3", "--to", "6"],
+    }[command]
+    target = tmp_path / "g.tsv"
+    target.write_text("old text\n")
+    monkeypatch.setattr(digraph, "_row_chunks", _failing_rows)
+    res = run_cli(*argv, "--out", str(target))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: not enough memory")
+    assert target.read_text() == "old text\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.tsv"]
+    g = MultiDigraph(3, np.array([1]), np.array([2]), np.array([1]))
+    with pytest.raises(MemoryError):
+        write_edge_list(g, target)
+    assert target.read_text() == "old text\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.tsv"]
+
+
+def test_out_replaces_the_target_through_a_symlink_with_its_mode(tmp_path):
+    argv = ["sample", "--model", "constant:2", "--n", "100", "--seed", "2"]
+    target, link = tmp_path / "target.tsv", tmp_path / "link.tsv"
+    target.write_text("old text\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert run_cli(*argv, "--out", str(link)).returncode == 0
+    assert link.is_symlink()
+    assert target.read_text() == run_cli(*argv).stdout
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "target.tsv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_out_to_a_device_writes_in_place():
+    res = run_cli("sample", "--model", "constant:2", "--n", "100", "--out", "/dev/null")
+    assert res.returncode == 0
 
 
 def test_sample_then_stats_round_trip(tmp_path):

@@ -1,19 +1,17 @@
 """Tests for the multigraph container and the edge-list file format."""
 
-import io
 import os
 import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from poisson_digraph import digraph
 from poisson_digraph.digraph import (
     _CHUNK_ROWS,
     MAX_N,
     MultiDigraph,
-    _loadtxt_source,
     edge_list_text,
     read_edge_list,
     write_edge_list,
@@ -508,13 +506,92 @@ def test_compressed_suffix_holding_plain_text_reads_as_text(tmp_path):
     assert meta == {"n": "3"}
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_only_a_plain_regular_file_is_parsed_by_name(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    Path("g.tsv").write_text("# n=1\n")
-    assert _loadtxt_source("g.tsv", b"") == str(tmp_path / "g.tsv")
-    for name in ("g.tsv.gz", "g.tsv.bz2", "g.tsv.xz", "g.tsv.lzma", "g.tsv.GZ"):
-        Path(name).write_text("# n=1\n")
-        assert isinstance(_loadtxt_source(name, b""), io.BytesIO)
-    os.mkfifo("pipe")
-    assert isinstance(_loadtxt_source("pipe", b""), io.BytesIO)
+# -- the block reader: the writer's format as numbers, other blocks by loadtxt ---
+
+
+def _loadtxt_calls(monkeypatch):
+    """A list that grows by one at every np.loadtxt call."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+def _rows(seed=4, n=40, size=300):
+    """Unsorted rows with repeated pairs, zero counts and loops."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(1, n + 1, (2, size))
+    dst[::9] = src[::9]
+    return n, src, dst, rng.integers(0, 4, size)
+
+
+# each renders a row (src, dst, mult) in another form, and says whether
+# loadtxt reads it: line ends are read as LF first, and leading zeros parse
+ROW_FORMS = {
+    "comments": (lambda s, d, m, i: f"{s}\t{d}\t{m}\n" + "# note\n  # k=v\n" * (i % 7 == 3), True),
+    "spaces": (lambda s, d, m, i: f"{s}  {d} {m}\n", True),
+    "signs": (lambda s, d, m, i: f"+{s}\t{d}\t+{m}\n", True),
+    "crlf": (lambda s, d, m, i: f"{s}\t{d}\t{m}\r\n", False),
+    "lone-cr": (lambda s, d, m, i: f"{s}\t{d}\t{m}\r", False),
+    "19-digit": (lambda s, d, m, i: f"{s:019d}\t{d}\t{m}\n", False),
+}
+
+
+@pytest.mark.parametrize("block", [64, 2**18], ids=["many-blocks", "one-block"])
+@pytest.mark.parametrize("form", ROW_FORMS, ids=list(ROW_FORMS))
+def test_fast_path_and_loadtxt_read_alike(tmp_path, monkeypatch, form, block):
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block)
+    n, src, dst, mult = _rows()
+    calls = _loadtxt_calls(monkeypatch)
+    writer, other = tmp_path / "writer.tsv", tmp_path / "other.tsv"
+    writer.write_text(f"# n={n}\n" + "".join(f"{s}\t{d}\t{m}\n" for s, d, m in zip(src, dst, mult)))
+    fast, _ = read_edge_list(writer)
+    assert not calls
+    render, by_loadtxt = ROW_FORMS[form]
+    rows = "".join(render(s, d, m, i) for i, (s, d, m) in enumerate(zip(src, dst, mult)))
+    other.write_bytes(f"# n={n}\n".encode() + rows.encode())
+    slow, meta = read_edge_list(other)
+    assert bool(calls) == by_loadtxt
+    assert slow == fast == MultiDigraph(n, src, dst, mult)
+    assert meta["n"] == str(n)
+
+
+@pytest.mark.parametrize("value", [10**18, 2**63 - 1], ids=["19-digit", "int64-max"])
+def test_values_from_10_18_are_read_by_loadtxt(tmp_path, monkeypatch, value):
+    # numpy's number parser clips past int64, so such a block is not its to read
+    calls = _loadtxt_calls(monkeypatch)
+    path = tmp_path / "g.tsv"
+    path.write_text(f"# n=3\n1\t2\t{value}\n2\t3\t0\n")
+    g, _ = read_edge_list(path)
+    assert calls
+    assert arc_dict(g) == {(1, 2): value}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_bad_line_past_the_first_block_is_named(tmp_path, end):
+    rows = [f"{i % 50 + 1}\t{i % 7 + 1}\t1" for i in range(3 * digraph._BLOCK_BYTES // 8)]
+    path = tmp_path / "g.tsv"
+    for bad in (len(rows) // 2, len(rows) - 1):
+        lines = ["# n=50", *rows[:bad], "1\t2", *rows[bad:]]
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        assert path.stat().st_size > 2 * digraph._BLOCK_BYTES
+        # the bad row is line bad + 2: one header line above rows[0]
+        with pytest.raises(ValueError, match=f"^line {bad + 2}: expected 3 fields"):
+            read_edge_list(path)
+
+
+def test_read_edge_list_peak_memory(tmp_path):
+    # in units of one int64 array of the K arcs (8 K bytes), loadtxt's row
+    # matrix beside the three columns copied out of it peaked at 6.0; the
+    # block reader's columns, sized from the first block, at 4.0
+    model = ParetoMirrored(3.5)
+    w = sample_weights(model, 200_000, 1)
+    g = sample_graph_fast(w, moments(model).mu * w.n, 1)
+    path = tmp_path / "g.tsv"
+    write_edge_list(g, path)
+    assert traced_peak(8 * g.total_arcs, read_edge_list, path) <= 4.35

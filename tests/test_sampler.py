@@ -162,12 +162,13 @@ def test_sample_graph_fast_peak_memory():
     # in units of one int64 array of the K arcs (8 K bytes), a build by
     # stable argsort and gathers peaks at 12.1, one in-place value sort
     # behind a copying constructor at 9.25, the arc codes built in the
-    # source buffer and adopted by the graph at 5.1
+    # source buffer and adopted by the graph at 5.1, the uniforms drawn
+    # into the ids' buffer and the graph built in the codes' at 3.4
     model = ParetoMirrored(3.5)
     w = sample_weights(model, 200_000, 1)
     l_n = moments(model).mu * w.n
     k = sample_graph_fast(w, l_n, 1).total_arcs
-    assert traced_peak(8 * k, sample_graph_fast, w, l_n, 1) <= 6
+    assert traced_peak(8 * k, sample_graph_fast, w, l_n, 1) <= 3.7
 
 
 def test_total_arcs_poisson_law():
