@@ -18,6 +18,7 @@ import json
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +28,17 @@ from .analysis import _degree_fit
 from .branching import CONFIGURATIONS, DEFAULT_TOL, survival_fractions
 from .digraph import (
     MAX_N,
+    _code_rows,
     _edge_list_chunks,
+    _graph_rows,
     _read_degrees,
     _write_in_slices,
     _write_text,
     read_edge_list,
 )
-from .sampler import _fast_arc_codes, _unit_arc_codes, evolve_chain
+from .sampler import _arc_draw, _fast_arc_codes, evolve_chain
 from .scaling import scaling_exponent_experiment
-from .structure import DegreeArrays, component_summary
+from .structure import DegreeArrays, _read_summary
 from .verify import SUITES, check_graph_against_model, run_suite
 from .weights import (
     NormalizerMode,
@@ -227,11 +230,15 @@ def cmd_sample(cfg: RunConfig) -> int:
     mode = NormalizerMode(cfg.normalizer_mode)
     w = sample_weights(model, cfg.n, cfg.seed)
     l_n = normalizer(w, moments(model).mu, mode)
-    # the weights go once the arcs are drawn, before the graph is built
-    codes = _fast_arc_codes(w, l_n, cfg.seed)
+    # the weights go before the arcs are drawn, their cdfs once they are
+    draw = _arc_draw(w, l_n)
     del w
-    g = _unit_arc_codes(cfg.n, codes)
-    _emit(_edge_list_chunks(g, _header_meta(model, cfg, l_n=float(l_n))), cfg.out)
+    codes = _fast_arc_codes(cfg.n, draw, cfg.seed)
+    del draw
+    # the rows are rendered from the sorted codes; no graph is built
+    codes.sort()
+    meta = _header_meta(model, cfg, l_n=float(l_n))
+    _emit(_edge_list_chunks(cfg.n, partial(_code_rows, cfg.n, codes), meta), cfg.out)
     return 0
 
 
@@ -243,14 +250,13 @@ def cmd_evolve(cfg: RunConfig) -> int:
         raise UsageError(f"need 1 <= from <= to <= {MAX_N}, got {cfg.n_from}..{cfg.n_to}")
     g = evolve_chain(model, cfg.n_from, cfg.n_to, cfg.seed, NormalizerMode(cfg.normalizer_mode))
     meta = _header_meta(model, cfg, n_from=cfg.n_from, n_to=cfg.n_to)
-    _emit(_edge_list_chunks(g, meta), cfg.out)
+    _emit(_edge_list_chunks(g.n, partial(_graph_rows, g), meta), cfg.out)
     return 0
 
 
 def cmd_components(cfg: RunConfig) -> int:
-    # the summary is handed the only reference to the graph, so each graph
-    # array goes once its adjacency array is built
-    summary = component_summary(_read_input(cfg)[0])
+    # the adjacency is built from the reader's blocks, without the graph
+    summary = _read_input(cfg, _read_summary)
     _emit([summary.to_json(topk=5) + "\n"], cfg.out)
     return 0
 

@@ -15,7 +15,7 @@ import os
 import re
 import stat
 import warnings
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 
@@ -237,19 +237,21 @@ def edge_list_text(g: MultiDigraph, meta: dict | None = None) -> str:
     g.n and raises ValueError if it differs.  Output is byte-identical for
     identical inputs.
     """
-    return "".join(_edge_list_chunks(g, meta))
+    return "".join(_edge_list_chunks(g.n, partial(_graph_rows, g), meta))
 
 
-def _edge_list_chunks(g: MultiDigraph, meta: dict | None = None):
+def _edge_list_chunks(n: int, rows, meta: dict | None = None):
     """The text of ``edge_list_text``: the header, then the row chunks as they are rendered.
 
-    The header, and so any error in ``meta``, comes before the first row.
+    ``rows`` is a callable whose every call yields the same arc rows
+    afresh, as ``_row_chunks`` takes them.  The header, and so any error
+    in ``meta``, comes before the first row.
     """
-    lines = [f"# {_FORMAT_TAG}", f"# n={g.n}"]
+    lines = [f"# {_FORMAT_TAG}", f"# n={n}"]
     for key, value in (meta or {}).items():
         if key == "n":
-            if not (_INT_FIELD.fullmatch(str(value).strip()) and int(value) == g.n):
-                raise ValueError(f"meta n={value} conflicts with the graph's n={g.n}")
+            if not (_INT_FIELD.fullmatch(str(value).strip()) and int(value) == n):
+                raise ValueError(f"meta n={value} conflicts with the graph's n={n}")
             continue
         if isinstance(value, float):
             value = repr(value)
@@ -257,29 +259,65 @@ def _edge_list_chunks(g: MultiDigraph, meta: dict | None = None):
             value = json.dumps(value, sort_keys=True)
         lines.append(f"# {key}={value}")
     lines.append("# src\tdst\tmultiplicity")
-    return chain(["\n".join(lines) + "\n"], _row_chunks(g.src, g.dst, g.mult))
+    return chain(["\n".join(lines) + "\n"], _row_chunks(n, rows))
 
 
-def _row_chunks(src: np.ndarray, dst: np.ndarray, mult: np.ndarray):
-    """'src<TAB>dst<TAB>mult' rows of nonnegative int64 arrays, ``_CHUNK_ROWS`` per string.
+def _graph_rows(g: MultiDigraph):
+    """The arc rows of g as (src, dst, mult) chunks of ``_CHUNK_ROWS`` rows."""
+    for lo in range(0, g.src.size, _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        yield g.src[rows], g.dst[rows], g.mult[rows]
 
-    Each column fills a block of byte cells as wide as its largest value
-    over all rows, digits right-aligned and followed by a tab or newline;
-    the cells left of each value's leading digit are masked out.  Chunks
-    keep the cell matrices and digit arrays a few MB at any graph size.
+
+def _code_rows(n: int, codes: np.ndarray):
+    """The arc rows of sorted codes src * (n + 1) + dst: one row per run of equal codes.
+
+    Yields (src, dst, mult) chunks, each the whole runs that start among
+    ``_CHUNK_ROWS`` consecutive codes, so a run's multiplicity is its
+    length and no chunk makes a transient longer than ``_CHUNK_ROWS``.
     """
-    if src.size == 0:
-        return
-    columns = (src, dst, mult)
-    widths = [len(str(int(col.max()))) for col in columns]
+    lo = 0
+    while lo < codes.size:
+        chunk = codes[lo : lo + _CHUNK_ROWS]
+        first = np.empty(chunk.size, dtype=bool)
+        first[0] = True
+        np.not_equal(chunk[1:], chunk[:-1], out=first[1:])
+        start = np.flatnonzero(first)
+        del first
+        # the last run may go on past the chunk
+        end = int(codes.searchsorted(chunk[-1], side="right"))
+        mult = np.diff(start, append=end - lo)
+        src, dst = np.divmod(chunk[start], n + 1)
+        yield src, dst, mult
+        lo = end
+
+
+def _row_chunks(n: int, rows):
+    """'src<TAB>dst<TAB>mult' text, one string per (src, dst, mult) int64 chunk of ``rows()``.
+
+    ``rows`` is called twice.  The first pass checks every chunk as
+    ``MultiDigraph`` checks arcs, so a bad row raises before any row is
+    rendered, and finds each column's largest value.  Each column then
+    fills a block of byte cells as wide as that value, digits
+    right-aligned and followed by a tab or newline; the cells left of each
+    value's leading digit are masked out.  Chunks keep the cell matrices
+    and digit arrays a few MB at any graph size.
+    """
+    top, total = [0, 0, 0], 0
+    for columns in rows():
+        fault, total = _arc_fault(n, *columns, total)
+        if fault is not None:
+            raise ValueError(_ARC_FAULTS[fault].format(n=n))
+        top = [max(t, int(col.max())) for t, col in zip(top, columns)]
+    widths = [len(str(t)) for t in top]
     # the narrowest unsigned type that holds each column's values
     kinds = [np.min_scalar_type(10**width - 1) for width in widths]
-    for lo in range(0, src.size, _CHUNK_ROWS):
-        rows = [col[lo : lo + _CHUNK_ROWS].astype(kind) for col, kind in zip(columns, kinds)]
-        cells = np.empty((rows[0].size, sum(widths) + 3), dtype=np.uint8)
+    for columns in rows():
+        digits = [col.astype(kind) for col, kind in zip(columns, kinds)]
+        cells = np.empty((digits[0].size, sum(widths) + 3), dtype=np.uint8)
         keep = np.ones(cells.shape, dtype=bool)
         end = 0
-        for q, width, sep in zip(rows, widths, b"\t\t\n"):
+        for q, width, sep in zip(digits, widths, b"\t\t\n"):
             for j in reversed(range(end, end + width)):
                 rest = q // 10
                 q -= rest * 10
@@ -301,7 +339,7 @@ def write_edge_list(g: MultiDigraph, path: str | Path, meta: dict | None = None)
     that then replaces it, so a failed render or write leaves the file
     untouched and no temporary behind (``_write_text``).
     """
-    _write_text(path, _edge_list_chunks(g, meta))
+    _write_text(path, _edge_list_chunks(g.n, partial(_graph_rows, g), meta))
 
 
 def _write_text(path: str | Path, chunks) -> None:
@@ -400,81 +438,94 @@ def _graph_from_blocks(blocks, meta: dict, n: int | None) -> MultiDigraph:
 def _read_degrees(path: str | Path, n: int | None = None) -> tuple[int, int, int, np.ndarray]:
     """n, total arcs, total loops and ``_degrees`` of the graph ``read_edge_list(path, n)`` reads.
 
-    The degrees are counted from the reader's blocks as they come, so the
-    graph is never built.  Every block passes the graph's arc checks, and
-    the errors and their order are those of ``read_edge_list``: a bad line
-    anywhere before any failed check, and the checks in their own order
-    over the whole file.  Where n is not known when the first data block
-    arrives (no ``n`` argument, and no ``n`` comment up to that block's
-    end), is out of range, or sizes degree rows that do not fit in memory,
-    the graph is built.
+    The degrees are counted from the reader's blocks as they come
+    (``_fold_blocks``), so the graph is built only where n is not known in
+    time.
+    """
+    n, total, degrees = _fold_blocks(
+        path,
+        n,
+        lambda n: np.zeros((3, n + 1), dtype=np.int64),
+        lambda degrees, rows, share: _count_degrees(degrees, *rows.T),
+    )
+    if isinstance(degrees, MultiDigraph):
+        return n, total, degrees.total_loops, degrees._degrees
+    return n, total, int(degrees[2].sum()), _degree_rows(degrees)
+
+
+def _fold_blocks(path: str | Path, n: int | None, start, add):
+    """Fold the rows of ``read_edge_list(path, n)`` into a state a block at a time, with no graph.
+
+    ``start(n)`` makes the state for n vertices; ``add(state, rows,
+    share)`` takes each (rows, 3) block of ``_row_blocks`` while every
+    block so far passes the graph's arc checks.  The errors and their
+    order are those of ``read_edge_list``: a bad line anywhere before any
+    failed check, and the checks in their own order over the whole file.
+    Returns n, the total arcs and the state.  Where n is not known when the
+    first data block arrives (no ``n`` argument, and no ``n`` comment up to
+    that block's end), is out of range, or sizes a state that does not fit
+    in memory, the graph is built and returned in the state's place.
     """
     meta: dict[str, str] = {}
     blocks = _row_blocks(path, meta)
-    degrees = None
+    state = None
     fault, total = None, 0
     for rows, share in blocks:
-        if degrees is None:
+        if state is None:
             vertices = n if n is not None else int(meta.get("n", 0))
-            degrees = _zero_degrees(vertices)
-            if degrees is None:
+            if 1 <= vertices <= MAX_N:
+                try:
+                    state = start(vertices)
+                except MemoryError:
+                    pass
+            if state is None:
                 blocks = chain([(rows, share)], blocks)
                 break
-        src, dst, mult = rows.T
         if fault is None:
-            fault, total = _arc_fault(vertices, src, dst, mult, total)
+            fault, total = _arc_fault(vertices, *rows.T, total)
             if fault is None:
-                _count_degrees(degrees, src, dst, mult)
+                add(state, rows, share)
         else:
             # a later block can still fail a check that comes first
-            later = _arc_fault(vertices, src, dst, mult)[0]
+            later = _arc_fault(vertices, *rows.T)[0]
             fault = fault if later is None else min(fault, later)
-    if degrees is None:
+    if state is None:
         g = _graph_from_blocks(blocks, meta, n)
-        return g.n, g.total_arcs, g.total_loops, g._degrees
+        return g.n, g.total_arcs, g
     if fault is not None:
         raise ValueError(_ARC_FAULTS[fault].format(n=vertices))
-    return vertices, total, int(degrees[2].sum()), _degree_rows(degrees)
-
-
-def _zero_degrees(n: int) -> np.ndarray | None:
-    """Zeroed counting rows for vertices 1..n, or None for an n out of range or too large."""
-    if not 1 <= n <= MAX_N:
-        return None
-    try:
-        return np.zeros((3, n + 1), dtype=np.int64)
-    except MemoryError:
-        return None
+    return vertices, total, state
 
 
 def _columns(blocks) -> list[np.ndarray]:
-    """The src, dst and multiplicity columns of the (rows, 3) blocks of ``_row_blocks``.
-
-    The columns are sized from the rows so far over the share of the file
-    read, and grown in place, with a margin, when a block does not fit; a
-    pipe, whose size is unknown, doubles them.  They are cut to the rows
-    read at the end.
-    """
+    """The src, dst and multiplicity columns of the (rows, 3) blocks of ``_row_blocks``."""
     columns = [np.empty(0, dtype=np.int64) for _ in range(3)]
     used = 0
     for rows, share in blocks:
-        end = used + len(rows)
-        if end > columns[0].size:
-            margin = 1.0625 if used else 1.0
-            size = max(end, math.ceil(end / share * margin)) if share else 2 * end
-            if used:
-                for column in columns:
-                    column.resize(size, refcheck=False)
-            else:
-                # pages past the rows read stay untouched: a guess too high costs
-                # address space, not memory
-                columns = [np.empty(size, dtype=np.int64) for _ in range(3)]
-        for column, values in zip(columns, rows.T):
-            column[used:end] = values
-        used = end
+        used = _append(columns, used, rows.T, share)
     for column in columns:
         column.resize(used, refcheck=False)
     return columns
+
+
+def _append(columns: list[np.ndarray], used: int, values, share: float | None) -> int:
+    """Write the arrays of ``values`` into ``columns`` after ``used`` rows; returns the rows used.
+
+    Columns that are full are grown in place to twice the rows, or to the
+    rows extrapolated from the ``share`` of the file read if fewer: a sorted
+    file's first rows, with the smallest source ids, are its shortest, so an
+    extrapolation from them runs high until much of the file is read.  A
+    pipe, whose size is unknown (share None), doubles them.  The caller
+    cuts them to the rows used at the end.
+    """
+    end = used + len(values[0])
+    if end > columns[0].size:
+        size = 2 * end if share is None else min(2 * end, math.ceil(end / share))
+        for column in columns:
+            column.resize(max(end, size), refcheck=False)
+    for column, rows in zip(columns, values):
+        column[used:end] = rows
+    return end
 
 
 def _row_blocks(path: str | Path, meta: dict):

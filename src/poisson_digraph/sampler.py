@@ -123,15 +123,15 @@ def sample_graph_naive(w: WeightSequence, l_n: float, seed: int, *, reps: int = 
     return MultiDigraph._adopt(reps * n, *map(np.concatenate, zip(*parts)))
 
 
-def _draw_vertices(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` i.i.d. 1-based vertex ids with P(v) proportional to weights[v - 1], sorted.
+def _draw_vertices(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` i.i.d. 1-based vertex ids with P(v) proportional to weight v, sorted.
 
-    Inverse CDF of sorted uniforms: the lookups walk the cumulative sums in
-    order.  u * total < total for every u in [0, 1), so no id exceeds n.
-    The uniforms are drawn into the ids' own buffer, sorted and scaled in
+    ``cdf`` holds the cumulative sums of the weights.  Inverse CDF of
+    sorted uniforms: the lookups walk the cumulative sums in order.
+    u * total < total for every u in [0, 1), so no id exceeds n.  The
+    uniforms are drawn into the ids' own buffer, sorted and scaled in
     place, and each chunk of them is replaced by its ids.
     """
-    cdf = np.cumsum(weights)
     ids = np.empty(size, dtype=np.int64)
     u = ids.view(np.float64)
     rng.random(out=u)
@@ -155,27 +155,41 @@ def sample_graph_fast(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1
     i.i.d. sequence independent of the sources, so pairing them with the
     sorted sources gives the same arc multiset law as two i.i.d. sequences.
     """
-    return _unit_arc_codes(reps * w.n, _fast_arc_codes(w, l_n, seed, reps))
+    return _unit_arc_codes(reps * w.n, _fast_arc_codes(w.n, _arc_draw(w, l_n, reps), seed, reps))
 
 
-def _fast_arc_codes(w: WeightSequence, l_n: float, seed: int, reps: int = 1) -> np.ndarray:
-    """The draw of ``sample_graph_fast``: its K arc codes src * (reps n + 1) + dst, unsorted.
+def _arc_draw(w: WeightSequence, l_n: float, reps: int = 1) -> tuple[float, np.ndarray, np.ndarray]:
+    """What ``sample_graph_fast`` draws from: the mean arc count and the source and target cdfs.
 
-    ``_unit_arc_codes(reps * w.n, codes)`` makes them the graph; a caller
-    that holds the weights can drop them in between.
+    A sequence whose w_in is its w_out, as a mirrored model draws it, has
+    one cdf for both ends at reps = 1.  The weights are not needed after.
     """
     _check(l_n, reps)
+    # sources from w_out tiled reps times pick their block
+    cdf_out = np.cumsum(w.w_out if reps == 1 else np.tile(w.w_out, reps))
+    cdf_in = cdf_out if reps == 1 and w.w_in is w.w_out else np.cumsum(w.w_in)
+    return reps * w.sum_out * w.sum_in / l_n, cdf_out, cdf_in
+
+
+def _fast_arc_codes(n: int, draw: tuple, seed: int, reps: int = 1) -> np.ndarray:
+    """The arcs of ``sample_graph_fast``: K codes src * (reps n + 1) + dst, unsorted.
+
+    ``draw`` is ``_arc_draw(w, l_n, reps)``, so a caller can drop the
+    weights before the arcs are drawn; ``_unit_arc_codes(reps * n, codes)``
+    makes the codes the graph.
+    """
+    mean, cdf_out, cdf_in = draw
     rng = stream(seed, "fast")
-    k = int(rng.poisson(reps * w.sum_out * w.sum_in / l_n))
-    # sources from w_out tiled reps times pick their block; targets join it
-    src = _draw_vertices(w.w_out if reps == 1 else np.tile(w.w_out, reps), k, rng)
-    dst = _draw_vertices(w.w_in, k, rng)
+    k = int(rng.poisson(mean))
+    src = _draw_vertices(cdf_out, k, rng)
+    dst = _draw_vertices(cdf_in, k, rng)
     # the same stream as rng.permutation, without its copy
     rng.shuffle(dst)
     if reps > 1:
-        dst += (src - 1) // w.n * w.n
+        # targets join their source's block
+        dst += (src - 1) // n * n
     # the codes, built in the source buffer
-    src *= reps * w.n + 1
+    src *= reps * n + 1
     src += dst
     return src
 
@@ -278,7 +292,7 @@ def _nr_oriented_arcs(
     """
     k = rng.poisson(float(cap.sum()) ** 2 / (2.0 * l_n), size=reps)
     shift = np.repeat(np.arange(reps) * cap.size, k)
-    ids = _draw_vertices(cap, 2 * int(k.sum()), rng)
+    ids = _draw_vertices(np.cumsum(cap), 2 * int(k.sum()), rng)
     rng.shuffle(ids)
     a, b = ids.reshape(2, -1) + shift
     if orientation == "higher":

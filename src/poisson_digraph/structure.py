@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .digraph import _CHUNK_ROWS, MultiDigraph
+from .digraph import _CHUNK_ROWS, MultiDigraph, _append, _code_rows, _fold_blocks
 
 __all__ = [
     "DegreeArrays",
@@ -161,7 +161,7 @@ class ComponentSummary:
 
     Labels are 0-based arrays over vertices 1..n, numbered as scipy's
     ``connected_components`` numbers them.  Weak labels read after the
-    strong ones come from the smaller strong condensation.
+    strong ones are the strong classes joined along the arcs between them.
     """
 
     n: int
@@ -175,28 +175,63 @@ class ComponentSummary:
     def weak_labels(self) -> np.ndarray:
         if "strong_labels" not in self.__dict__:
             return connected_components(self.adjacency, directed=True, connection="weak")[1]
-        # weak classes are unions of strong ones: label the condensation, one
-        # node per strong class and the arcs between classes, not the graph
+        # weak classes are unions of strong ones: join the strong classes
+        # along the arcs between them, a chunk of arcs at a time, in a
+        # union-find forest over the classes.  No condensation is stored; a
+        # symmetric one would not do for scipy's strong routine, which loops
+        # forever on a row that repeats a column.
         strong = self.strong_labels
-        tails = np.repeat(strong, np.diff(self.adjacency.indptr))
-        heads = strong[self.adjacency.indices]
-        cross = tails != heads
-        tails, heads = tails[cross], heads[cross]
-        del cross
-        k = int(strong.max()) + 1
-        condensation = csr_matrix((np.ones(tails.size), (tails, heads)), shape=(k, k))
-        del tails, heads
-        labels = connected_components(condensation, directed=False)[1][strong]
+        parent = np.arange(int(strong.max()) + 1, dtype=strong.dtype)
+        # union by rank: a tree of rank r holds at least 2**r classes and is
+        # no deeper than r, so a root is found in at most log2 passes
+        rank = np.zeros(parent.size, dtype=np.uint8)
+        for tails, heads in self._cross_arcs(strong):
+            _join(parent, rank, tails, heads)
+        del rank
+        roots = _roots(parent, parent)
+        del parent
         # scipy numbers weak classes in the order of their smallest vertex
-        first = np.full(int(labels.max()) + 1, self.n)
-        np.minimum.at(first, labels, np.arange(self.n))
-        rank = np.empty(first.size, dtype=labels.dtype)
-        rank[np.argsort(first)] = np.arange(first.size)
-        return rank[labels]
+        first = np.full(roots.size, self.n, dtype=_index_type(self.n, 0))
+        for lo in range(0, self.n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, self.n)
+            np.minimum.at(first, roots[strong[lo:hi]], np.arange(lo, hi, dtype=first.dtype))
+        top = np.flatnonzero(first < self.n)
+        rank = np.empty(roots.size, dtype=strong.dtype)
+        rank[top[np.argsort(first[top])]] = np.arange(top.size)
+        del first, top
+        weak = rank[roots]
+        del rank, roots
+        return weak[strong]
+
+    def _cross_arcs(self, strong: np.ndarray):
+        """The arcs between strong classes as (tail class, head class) chunks.
+
+        A chunk is the arcs out of consecutive vertices, about
+        ``_CHUNK_ROWS`` of them (more only where one vertex has more).
+        """
+        indptr, indices = self.adjacency.indptr, self.adjacency.indices
+        lo = 0
+        while lo < self.n:
+            # the target in the offsets' own type, as a Python int would have
+            # searchsorted copy them to int64; past the last offset, any
+            # target finds what the last one does
+            end = min(int(indptr[lo]) + _CHUNK_ROWS, int(indptr[-1]))
+            cut = np.searchsorted(indptr, indptr.dtype.type(end), side="right")
+            hi = max(lo + 1, int(cut) - 1)
+            tails = np.repeat(strong[lo:hi], np.diff(indptr[lo : hi + 1]))
+            heads = strong[indices[indptr[lo] : indptr[hi]]]
+            cross = tails != heads
+            # the frame keeps only what it yields while the caller works
+            tails, heads = tails[cross], heads[cross]
+            del cross
+            yield tails, heads
+            lo = hi
 
     @staticmethod
     def _sizes(labels: np.ndarray) -> np.ndarray:
-        return np.sort(np.bincount(labels))[::-1]
+        sizes = _class_sizes(labels)
+        sizes.sort()
+        return sizes[::-1]
 
     @property
     def strong_sizes(self) -> np.ndarray:
@@ -209,14 +244,14 @@ class ComponentSummary:
     # the largest class count, without sorting every class size
     @property
     def largest_strong(self) -> int:
-        return int(np.bincount(self.strong_labels).max())
+        return int(_class_sizes(self.strong_labels).max())
 
     @property
     def largest_weak(self) -> int:
-        return int(np.bincount(self.weak_labels).max())
+        return int(_class_sizes(self.weak_labels).max())
 
     def to_json(self, topk: int = 5) -> str:
-        # strong first, so the weak labels come from its condensation
+        # strong first, so the weak labels are joined from its classes
         strong, weak = self.strong_sizes, self.weak_sizes
         obj = {
             "n": self.n,
@@ -229,26 +264,166 @@ class ComponentSummary:
 
 
 def component_summary(g: MultiDigraph) -> ComponentSummary:
-    """Strong and weak partitions of g (linear time each), computed on first read.
+    """Strong and weak partitions of g, computed on first read.
 
-    The adjacency's offsets and column ids are int32, the index type
-    scipy's graph routines take without a copy, up to 2**31 - 1 vertices
-    and arcs, and int64 above.  A caller that hands over its only
-    reference to g frees each graph array once it has been read.
+    Strong labels, and weak labels read first, take linear time.  Weak
+    labels read after the strong ones join the C strong classes in a
+    union-find forest no deeper than log2 C.
     """
-    n = g.n
-    index = np.int32 if max(n, g.src.size) <= np.iinfo(np.int32).max else np.int64
-    src, dst = g.src, g.dst
-    del g
-    indptr = np.cumsum(np.bincount(src, minlength=n + 1), dtype=index)
-    del src
-    indices = dst.astype(index)
-    del dst
+    indices = g.dst.astype(_index_type(g.n, g.src.size))
     indices -= 1
+    return ComponentSummary(g.n, _adjacency(g.n, g.src, indices))
+
+
+def _adjacency(n: int, src: np.ndarray, indices: np.ndarray) -> csr_matrix:
+    """The CSR adjacency on n vertices of arcs sorted by 1-based ``src``, 0-based ``indices``.
+
+    The offsets take the type of ``indices``: int32, the index type
+    scipy's graph routines take without a copy, up to 2**31 - 1 vertices
+    and arcs, and int64 above.  They are counted a chunk of sorted
+    sources at a time, so no arc-length array is made.
+    """
+    indptr = np.zeros(n + 1, dtype=indices.dtype)
+    for lo in range(0, src.size, _CHUNK_ROWS):
+        ids = src[lo : lo + _CHUNK_ROWS]
+        low = int(ids[0])
+        indptr[low : int(ids[-1]) + 1] += np.bincount(ids - low)
+    np.cumsum(indptr, out=indptr)
     # the routines read no weight, but take float64 data without a copy: one
     # value, broadcast, serves every arc
     ones = np.broadcast_to(np.float64(1.0), indices.shape)
-    return ComponentSummary(n, csr_matrix((ones, indices, indptr), shape=(n, n)))
+    return csr_matrix((ones, indices, indptr), shape=(n, n))
+
+
+def _class_sizes(labels: np.ndarray) -> np.ndarray:
+    """The number of vertices with each label, counted a chunk at a time.
+
+    ``np.bincount`` would first copy int32 labels to int64.
+    """
+    sizes = np.zeros(int(labels.max()) + 1, dtype=np.int64)
+    for lo in range(0, labels.size, _CHUNK_ROWS):
+        np.add.at(sizes, labels[lo : lo + _CHUNK_ROWS], 1)
+    return sizes
+
+
+def _roots(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The root of each of ``nodes`` in the union-find forest ``parent``."""
+    roots = parent[nodes]
+    while True:
+        up = parent[roots]
+        if np.array_equal(up, roots):
+            return roots
+        roots = up
+
+
+def _join(parent: np.ndarray, rank: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> None:
+    """Join the trees of ``tails[i]`` and ``heads[i]`` for every i, by rank.
+
+    Each round hooks the root of lower (rank, id) of each arc's ends under
+    the other; where a root has several such arcs one hook lands and the
+    rest are tried again.  A root hooked under one hooked in the same round
+    is then pointed at the end of that chain, so every hooked root sits
+    right under a root of rank at least its own, and a root that takes one
+    of equal rank goes up by one.
+    """
+    while tails.size:
+        a, b = _roots(parent, tails), _roots(parent, heads)
+        apart = a != b
+        tails, heads, a, b = tails[apart], heads[apart], a[apart], b[apart]
+        rank_a, rank_b = rank[a], rank[b]
+        swap = (rank_a > rank_b) | ((rank_a == rank_b) & (a > b))
+        low, high = np.where(swap, b, a), np.where(swap, a, b)
+        del a, b, rank_a, rank_b, swap
+        # the keys strictly increase up each hook, so no cycle is made
+        parent[low] = high
+        up = parent[low]
+        lost = up != high
+        tails, heads = tails[lost], heads[lost]
+        del high, lost
+        # pointer jumping: the hooked roots are every link of such a chain
+        # but its end, so each pass halves the chains
+        while True:
+            top = parent[up]
+            if np.array_equal(top, up):
+                break
+            parent[low] = up = top
+        np.maximum.at(rank, top, rank[low] + 1)
+
+
+def _index_type(n: int, rows: int) -> type:
+    """int32 where n vertices and ``rows`` arcs fit it, else int64."""
+    return np.int32 if max(n, rows) <= np.iinfo(np.int32).max else np.int64
+
+
+def _read_summary(path, n: int | None = None) -> ComponentSummary:
+    """``component_summary(read_edge_list(path, n)[0])``, from the reader's blocks.
+
+    The blocks go straight into the adjacency (``_fold_blocks``, with its
+    checks and errors), two narrow id columns of the rows with a nonzero
+    count; the graph is built only where n is not known in time.  A file
+    whose arc codes src * (n + 1) + dst strictly increase, as the writer's
+    do, is already the adjacency's order; any other is sorted and merged
+    from those columns.
+    """
+    n, _, rows = _fold_blocks(path, n, _AdjacencyRows, _AdjacencyRows.add)
+    if isinstance(rows, MultiDigraph):
+        return component_summary(rows)
+    return rows.summary()
+
+
+class _AdjacencyRows:
+    """The rows of one graph's adjacency as ``_read_summary`` gathers them.
+
+    Keeps the 1-based source and 0-based target of each row with a nonzero
+    count, in the type that holds the ids, and whether the codes still
+    strictly increase.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.columns = [np.empty(0, dtype=_index_type(n, 0)) for _ in range(2)]
+        self.used = 0
+        self.last = -1  # the last code so far, while the codes increase
+        self.ordered = True
+
+    def add(self, rows: np.ndarray, share: float | None) -> None:
+        src, dst, mult = rows.T
+        if mult.min() == 0:
+            keep = mult > 0
+            src, dst = src[keep], dst[keep]
+        if not src.size:
+            return
+        if self.ordered:
+            codes = src * (self.n + 1)
+            codes += dst
+            self.ordered = bool(codes[0] > self.last and np.all(codes[1:] > codes[:-1]))
+            self.last = int(codes[-1])
+        self.used = _append(self.columns, self.used, (src, dst - 1), share)
+
+    def summary(self) -> ComponentSummary:
+        """The component summary of the rows added, which it takes over."""
+        n, columns, used = self.n, self.columns, self.used
+        del self.columns
+        if not self.ordered:
+            # sort the codes, then write each run of equal ones back as one row
+            src, indices = columns
+            codes = src[:used].astype(np.int64)
+            codes *= n + 1
+            codes += indices[:used]
+            codes += 1
+            del src, indices
+            codes.sort()
+            used = 0
+            # the merged rows are no more than the columns hold
+            for src, dst, _ in _code_rows(n, codes):
+                used = _append(columns, used, (src, dst - 1), 1.0)
+            del codes
+        for column in columns:
+            column.resize(used, refcheck=False)
+        src, indices = columns
+        if indices.dtype != _index_type(n, used):
+            indices = indices.astype(np.int64)
+        return ComponentSummary(n, _adjacency(n, src, indices))
 
 
 # names for callers that read one partition; the other is never computed

@@ -25,11 +25,11 @@ import pytest
 import numpy as np
 
 import poisson_digraph
-from poisson_digraph import cli, digraph
+from poisson_digraph import cli, digraph, structure
 from poisson_digraph.analysis import degree_fit_test
 from poisson_digraph.cli import RunConfig
 from poisson_digraph.digraph import MultiDigraph, read_edge_list, write_edge_list
-from poisson_digraph.structure import degree_arrays
+from poisson_digraph.structure import component_summary, degree_arrays
 from poisson_digraph.weights import parse_model
 from graph_helpers import traced_peak
 
@@ -225,11 +225,11 @@ def test_sample_past_the_vertex_cap_exits_two_before_drawing(monkeypatch, capsys
 
 
 def test_out_of_memory_exits_two(monkeypatch, capsys, tmp_path):
-    def exhaust(g):
+    def exhaust(path, n):
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
     # raised, not allocated: a real allocation could exhaust an overcommitting host
-    monkeypatch.setattr(cli, "component_summary", exhaust)
+    monkeypatch.setattr(cli, "_read_summary", exhaust)
     path = tmp_path / "g.tsv"
     path.write_text("# n=3\n1\t2\t1\n")
     assert cli.main(["components", "--in", str(path)]) == 2
@@ -374,10 +374,12 @@ def test_command_peak_memory(command, large_edge_list, tmp_path):
     # constructors, a joined edge-list text and a graph held to the end,
     # sample peaked at 9.9, components at 9.6 and stats at 7.8; with a
     # loadtxt row matrix, float64 arc weights and the whole text rendered
-    # before writing, at 6.3, 6.4 and 6.2; the bounds are the readings of
-    # the block reader, int32 adjacency and streamed write plus 10 %:
-    # sample 5.2 (the graph and one rendered chunk), components 4.0, stats
-    # 2.5 (degree rows, no graph)
+    # before writing, at 6.3, 6.4 and 6.2; with the block reader, int32
+    # adjacency and streamed write, at 5.2, 4.0 and 2.5; the bounds are the
+    # readings of rows rendered from the sorted codes, the adjacency read
+    # from the blocks and the weak classes joined without a condensation,
+    # plus 10 %: sample 4.0 (the codes and one chunk's transients),
+    # components 2.3, stats 2.4 (degree rows, no graph)
     k = read_edge_list(large_edge_list)[0].total_arcs
     argv = {
         "sample": [*LARGE_SAMPLE, "--out", str(tmp_path / "graph.tsv")],
@@ -389,7 +391,7 @@ def test_command_peak_memory(command, large_edge_list, tmp_path):
     }[command]
     # a first run, so the modules a command imports on first use stay out of the trace
     assert cli.main(argv) == 0
-    bound = {"sample": 5.7, "components": 4.4, "stats": 2.75}[command]
+    bound = {"sample": 4.45, "components": 2.5, "stats": 2.75}[command]
     assert traced_peak(8 * k, cli.main, argv) <= bound
 
 
@@ -499,6 +501,92 @@ def test_stats_and_components_fail_alike_over_blocks(tmp_path, monkeypatch, rows
     for args in (["components"], ["stats", "--model", "constant:2"]):
         res = run_cli(*args, "--in", str(path))
         assert (res.returncode, res.stderr) == (3, f"error: {path}: {message}\n"), args
+
+
+def _summary_from_blocks_matches_the_graph(path, n=None):
+    """The block path of ``components`` on ``path`` against the summary of the graph read whole."""
+    expected = component_summary(read_edge_list(path, n)[0])
+    got = structure._read_summary(path, n)
+    for name in ("indptr", "indices"):
+        a, b = getattr(got.adjacency, name), getattr(expected.adjacency, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.to_json() == expected.to_json()
+    res = run_cli("components", "--in", str(path), *(["--n", str(n)] if n else []))
+    assert (res.returncode, res.stdout) == (0, expected.to_json() + "\n")
+
+
+@pytest.mark.parametrize("block", [512, 2**18], ids=["many-blocks", "one-block"])
+def test_components_from_blocks_match_components_of_the_graph(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block)
+    built = []
+    adopt = MultiDigraph._adopt.__func__
+    monkeypatch.setattr(
+        MultiDigraph, "_adopt", classmethod(lambda cls, *a: built.append(a[0]) or adopt(cls, *a))
+    )
+    header, *rows = _golden_edge_list().splitlines(keepends=True)
+    files = {
+        # unsorted rows with repeated pairs, zero counts and loops
+        "unsorted": header + "".join(rows),
+        "headerless": "".join(rows),
+        # n known only after the last row: the graph is built, unless the
+        # comment comes in the first block with data
+        "trailing-n": "".join(rows) + header,
+        "n1": "# n=1\n1\t1\t2\n1\t1\t0\n",
+        "empty": "# n=5\n",
+        "zero-counts-only": "# n=4\n1\t2\t0\n3\t1\t0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.tsv").write_text(text)
+    # the writer's sorted rows of the same graph, which need no sort
+    write_edge_list(read_edge_list(tmp_path / "unsorted.tsv")[0], tmp_path / "sorted.tsv")
+    for name, n, graphs in (
+        ("unsorted", None, 0),
+        ("sorted", None, 0),
+        ("headerless", 3000, 0),
+        ("trailing-n", None, int(block < (tmp_path / "trailing-n.tsv").stat().st_size)),
+        ("n1", None, 0),
+        ("empty", None, 1),
+        ("zero-counts-only", None, 0),
+    ):
+        path = tmp_path / f"{name}.tsv"
+        built.clear()
+        _summary_from_blocks_matches_the_graph(path, n)
+        # once by read_edge_list, and by the block path and the command only
+        # where n is not known at the first data block
+        assert len(built) == 1 + 2 * graphs, name
+
+
+def test_components_and_stats_fail_alike_without_n(tmp_path):
+    headerless = tmp_path / "plain.tsv"
+    headerless.write_text("1\t2\t1\n2\t3\t1\n")
+    for args in (["components"], ["stats"]):
+        res = run_cli(*args, "--in", str(headerless))
+        expected = f"error: {headerless}: no n declared in header and none supplied\n"
+        assert (res.returncode, res.stderr) == (3, expected), args
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a bad line after the first block
+        ("1\t2\t1\n" * 100 + "1\t2\tx\n", "line 102: 'x' is not an integer"),
+        # a failed check in the first block, a bad line in a later one
+        ("1\t9\t1\n" + "1\t2\t1\n" * 100 + "1\t2\n", "line 103: expected 3 fields"),
+        # a bad line in the first block, a failed check in a later one
+        ("1\t2\n" + "1\t2\t1\n" * 100 + "1\t9\t1\n", "line 2: expected 3 fields"),
+    ],
+    ids=["bad-line-late", "bad-id-then-bad-line", "bad-line-then-bad-id"],
+)
+def test_components_from_blocks_fail_as_the_reader_does(tmp_path, monkeypatch, rows, message):
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", 64)
+    path = tmp_path / "bad.tsv"
+    path.write_text("# n=3\n" + rows)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        read_edge_list(path)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        structure._read_summary(path)
+    errors = {run_cli(*args, "--in", str(path)).stderr for args in (["components"], ["stats"])}
+    assert len(errors) == 1 and errors.pop().startswith(f"error: {path}: {message}")
 
 
 def _failing_rows(*args):

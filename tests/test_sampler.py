@@ -171,6 +171,15 @@ def test_sample_graph_fast_peak_memory():
     assert traced_peak(8 * k, sample_graph_fast, w, l_n, 1) <= 3.7
 
 
+def test_mirrored_draw_shares_one_cdf():
+    mirrored = sample_weights(ParetoMirrored(3.5), 50, 1)
+    _, cdf_out, cdf_in = sampler._arc_draw(mirrored, 50.0)
+    assert cdf_out is cdf_in
+    product = sample_weights(IndependentProduct(ConstantMarginal(2.0), ConstantMarginal(2.0)), 50, 1)
+    _, cdf_out, cdf_in = sampler._arc_draw(product, 50.0)
+    assert cdf_out is not cdf_in and np.array_equal(cdf_out, cdf_in)
+
+
 def test_total_arcs_poisson_law():
     w = _const_pair(50)
     reps = 4_000

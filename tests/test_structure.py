@@ -6,6 +6,7 @@ that closure directly.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from poisson_digraph.structure import (
     strong_components,
     weak_components,
 )
-from poisson_digraph.weights import ParetoMirrored, sample_weights
+from poisson_digraph import structure
+from poisson_digraph.weights import ParetoMirrored, moments, sample_weights
 from poisson_digraph.digraph import MultiDigraph
-from graph_helpers import arc_dict, backward_cluster, forward_cluster, graph_from_arcs
+from graph_helpers import arc_dict, backward_cluster, forward_cluster, graph_from_arcs, traced_peak
 
 
 def _closure(g):
@@ -248,6 +250,63 @@ def test_weak_labels_equal_scipy_whichever_partition_is_read_first(g):
     order = np.random.default_rng(g.n).permutation(strong.max() + 1)
     renumbered.__dict__["strong_labels"] = order[strong]
     assert np.array_equal(renumbered.weak_labels, weak)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weak_labels_join_classes_across_many_chunks(monkeypatch, seed):
+    # a few arcs per chunk, so the union-find joins classes across chunks
+    monkeypatch.setattr(structure, "_CHUNK_ROWS", 3)
+    g = _loopy_multigraph(200, seed)
+    reference = csr_matrix((np.ones(g.src.size), (g.src - 1, g.dst - 1)), shape=(g.n, g.n))
+    s = component_summary(g)
+    s.strong_labels
+    weak = connected_components(reference, directed=True, connection="weak")[1]
+    assert np.array_equal(s.weak_labels, weak)
+
+
+@pytest.mark.parametrize("up", [True, False])
+def test_weak_labels_on_a_long_path_take_near_linear_time(up):
+    # a directed path is one strong class per vertex, and its arcs join
+    # neighbouring labels, so a forest hooked by label alone grows a chain
+    # as long as the path and finding its roots takes quadratic time
+    n = 200_000
+    ids = np.arange(1, n, dtype=np.int64)
+    src, dst = (ids, ids + 1) if up else (ids + 1, ids)
+    s = component_summary(MultiDigraph(n, src, dst, np.ones(n - 1, dtype=np.int64)))
+    s.strong_labels
+    start = time.perf_counter()
+    weak = s.weak_labels
+    assert time.perf_counter() - start < 5.0
+    reference = csr_matrix((np.ones(n - 1), (src - 1, dst - 1)), shape=(n, n))
+    assert np.array_equal(weak, connected_components(reference, directed=True, connection="weak")[1])
+
+
+def test_union_find_trees_stay_no_deeper_than_log2_of_their_size():
+    # classes joined one arc at a time, each to the next class up: a forest
+    # hooked by id alone grows the chain 0 -> 1 -> ... -> c - 1
+    c = 1024
+    parent = np.arange(c, dtype=np.int32)
+    rank = np.zeros(c, dtype=np.uint8)
+    for i in range(c - 1):
+        structure._join(parent, rank, np.array([i], dtype=np.int32), np.array([i + 1], dtype=np.int32))
+    nodes, depth = np.arange(c, dtype=np.int32), 0
+    while not np.array_equal(parent[nodes], nodes):
+        nodes, depth = parent[nodes], depth + 1
+    assert np.unique(nodes).size == 1
+    assert depth <= 10
+
+
+def test_weak_labels_peak_memory():
+    # in units of one int64 array of the K arcs (8 K bytes), weak labels read
+    # after the strong ones, through a COO condensation with float64 data
+    # and scipy's transposed copy, peaked at 1.89; joined class by class
+    # along the cross arcs of each chunk, at 0.70
+    model = ParetoMirrored(3.5)
+    w = sample_weights(model, 200_000, 1)
+    g = sample_graph_fast(w, moments(model).mu * w.n, 1)
+    s = component_summary(g)
+    s.strong_labels
+    assert traced_peak(8 * g.total_arcs, getattr, s, "weak_labels") <= 0.77
 
 
 def test_component_summary_invariants():
