@@ -34,12 +34,11 @@ from .digraph import (
     _read_degrees,
     _write_in_slices,
     _write_text,
-    read_edge_list,
 )
 from .sampler import _arc_draw, _fast_arc_codes, evolve_chain
 from .scaling import scaling_exponent_experiment
 from .structure import DegreeArrays, _read_summary
-from .verify import SUITES, check_graph_against_model, run_suite
+from .verify import SUITES, _degree_fit_check, run_suite
 from .weights import (
     NormalizerMode,
     ParetoMirrored,
@@ -193,7 +192,7 @@ def _emit(chunks, out: str | None) -> None:
         raise IOFailure(f"cannot write {out}: {exc}") from exc
 
 
-def _read_input(cfg: RunConfig, reader=read_edge_list):
+def _read_input(cfg: RunConfig, reader):
     """``reader(cfg.graph, cfg.n)``, with its errors as CLI failures."""
     if cfg.graph is None:
         raise UsageError("an input edge-list file is required")
@@ -327,12 +326,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.graph is not None:
         if cfg.model is None:
             raise UsageError("--graph mode needs --model to compare against")
-        g, _ = _read_input(cfg)
-        checks = [
-            check_graph_against_model(
-                g, _model(cfg), kmax=cfg.kmax, threshold=cfg.threshold, source=cfg.graph
-            )
-        ]
+        # the degrees, read as stats reads them, without the graph
+        n, _, _, rows = _read_input(cfg, _read_degrees)
+        fit = _degree_fit(DegreeArrays(*rows), n, _model(cfg), kmax=cfg.kmax, threshold=cfg.threshold)
+        checks = [_degree_fit_check(fit, cfg.graph)]
         label = "file"
     else:
         label = cfg.suite or "quick"

@@ -36,8 +36,10 @@ _CHUNK_ROWS = 2**16
 _WRITE_CHARS = 2**20
 # bytes the reader takes at a time; each block is cut at its last line end
 _BLOCK_BYTES = 2**18
-# MultiDigraph's checks on arc rows, in the order they are applied
+# MultiDigraph's checks on n and on arc rows, in the order they are applied
 _ARC_FAULTS = (
+    "n must be >= 1, got {n}",
+    f"n={{n}} exceeds the largest supported vertex count {MAX_N}",
     "vertex ids must lie in 1..{n}",
     "multiplicities must be nonnegative",
     "total multiplicity exceeds 2**63 - 1",
@@ -67,22 +69,16 @@ class MultiDigraph:
 
     def _build(self, n: int, src, dst, mult, as_int64) -> None:
         """The body of both entry points; ``as_int64`` copies (np.array) or adopts (np.asarray)."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if n > MAX_N:
-            raise ValueError(f"n={n} exceeds the largest supported vertex count {MAX_N}")
         src, dst, mult = (as_int64(a, dtype=np.int64) for a in (src, dst, mult))
         if not (src.shape == dst.shape == mult.shape) or src.ndim != 1:
             raise ValueError("src, dst, mult must be 1-d arrays of equal length")
-        fault = _arc_fault(n, src, dst, mult)[0]
-        if fault is not None:
-            raise ValueError(_ARC_FAULTS[fault].format(n=n))
+        _raise_fault(_arc_fault(n, src, dst, mult)[0], n)
         if src.size and mult.min() == 0:
             keep = mult > 0
             src, dst, mult = src[keep], dst[keep], mult[keep]
         # strictly increasing codes, as in every file the writer makes, are
         # already canonical: nothing to sort or merge
-        if not _strictly_increasing(n, src, dst):
+        if _last_increasing_code(n, src, dst, -1) is None:
             # merge duplicates in the canonical (src, dst) order; the ids are
             # read back off the sorted codes, so src and dst need not follow them
             codes = src * (n + 1)
@@ -164,40 +160,54 @@ class MultiDigraph:
         )
 
 
-def _arc_fault(n: int, src, dst, mult, total: int = 0) -> tuple[int | None, int]:
-    """The first of MultiDigraph's arc checks that int64 rows fail, and their running total.
+def _n_fault(n: int) -> int | None:
+    """The index into ``_ARC_FAULTS`` of the check that n fails, or None for n in 1..MAX_N."""
+    return None if 1 <= n <= MAX_N else int(n > MAX_N)
 
-    Returns the index into ``_ARC_FAULTS`` of the first failed check, or
-    None, and ``total`` plus the exact sum of ``mult`` (``total`` itself
-    once a check fails).  The checks, in order: ids in 1..n, no negative
-    count, and the total, with the rows of earlier calls, at most 2**63 - 1,
-    so that merged counts and ``total_arcs`` are exact int64 sums.  Rows
-    that come in parts, as the reader's blocks do, are checked part by part.
+
+def _arc_fault(n: int, src, dst, mult, total: int = 0) -> tuple[int | None, int]:
+    """The first of the checks of ``_ARC_FAULTS`` that n and int64 rows fail, and the rows' total.
+
+    Returns the index of the first failed check, or None, and ``total`` plus
+    the exact sum of ``mult`` (``total`` itself once a check fails).  The
+    total, with the rows of earlier calls, must be at most 2**63 - 1, so
+    that merged counts and ``total_arcs`` are exact int64 sums: rows that
+    come in parts, as the reader's blocks do, are checked part by part.
     """
-    if not src.size:
-        return None, total
+    fault = _n_fault(n)
+    if fault is not None or not src.size:
+        return fault, total
     if src.min() < 1 or src.max() > n or dst.min() < 1 or dst.max() > n:
-        return 0, total
+        return 2, total
     if mult.min() < 0:
-        return 1, total
+        return 3, total
     # max * size bounds the sum cheaply: within int64, numpy's sum is exact
     if mult.max() > _INT64_MAX // mult.size:
         total += sum(mult.tolist())
     else:
         total += int(mult.sum())
-    return (2 if total > _INT64_MAX else None), total
+    return (4 if total > _INT64_MAX else None), total
 
 
-def _strictly_increasing(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
-    """Whether the codes src * (n + 1) + dst strictly increase, checked a chunk at a time."""
+def _raise_fault(fault: int | None, n: int) -> None:
+    """Raise the ValueError of ``_ARC_FAULTS[fault]`` for n vertices, unless fault is None."""
+    if fault is not None:
+        raise ValueError(_ARC_FAULTS[fault].format(n=n))
+
+
+def _last_increasing_code(n: int, src: np.ndarray, dst: np.ndarray, last: int) -> int | None:
+    """The last of the codes src * (n + 1) + dst if they strictly increase from above ``last``.
+
+    ``last`` is the code of the rows before, or -1 for none; None means the
+    codes do not increase.  The codes are made a chunk at a time.
+    """
     for lo in range(0, src.size, _CHUNK_ROWS):
-        # each chunk starts at the last row of the one before
-        rows = slice(max(lo - 1, 0), lo + _CHUNK_ROWS)
-        codes = src[rows] * (n + 1)
-        codes += dst[rows]
-        if np.any(codes[1:] <= codes[:-1]):
-            return False
-    return True
+        codes = src[lo : lo + _CHUNK_ROWS] * (n + 1)
+        codes += dst[lo : lo + _CHUNK_ROWS]
+        if codes[0] <= last or np.any(codes[1:] <= codes[:-1]):
+            return None
+        last = int(codes[-1])
+    return last
 
 
 def _count_degrees(degrees: np.ndarray, src, dst, mult) -> None:
@@ -306,8 +316,7 @@ def _row_chunks(n: int, rows):
     top, total = [0, 0, 0], 0
     for columns in rows():
         fault, total = _arc_fault(n, *columns, total)
-        if fault is not None:
-            raise ValueError(_ARC_FAULTS[fault].format(n=n))
+        _raise_fault(fault, n)
         top = [max(t, int(col.max())) for t, col in zip(top, columns)]
     widths = [len(str(t)) for t in top]
     # the narrowest unsigned type that holds each column's values
@@ -416,116 +425,110 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
     are skipped, and a line whose first non-blank character is '#' is a
     comment, read as ``key=value`` metadata when it has an '='.  A comment
     may hold any bytes, but a ``key=value`` one must be UTF-8.  n is taken
-    from the header unless supplied explicitly.  Malformed data lines,
-    metadata that is not UTF-8, and an ``n`` that is not an integer or
-    disagrees with an earlier one, raise ValueError naming the line number.
-    The file is read once, in blocks, so a pipe or /dev/stdin reads alike.
+    from the ``n`` comment, wherever it stands, unless supplied explicitly.
+    Malformed data lines, metadata that is not UTF-8, and an ``n`` that is
+    not an integer or disagrees with an earlier one, raise ValueError naming
+    the line number.  The file is read once, in blocks (``_fold_blocks``),
+    so a pipe or /dev/stdin reads alike; the graph takes over the columns.
     """
     meta: dict[str, str] = {}
-    return _graph_from_blocks(_row_blocks(path, meta), meta, n), meta
-
-
-def _graph_from_blocks(blocks, meta: dict, n: int | None) -> MultiDigraph:
-    """The graph of the rows ``_row_blocks`` yields, with n as ``read_edge_list`` takes it."""
-    src, dst, mult = _columns(blocks)
-    if n is None:
-        if "n" not in meta:
-            raise ValueError("no n declared in header and none supplied")
-        n = int(meta["n"])
-    return MultiDigraph._adopt(n, src, dst, mult)
+    n, _, columns = _fold_blocks(path, n, meta, lambda n: _Columns(3, np.int64), _Columns.append)
+    return MultiDigraph._adopt(n, *columns.take()), meta
 
 
 def _read_degrees(path: str | Path, n: int | None = None) -> tuple[int, int, int, np.ndarray]:
     """n, total arcs, total loops and ``_degrees`` of the graph ``read_edge_list(path, n)`` reads.
 
-    The degrees are counted from the reader's blocks as they come
-    (``_fold_blocks``), so the graph is built only where n is not known in
-    time.
+    The degrees are counted from the reader's blocks (``_fold_blocks``), with no graph.
     """
     n, total, degrees = _fold_blocks(
-        path,
-        n,
-        lambda n: np.zeros((3, n + 1), dtype=np.int64),
-        lambda degrees, rows, share: _count_degrees(degrees, *rows.T),
+        path, n, {}, lambda n: np.zeros((3, n + 1), dtype=np.int64),
+        lambda degrees, columns, share: _count_degrees(degrees, *columns),
     )
-    if isinstance(degrees, MultiDigraph):
-        return n, total, degrees.total_loops, degrees._degrees
     return n, total, int(degrees[2].sum()), _degree_rows(degrees)
 
 
-def _fold_blocks(path: str | Path, n: int | None, start, add):
-    """Fold the rows of ``read_edge_list(path, n)`` into a state a block at a time, with no graph.
+def _fold_blocks(path: str | Path, n: int | None, meta: dict, start, add):
+    """Fold the rows of an edge-list file into a state, a block at a time: the one edge-list reader.
 
-    ``start(n)`` makes the state for n vertices; ``add(state, rows,
-    share)`` takes each (rows, 3) block of ``_row_blocks`` while every
-    block so far passes the graph's arc checks.  The errors and their
-    order are those of ``read_edge_list``: a bad line anywhere before any
-    failed check, and the checks in their own order over the whole file.
-    Returns n, the total arcs and the state.  Where n is not known when the
-    first data block arrives (no ``n`` argument, and no ``n`` comment up to
-    that block's end), is out of range, or sizes a state that does not fit
-    in memory, the graph is built and returned in the state's place.
+    ``start(n)`` makes the state for n vertices, and ``add(state, columns,
+    share)`` takes the src, dst and count columns of each block of
+    ``_row_blocks`` in file order, while every block so far passes the
+    graph's checks.  n is the argument, or else the file's ``n`` comment:
+    the blocks read before it are held, then folded.  ``meta`` gathers the
+    ``key=value`` comments.  Returns n, the total arcs and the state.
+
+    The first error of the file is raised: a bad line anywhere, then no n,
+    then the checks of ``_ARC_FAULTS`` in their order (n in 1..MAX_N, ids,
+    negative counts, the int64 total).  A state that does not fit raises
+    its MemoryError only where the file passes all of these.
     """
-    meta: dict[str, str] = {}
     blocks = _row_blocks(path, meta)
-    state = None
-    fault, total = None, 0
-    for rows, share in blocks:
-        if state is None:
-            vertices = n if n is not None else int(meta.get("n", 0))
-            if 1 <= vertices <= MAX_N:
-                try:
-                    state = start(vertices)
-                except MemoryError:
-                    pass
-            if state is None:
-                blocks = chain([(rows, share)], blocks)
-                break
+    held = []
+    for block in blocks:
+        held.append(block)
+        if n is not None or "n" in meta:
+            break
+    if n is None:
+        if "n" not in meta:
+            raise ValueError("no n declared in header and none supplied")
+        n = int(meta["n"])
+    fault, total = _n_fault(n), 0
+    state = memory = None
+    if fault is None:
+        try:
+            state = start(n)
+        except MemoryError as exc:
+            memory = exc
+    # the held blocks are let go as they are folded
+    for rows, share in chain((held.pop(0) for _ in range(len(held))), blocks):
         if fault is None:
-            fault, total = _arc_fault(vertices, *rows.T, total)
-            if fault is None:
-                add(state, rows, share)
+            fault, total = _arc_fault(n, *rows.T, total)
+            if fault is None and state is not None:
+                try:
+                    add(state, rows.T, share)
+                except MemoryError as exc:
+                    state, memory = None, exc
         else:
             # a later block can still fail a check that comes first
-            later = _arc_fault(vertices, *rows.T)[0]
+            later = _arc_fault(n, *rows.T)[0]
             fault = fault if later is None else min(fault, later)
-    if state is None:
-        g = _graph_from_blocks(blocks, meta, n)
-        return g.n, g.total_arcs, g
-    if fault is not None:
-        raise ValueError(_ARC_FAULTS[fault].format(n=vertices))
-    return vertices, total, state
+    _raise_fault(fault, n)
+    if memory is not None:
+        raise memory
+    return n, total, state
 
 
-def _columns(blocks) -> list[np.ndarray]:
-    """The src, dst and multiplicity columns of the (rows, 3) blocks of ``_row_blocks``."""
-    columns = [np.empty(0, dtype=np.int64) for _ in range(3)]
-    used = 0
-    for rows, share in blocks:
-        used = _append(columns, used, rows.T, share)
-    for column in columns:
-        column.resize(used, refcheck=False)
-    return columns
+class _Columns:
+    """Equal columns of one type, grown in place as rows are appended."""
 
+    def __init__(self, count: int, dtype):
+        self.arrays = [np.empty(0, dtype=dtype) for _ in range(count)]
+        self.used = 0
 
-def _append(columns: list[np.ndarray], used: int, values, share: float | None) -> int:
-    """Write the arrays of ``values`` into ``columns`` after ``used`` rows; returns the rows used.
+    def append(self, values, share: float | None) -> None:
+        """Write the equal arrays of ``values`` into the columns after the rows used.
 
-    Columns that are full are grown in place to twice the rows, or to the
-    rows extrapolated from the ``share`` of the file read if fewer: a sorted
-    file's first rows, with the smallest source ids, are its shortest, so an
-    extrapolation from them runs high until much of the file is read.  A
-    pipe, whose size is unknown (share None), doubles them.  The caller
-    cuts them to the rows used at the end.
-    """
-    end = used + len(values[0])
-    if end > columns[0].size:
-        size = 2 * end if share is None else min(2 * end, math.ceil(end / share))
-        for column in columns:
-            column.resize(max(end, size), refcheck=False)
-    for column, rows in zip(columns, values):
-        column[used:end] = rows
-    return end
+        Columns that are full are grown in place to twice the rows, or to the
+        rows extrapolated from the ``share`` of the file read if fewer: a sorted
+        file's first rows, with the smallest source ids, are its shortest, so an
+        extrapolation from them runs high until much of the file is read.  A
+        pipe, whose size is unknown (share None), doubles them.
+        """
+        end = self.used + len(values[0])
+        if end > self.arrays[0].size:
+            size = 2 * end if share is None else min(2 * end, math.ceil(end / share))
+            for column in self.arrays:
+                column.resize(max(end, size), refcheck=False)
+        for column, rows in zip(self.arrays, values):
+            column[self.used : end] = rows
+        self.used = end
+
+    def take(self) -> list[np.ndarray]:
+        """The columns cut to the rows used, handed over to the caller."""
+        for column in self.arrays:
+            column.resize(self.used, refcheck=False)
+        return self.arrays
 
 
 def _row_blocks(path: str | Path, meta: dict):

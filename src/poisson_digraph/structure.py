@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .digraph import _CHUNK_ROWS, MultiDigraph, _append, _code_rows, _fold_blocks
+from .digraph import _CHUNK_ROWS, MultiDigraph, _code_rows, _Columns, _fold_blocks, _last_increasing_code
 
 __all__ = [
     "DegreeArrays",
@@ -162,10 +162,16 @@ class ComponentSummary:
     Labels are 0-based arrays over vertices 1..n, numbered as scipy's
     ``connected_components`` numbers them.  Weak labels read after the
     strong ones are the strong classes joined along the arcs between them.
+    The adjacency must be a canonical (n, n) CSR matrix, as scipy's strong
+    routine loops forever on a row that repeats a column.
     """
 
     n: int
     adjacency: csr_matrix = field(repr=False)
+
+    def __post_init__(self):
+        if self.adjacency.shape != (self.n, self.n) or not self.adjacency.has_canonical_format:
+            raise ValueError(f"adjacency must be a canonical {self.n} x {self.n} CSR matrix")
 
     @cached_property
     def strong_labels(self) -> np.ndarray:
@@ -292,7 +298,10 @@ def _adjacency(n: int, src: np.ndarray, indices: np.ndarray) -> csr_matrix:
     # the routines read no weight, but take float64 data without a copy: one
     # value, broadcast, serves every arc
     ones = np.broadcast_to(np.float64(1.0), indices.shape)
-    return csr_matrix((ones, indices, indptr), shape=(n, n))
+    adjacency = csr_matrix((ones, indices, indptr), shape=(n, n))
+    # sorted and merged arcs: ComponentSummary need not scan them to know it
+    adjacency.has_canonical_format = True
+    return adjacency
 
 
 def _class_sizes(labels: np.ndarray) -> np.ndarray:
@@ -359,69 +368,57 @@ def _read_summary(path, n: int | None = None) -> ComponentSummary:
     """``component_summary(read_edge_list(path, n)[0])``, from the reader's blocks.
 
     The blocks go straight into the adjacency (``_fold_blocks``, with its
-    checks and errors), two narrow id columns of the rows with a nonzero
-    count; the graph is built only where n is not known in time.  A file
-    whose arc codes src * (n + 1) + dst strictly increase, as the writer's
-    do, is already the adjacency's order; any other is sorted and merged
-    from those columns.
+    checks, errors and blocks held until n is known), two narrow id columns
+    of the rows with a nonzero count; no graph is built.  A file whose arc
+    codes src * (n + 1) + dst strictly increase, as the writer's do, is
+    already the adjacency's order; any other is sorted and merged from
+    those columns.
     """
-    n, _, rows = _fold_blocks(path, n, _AdjacencyRows, _AdjacencyRows.add)
-    if isinstance(rows, MultiDigraph):
-        return component_summary(rows)
-    return rows.summary()
+    return _fold_blocks(path, n, {}, _AdjacencyRows, _AdjacencyRows.add)[2].summary()
 
 
 class _AdjacencyRows:
     """The rows of one graph's adjacency as ``_read_summary`` gathers them.
 
     Keeps the 1-based source and 0-based target of each row with a nonzero
-    count, in the type that holds the ids, and whether the codes still
-    strictly increase.
+    count, in the type that holds the ids, and the last arc code while the
+    codes strictly increase (None once they do not).
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.columns = [np.empty(0, dtype=_index_type(n, 0)) for _ in range(2)]
-        self.used = 0
-        self.last = -1  # the last code so far, while the codes increase
-        self.ordered = True
+        self.columns = _Columns(2, _index_type(n, 0))
+        self.last = -1
 
-    def add(self, rows: np.ndarray, share: float | None) -> None:
-        src, dst, mult = rows.T
+    def add(self, columns: np.ndarray, share: float | None) -> None:
+        src, dst, mult = columns
         if mult.min() == 0:
             keep = mult > 0
             src, dst = src[keep], dst[keep]
-        if not src.size:
-            return
-        if self.ordered:
-            codes = src * (self.n + 1)
-            codes += dst
-            self.ordered = bool(codes[0] > self.last and np.all(codes[1:] > codes[:-1]))
-            self.last = int(codes[-1])
-        self.used = _append(self.columns, self.used, (src, dst - 1), share)
+        if self.last is not None:
+            self.last = _last_increasing_code(self.n, src, dst, self.last)
+        self.columns.append((src, dst - 1), share)
 
     def summary(self) -> ComponentSummary:
         """The component summary of the rows added, which it takes over."""
-        n, columns, used = self.n, self.columns, self.used
+        n, columns = self.n, self.columns
         del self.columns
-        if not self.ordered:
+        if self.last is None:
             # sort the codes, then write each run of equal ones back as one row
-            src, indices = columns
-            codes = src[:used].astype(np.int64)
+            src, indices = columns.arrays
+            codes = src[: columns.used].astype(np.int64)
             codes *= n + 1
-            codes += indices[:used]
+            codes += indices[: columns.used]
             codes += 1
             del src, indices
             codes.sort()
-            used = 0
+            columns.used = 0
             # the merged rows are no more than the columns hold
             for src, dst, _ in _code_rows(n, codes):
-                used = _append(columns, used, (src, dst - 1), 1.0)
+                columns.append((src, dst - 1), 1.0)
             del codes
-        for column in columns:
-            column.resize(used, refcheck=False)
-        src, indices = columns
-        if indices.dtype != _index_type(n, used):
+        src, indices = columns.take()
+        if indices.dtype != _index_type(n, src.size):
             indices = indices.astype(np.int64)
         return ComponentSummary(n, _adjacency(n, src, indices))
 

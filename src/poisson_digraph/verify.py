@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
+    DegreeFitResult,
     conditional_degree_params,
     degree_fit_test,
     empirical_tv,
@@ -398,12 +399,9 @@ def check_graph_against_model(
     source: str = "",
 ) -> CheckResult:
     """Degree-law check of a loaded graph against a weight model."""
-    fit = degree_fit_test(g, model, kmax=kmax, threshold=threshold)
-    return _below(
-        "degree-fit-file",
-        fit.statistic,
-        fit.threshold,
-        n=g.n,
-        kmax=fit.kmax,
-        source=source,
-    )
+    return _degree_fit_check(degree_fit_test(g, model, kmax=kmax, threshold=threshold), source)
+
+
+def _degree_fit_check(fit: DegreeFitResult, source: str) -> CheckResult:
+    """The ``degree-fit-file`` verdict of a degree fit of the graph read from ``source``."""
+    return _below("degree-fit-file", fit.statistic, fit.threshold, n=fit.n, kmax=fit.kmax, source=source)

@@ -17,6 +17,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from poisson_digraph.analysis import degree_fit_test
 from poisson_digraph.cli import RunConfig
 from poisson_digraph.digraph import MultiDigraph, read_edge_list, write_edge_list
 from poisson_digraph.structure import component_summary, degree_arrays
+from poisson_digraph.verify import check_graph_against_model
 from poisson_digraph.weights import parse_model
 from graph_helpers import traced_peak
 
@@ -424,7 +426,7 @@ def test_stats_degrees_are_exact_past_2_53(capsys, tmp_path):
 
 
 def _stats_of_graph(path, n=None, model="pareto-mirrored:3.5,1", kmax=30):
-    """What ``stats --model model --kmax kmax`` prints, computed from the graph the file holds."""
+    """Exit code and output of ``stats --model model --kmax kmax``, computed from the graph the file holds."""
     g, _ = read_edge_list(path, n)
     arr = degree_arrays(g)
     fit = degree_fit_test(g, parse_model(model), kmax=kmax, threshold=0.02)
@@ -445,36 +447,79 @@ def _stats_of_graph(path, n=None, model="pareto-mirrored:3.5,1", kmax=30):
             "kmax": fit.kmax,
         },
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return int(not fit.passed), json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("block", [512, 2**18], ids=["many-blocks", "one-block"])
-def test_stats_from_blocks_match_stats_of_the_graph(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block)
+def _verify_of_graph(path, n=None, model="pareto-mirrored:3.5,1", kmax=30):
+    """Exit code and output of ``verify --graph path --model model --kmax kmax``, from the graph."""
+    g, _ = read_edge_list(path, n)
+    check = check_graph_against_model(g, parse_model(model), kmax, 0.02, source=str(path))
+    payload = {"suite": "file", "checks": [check.to_dict()], "all_pass": check.passed}
+    return int(not check.passed), json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _edge_list_files(tmp_path):
+    """Paths of the golden graph's rows with n at the top, after the rows, between them or not at all.
+
+    Also a one-vertex graph and an empty one; each name maps to (path, the
+    n a reader must be given).
+    """
+    header, *rows = _golden_edge_list().splitlines(keepends=True)
+    half = len(rows) // 2
+    texts = {
+        # unsorted rows with repeated pairs, zero counts and loops
+        "header": (header + "".join(rows), None),
+        "headerless": ("".join(rows), 3000),
+        # n known only partway: the rows before it are held until it is read
+        "mid-n": ("".join(rows[:half]) + header + "".join(rows[half:]), None),
+        "trailing-n": ("".join(rows) + header, None),
+        "n1": ("# n=1\n1\t1\t2\n1\t1\t0\n", None),
+        "empty": ("# n=5\n", None),
+    }
+    files = {}
+    for name, (text, n) in texts.items():
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(text)
+        files[name] = (path, n)
+    return files
+
+
+def _count_graphs(monkeypatch):
+    """A list to which every ``MultiDigraph._adopt`` call, the build of a graph read off a file, appends its n."""
     built = []
     adopt = MultiDigraph._adopt.__func__
     monkeypatch.setattr(
         MultiDigraph, "_adopt", classmethod(lambda cls, *a: built.append(a[0]) or adopt(cls, *a))
     )
-    header, *rows = _golden_edge_list().splitlines(keepends=True)
-    files = {name: tmp_path / f"{name}.tsv" for name in ("header", "headerless", "trailing-n")}
-    # unsorted rows with repeated pairs, zero counts and loops
-    files["header"].write_text(header + "".join(rows))
-    files["headerless"].write_text("".join(rows))
-    # n known only after the last row: stats builds the graph, unless the
-    # comment comes in the first block with data
-    files["trailing-n"].write_text("".join(rows) + header)
-    for name, path, n, graphs in (
-        ("header", files["header"], None, 0),
-        ("headerless", files["headerless"], 3000, 0),
-        ("trailing-n", files["trailing-n"], None, int(block < files["trailing-n"].stat().st_size)),
-    ):
-        expected = _stats_of_graph(path, n)
-        built.clear()
-        args = ["stats", "--in", str(path), "--model", "pareto-mirrored:3.5,1", "--kmax", "30"]
-        res = run_cli(*args, *(["--n", str(n)] if n else []))
-        assert (res.returncode, res.stdout) == (1, expected), name
-        assert len(built) == graphs, name
+    return built
+
+
+@pytest.mark.parametrize("block", [512, 2**18], ids=["many-blocks", "one-block"])
+def test_stats_from_blocks_match_stats_of_the_graph(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block)
+    built = _count_graphs(monkeypatch)
+    model = ["--model", "pareto-mirrored:3.5,1", "--kmax", "30"]
+    for name, (path, n) in _edge_list_files(tmp_path).items():
+        with warnings.catch_warnings():
+            # the degree fit of a small graph warns that it has little power
+            warnings.simplefilter("ignore", UserWarning)
+            expected = {"stats": _stats_of_graph(path, n), "verify": _verify_of_graph(path, n)}
+            built.clear()
+            size = ["--n", str(n)] if n else []
+            stats = run_cli("stats", "--in", str(path), *model, *size)
+            check = run_cli("verify", "--graph", str(path), *model, *size)
+        assert (stats.returncode, stats.stdout) == expected["stats"], name
+        assert (check.returncode, check.stdout) == expected["verify"], name
+        # the degrees are counted from the blocks, whatever line n is on
+        assert built == [], name
+
+
+# each command that reads an edge list, up to its input path
+_READERS = (
+    ["components", "--in"],
+    ["stats", "--model", "constant:2", "--in"],
+    ["verify", "--model", "constant:2", "--graph"],
+)
 
 
 @pytest.mark.parametrize(
@@ -498,8 +543,8 @@ def test_stats_and_components_fail_alike_over_blocks(tmp_path, monkeypatch, rows
     monkeypatch.setattr(digraph, "_BLOCK_BYTES", 64)
     path = tmp_path / "bad.tsv"
     path.write_text("# n=3\n" + rows)
-    for args in (["components"], ["stats", "--model", "constant:2"]):
-        res = run_cli(*args, "--in", str(path))
+    for args in _READERS:
+        res = run_cli(*args, str(path))
         assert (res.returncode, res.stderr) == (3, f"error: {path}: {message}\n"), args
 
 
@@ -518,49 +563,39 @@ def _summary_from_blocks_matches_the_graph(path, n=None):
 @pytest.mark.parametrize("block", [512, 2**18], ids=["many-blocks", "one-block"])
 def test_components_from_blocks_match_components_of_the_graph(tmp_path, monkeypatch, block):
     monkeypatch.setattr(digraph, "_BLOCK_BYTES", block)
-    built = []
-    adopt = MultiDigraph._adopt.__func__
-    monkeypatch.setattr(
-        MultiDigraph, "_adopt", classmethod(lambda cls, *a: built.append(a[0]) or adopt(cls, *a))
-    )
-    header, *rows = _golden_edge_list().splitlines(keepends=True)
-    files = {
-        # unsorted rows with repeated pairs, zero counts and loops
-        "unsorted": header + "".join(rows),
-        "headerless": "".join(rows),
-        # n known only after the last row: the graph is built, unless the
-        # comment comes in the first block with data
-        "trailing-n": "".join(rows) + header,
-        "n1": "# n=1\n1\t1\t2\n1\t1\t0\n",
-        "empty": "# n=5\n",
-        "zero-counts-only": "# n=4\n1\t2\t0\n3\t1\t0\n",
-    }
-    for name, text in files.items():
-        (tmp_path / f"{name}.tsv").write_text(text)
+    built = _count_graphs(monkeypatch)
+    files = _edge_list_files(tmp_path)
+    files["zero-counts-only"] = (tmp_path / "zero-counts-only.tsv", None)
+    files["zero-counts-only"][0].write_text("# n=4\n1\t2\t0\n3\t1\t0\n")
     # the writer's sorted rows of the same graph, which need no sort
-    write_edge_list(read_edge_list(tmp_path / "unsorted.tsv")[0], tmp_path / "sorted.tsv")
-    for name, n, graphs in (
-        ("unsorted", None, 0),
-        ("sorted", None, 0),
-        ("headerless", 3000, 0),
-        ("trailing-n", None, int(block < (tmp_path / "trailing-n.tsv").stat().st_size)),
-        ("n1", None, 0),
-        ("empty", None, 1),
-        ("zero-counts-only", None, 0),
-    ):
-        path = tmp_path / f"{name}.tsv"
+    files["sorted"] = (tmp_path / "sorted.tsv", None)
+    write_edge_list(read_edge_list(files["header"][0])[0], files["sorted"][0])
+    for name, (path, n) in files.items():
         built.clear()
         _summary_from_blocks_matches_the_graph(path, n)
-        # once by read_edge_list, and by the block path and the command only
-        # where n is not known at the first data block
-        assert len(built) == 1 + 2 * graphs, name
+        # once by read_edge_list, and never by the block path or the command
+        assert len(built) == 1, name
+
+
+def test_an_n_comment_between_data_blocks_reads_as_a_header(tmp_path, monkeypatch):
+    # 64-byte blocks: the rows before the comment are held, those after it
+    # are folded as they come
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", 64)
+    files = _edge_list_files(tmp_path)
+    top, middle = files["header"][0], files["mid-n"][0]
+    assert read_edge_list(middle) == read_edge_list(top)
+    for args in (*_READERS, ["stats", "--model", "pareto-mirrored:3.5,1", "--kmax", "30", "--in"]):
+        expected = run_cli(*args, str(top))
+        res = run_cli(*args, str(middle))
+        assert res.stdout == expected.stdout.replace(str(top), str(middle)), args
+        assert res.returncode == expected.returncode and res.stderr == expected.stderr == "", args
 
 
 def test_components_and_stats_fail_alike_without_n(tmp_path):
     headerless = tmp_path / "plain.tsv"
     headerless.write_text("1\t2\t1\n2\t3\t1\n")
-    for args in (["components"], ["stats"]):
-        res = run_cli(*args, "--in", str(headerless))
+    for args in _READERS:
+        res = run_cli(*args, str(headerless))
         expected = f"error: {headerless}: no n declared in header and none supplied\n"
         assert (res.returncode, res.stderr) == (3, expected), args
 
@@ -585,8 +620,46 @@ def test_components_from_blocks_fail_as_the_reader_does(tmp_path, monkeypatch, r
         read_edge_list(path)
     with pytest.raises(ValueError, match=f"^{message}"):
         structure._read_summary(path)
-    errors = {run_cli(*args, "--in", str(path)).stderr for args in (["components"], ["stats"])}
+    errors = {run_cli(*args, str(path)).stderr for args in _READERS}
     assert len(errors) == 1 and errors.pop().startswith(f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize("hook", ["start", "add"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# n=3\n" + "1\t2\t1\n" * 100 + "1\t2\tx\n", "line 102: 'x' is not an integer"),
+        ("# n=3\n" + "1\t2\t1\n" * 100 + "1\t9\t1\n", "vertex ids must lie in 1..3"),
+        ("1\t2\t1\n" * 100, "no n declared in header and none supplied"),
+        ("# n=3\n" + "1\t2\t1\n" * 100, None),
+    ],
+    ids=["bad-line", "bad-id", "no-n", "clean"],
+)
+def test_a_state_that_does_not_fit_fails_only_a_clean_file(tmp_path, monkeypatch, hook, text, message):
+    # the fold's state is refused when it is made or when it first grows;
+    # raised, not allocated: a real allocation could exhaust an overcommitting host
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", 64)
+    fold = digraph._fold_blocks
+
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 72.0 GiB for an array")
+
+    def no_room(path, n, meta, start, add):
+        return fold(path, n, meta, *{"start": (refuse, add), "add": (start, refuse)}[hook])
+
+    for module in (digraph, structure):
+        monkeypatch.setattr(module, "_fold_blocks", no_room)
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError if message else MemoryError, match=message or "72.0 GiB"):
+        read_edge_list(path)
+    for args in _READERS:
+        res = run_cli(*args, str(path))
+        if message:
+            assert (res.returncode, res.stderr) == (3, f"error: {path}: {message}\n"), args
+        else:
+            assert (res.returncode, res.stdout) == (2, ""), args
+            assert res.stderr.startswith("error: not enough memory: Unable to allocate"), args
 
 
 def _failing_rows(*args):

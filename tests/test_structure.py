@@ -335,3 +335,25 @@ def test_summary_handles_empty_graph():
     assert s.largest_strong == 1
     assert s.largest_weak == 1
     assert len(s.strong_sizes) == 6
+
+
+def test_summary_refuses_an_adjacency_that_is_not_canonical(monkeypatch):
+    # scipy's strong routine never returns on a row that repeats a column,
+    # so such an adjacency is refused before any label is read
+    def no_labels(*args, **kwargs):
+        raise AssertionError("a label was read")
+
+    monkeypatch.setattr(structure, "connected_components", no_labels)
+    canonical = csr_matrix((np.ones(2), [0, 1], [0, 2, 2]), shape=(2, 2))
+    bad = {
+        "repeated-column": (2, csr_matrix((np.ones(2), [1, 1], [0, 2, 2]), shape=(2, 2))),
+        "unsorted-row": (2, csr_matrix((np.ones(2), [1, 0], [0, 2, 2]), shape=(2, 2))),
+        "n-not-its-shape": (3, canonical),
+        "not-square": (2, csr_matrix((np.ones(2), [0, 2], [0, 2, 2]), shape=(2, 3))),
+    }
+    for name, (n, adjacency) in bad.items():
+        with pytest.raises(ValueError, match=f"^adjacency must be a canonical {n} x {n} CSR matrix$"):
+            ComponentSummary(n, adjacency)
+    assert ComponentSummary(2, canonical).n == 2
+    # the summary of a graph is canonical by construction
+    assert component_summary(graph_from_arcs(3, {(1, 2): 2, (1, 1): 1})).adjacency.has_canonical_format
