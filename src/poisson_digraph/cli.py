@@ -18,7 +18,6 @@ import json
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +236,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     # the rows are rendered from the sorted codes; no graph is built
     codes.sort()
     meta = _header_meta(model, cfg, l_n=float(l_n))
-    _emit(_edge_list_chunks(cfg.n, partial(_code_rows, cfg.n, codes), meta), cfg.out)
+    _emit(_edge_list_chunks(cfg.n, _code_rows(cfg.n, codes), meta), cfg.out)
     return 0
 
 
@@ -249,7 +248,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         raise UsageError(f"need 1 <= from <= to <= {MAX_N}, got {cfg.n_from}..{cfg.n_to}")
     g = evolve_chain(model, cfg.n_from, cfg.n_to, cfg.seed, NormalizerMode(cfg.normalizer_mode))
     meta = _header_meta(model, cfg, n_from=cfg.n_from, n_to=cfg.n_to)
-    _emit(_edge_list_chunks(g.n, partial(_graph_rows, g), meta), cfg.out)
+    _emit(_edge_list_chunks(g.n, _graph_rows(g), meta), cfg.out)
     return 0
 
 

@@ -15,7 +15,7 @@ import os
 import re
 import stat
 import warnings
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -247,15 +247,15 @@ def edge_list_text(g: MultiDigraph, meta: dict | None = None) -> str:
     g.n and raises ValueError if it differs.  Output is byte-identical for
     identical inputs.
     """
-    return "".join(_edge_list_chunks(g.n, partial(_graph_rows, g), meta))
+    return "".join(_edge_list_chunks(g.n, _graph_rows(g), meta))
 
 
 def _edge_list_chunks(n: int, rows, meta: dict | None = None):
     """The text of ``edge_list_text``: the header, then the row chunks as they are rendered.
 
-    ``rows`` is a callable whose every call yields the same arc rows
-    afresh, as ``_row_chunks`` takes them.  The header, and so any error
-    in ``meta``, comes before the first row.
+    ``rows`` yields the arc rows once, as ``_row_chunks`` takes them.  An
+    error in ``meta`` is raised at the call; a bad row only when its chunk
+    is rendered, so a writer holds back the text before it.
     """
     lines = [f"# {_FORMAT_TAG}", f"# n={n}"]
     for key, value in (meta or {}).items():
@@ -303,42 +303,38 @@ def _code_rows(n: int, codes: np.ndarray):
 
 
 def _row_chunks(n: int, rows):
-    """'src<TAB>dst<TAB>mult' text, one string per (src, dst, mult) int64 chunk of ``rows()``.
+    """'src<TAB>dst<TAB>mult' text, one string per (src, dst, mult) int64 chunk of ``rows``.
 
-    ``rows`` is called twice.  The first pass checks every chunk as
-    ``MultiDigraph`` checks arcs, so a bad row raises before any row is
-    rendered, and finds each column's largest value.  Each column then
-    fills a block of byte cells as wide as that value, digits
-    right-aligned and followed by a tab or newline; the cells left of each
-    value's leading digit are masked out.  Chunks keep the cell matrices
-    and digit arrays a few MB at any graph size.
+    One pass: each chunk is checked as ``MultiDigraph`` checks arcs, with
+    the total of the chunks before it, just before it is rendered.  Each
+    column fills one contiguous row of byte cells per digit of its largest
+    value in the chunk, digits right-aligned, then a row of tabs or
+    newlines.  The cells left of each value's leading digit are NUL, and
+    are dropped from the bytes of the transposed matrix.  Chunks keep the
+    cells and digit arrays a few MB at any graph size.
     """
-    top, total = [0, 0, 0], 0
-    for columns in rows():
+    total = 0
+    for columns in rows:
         fault, total = _arc_fault(n, *columns, total)
         _raise_fault(fault, n)
-        top = [max(t, int(col.max())) for t, col in zip(top, columns)]
-    widths = [len(str(t)) for t in top]
-    # the narrowest unsigned type that holds each column's values
-    kinds = [np.min_scalar_type(10**width - 1) for width in widths]
-    for columns in rows():
-        digits = [col.astype(kind) for col, kind in zip(columns, kinds)]
-        cells = np.empty((digits[0].size, sum(widths) + 3), dtype=np.uint8)
-        keep = np.ones(cells.shape, dtype=bool)
+        widths = [len(str(int(col.max()))) for col in columns]
+        cells = np.empty((sum(widths) + 3, columns[0].size), dtype=np.uint8)
         end = 0
-        for q, width, sep in zip(digits, widths, b"\t\t\n"):
+        for col, width, sep in zip(columns, widths, b"\t\t\n"):
+            # the narrowest unsigned type that holds the column's values
+            q = col.astype(np.min_scalar_type(10**width - 1))
+            live = True
             for j in reversed(range(end, end + width)):
                 rest = q // 10
                 q -= rest * 10
                 q += ord("0")
-                cells[:, j] = q
+                # a cell where nothing is left of the value is a NUL pad
+                np.multiply(q, live, out=cells[j], casting="unsafe")
                 q = rest
-                if j > end:
-                    keep[:, j - 1] = q != 0
-            end += width
-            cells[:, end] = sep
-            end += 1
-        yield str(cells[keep], "ascii")
+                live = q != 0
+            cells[end + width] = sep
+            end += width + 1
+        yield cells.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_edge_list(g: MultiDigraph, path: str | Path, meta: dict | None = None) -> None:
@@ -348,7 +344,7 @@ def write_edge_list(g: MultiDigraph, path: str | Path, meta: dict | None = None)
     that then replaces it, so a failed render or write leaves the file
     untouched and no temporary behind (``_write_text``).
     """
-    _write_text(path, _edge_list_chunks(g.n, partial(_graph_rows, g), meta))
+    _write_text(path, _edge_list_chunks(g.n, _graph_rows(g), meta))
 
 
 def _write_text(path: str | Path, chunks) -> None:

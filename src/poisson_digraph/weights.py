@@ -207,14 +207,15 @@ class WeightSequence:
             raise ValueError("w_in and w_out must be 1-d arrays of equal length")
         if w_in.size == 0:
             raise ValueError("weight sequence must be nonempty")
-        if not (np.all(np.isfinite(w_in)) and np.all(np.isfinite(w_out))):
+        sides = (w_in,) if w_in is w_out else (w_in, w_out)
+        if not all(np.all(np.isfinite(w)) for w in sides):
             raise ValueError("weights must be finite")
-        if np.any(w_in <= 0) or np.any(w_out <= 0):
+        if any(np.any(w <= 0) for w in sides):
             raise ValueError("weights must be positive")
         self.w_in = w_in
         self.w_out = w_out
         self.sum_in = float(w_in.sum())
-        self.sum_out = float(w_out.sum())
+        self.sum_out = self.sum_in if w_in is w_out else float(w_out.sum())
         self.sum_products = float((w_in * w_out).sum())
 
     @property
@@ -228,7 +229,7 @@ class WeightSequence:
         return WeightSequence(self.w_in[:n], self.w_out[:n])
 
     def is_mirrored(self) -> bool:
-        return bool(np.array_equal(self.w_in, self.w_out))
+        return self.w_in is self.w_out or bool(np.array_equal(self.w_in, self.w_out))
 
     def __repr__(self) -> str:
         return f"WeightSequence(n={self.n}, sum_in={self.sum_in:.6g}, sum_out={self.sum_out:.6g})"

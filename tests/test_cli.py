@@ -681,6 +681,10 @@ def test_failed_render_leaves_the_target_and_no_temporary(tmp_path, monkeypatch,
     assert res.stderr.startswith("error: not enough memory")
     assert target.read_text() == "old text\n"
     assert [p.name for p in tmp_path.iterdir()] == ["g.tsv"]
+    # stdout gets nothing of a render that fails at a later chunk
+    for out in ([], ["--out", "-"]):
+        piped = run_cli(*argv, *out)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (2, "", res.stderr)
     g = MultiDigraph(3, np.array([1]), np.array([2]), np.array([1]))
     with pytest.raises(MemoryError):
         write_edge_list(g, target)

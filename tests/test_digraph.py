@@ -3,7 +3,6 @@
 import os
 import threading
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -278,15 +277,38 @@ def test_sorted_codes_render_as_the_graph_they_make(monkeypatch, chunk):
     src, dst = rng.integers(1, n + 1, (2, 40))
     codes = np.sort(np.concatenate((src * (n + 1) + dst, np.full(9, 3 * (n + 1) + 3))))
     g = _unit_arc_codes(n, codes.copy())
-    text = "".join(digraph._row_chunks(n, partial(digraph._code_rows, n, codes)))
+    text = "".join(digraph._row_chunks(n, digraph._code_rows(n, codes)))
     assert text == _row_loop_text(g).split("multiplicity\n", 1)[1]
+    # each chunk is as wide as its own largest values: one-digit ids in the
+    # first chunks, seven-digit ones in the last
+    n = 10**6 + 9
+    small = rng.integers(1, 10, (2, 7))
+    big = rng.integers(10**6, n + 1, (2, 7))
+    codes = np.sort(np.concatenate((small[0] * (n + 1) + small[1], big[0] * (n + 1) + big[1])))
+    g = _unit_arc_codes(n, codes.copy())
+    text = "".join(digraph._row_chunks(n, digraph._code_rows(n, codes)))
+    assert text == _row_loop_text(g).split("multiplicity\n", 1)[1]
+    # a multiplicity of 2**62 (19 digits) in one chunk only
+    mult = np.ones(14, dtype=np.int64)
+    mult[5] = 2**62
+    src, dst = np.concatenate((small, big), axis=1)
+    g = MultiDigraph(n, src, dst, mult)
+    assert edge_list_text(g) == _row_loop_text(g)
 
 
-def test_rows_are_checked_before_any_is_rendered():
-    chunks = [tuple(np.array([v]) for v in row) for row in ((1, 2, 1), (4, 1, 1))]
-    rendered = digraph._row_chunks(3, lambda: iter(chunks))
-    with pytest.raises(ValueError, match=r"^vertex ids must lie in 1\.\.3$"):
-        next(rendered)
+def test_a_bad_row_raises_when_its_chunk_is_rendered():
+    # the chunks before it are rendered, and the total is carried across chunks
+    bad_id = [(1, 2, 1), (4, 1, 1)]
+    too_many = [(1, 2, 2**62), (2, 1, 2**62)]
+    for chunks, message in (
+        (bad_id, r"^vertex ids must lie in 1\.\.3$"),
+        (too_many, r"^total multiplicity exceeds"),
+    ):
+        rendered = digraph._row_chunks(3, (tuple(np.array([v]) for v in row) for row in chunks))
+        s, d, m = chunks[0]
+        assert next(rendered) == f"{s}\t{d}\t{m}\n"
+        with pytest.raises(ValueError, match=message):
+            next(rendered)
 
 
 def test_edge_list_text_peak_memory():

@@ -181,6 +181,12 @@ def test_weight_sequence_basics():
     for bad in ([], [1.0, -1.0], [np.inf, 1.0], [0.0, 1.0]):
         with pytest.raises(ValueError):
             WeightSequence(np.array(bad), np.ones(len(bad)))
+        # one array for both sides, as a mirrored model draws it
+        with pytest.raises(ValueError):
+            WeightSequence(*[np.array(bad)] * 2)
+    cap = np.array([1.0, 3.0])
+    w = WeightSequence(cap, cap)
+    assert w.is_mirrored() and (w.sum_in, w.sum_out, w.sum_products) == (4.0, 4.0, 10.0)
 
 
 # -- normalizer modes ---------------------------------------------------------
