@@ -25,7 +25,6 @@ from poisson_digraph import (
     IndependentProduct,
     ParetoMirrored,
     component_summary,
-    forward_cluster_size,
     independent_sum_parts,
     moments,
     sample_graph_fast,
@@ -45,7 +44,7 @@ def measure_once(n, seed):
     return (
         s.largest_weak / n,
         s.largest_strong / n,
-        forward_cluster_size(g, v) / n,
+        int(s.forward_cluster_sizes([v])[0]) / n,
     )
 
 

@@ -1,9 +1,8 @@
 """Directed multigraph container and the tab-separated edge-list format.
 
 Vertices are indexed 1..n.  Arcs are held as parallel (src, dst, mult)
-arrays sorted by (src, dst) with strictly positive multiplicities, so with
-the row offsets ``_indptr``, taken lazily, they are the CSR adjacency that
-traversal reads.  Instances are treated as immutable once constructed.
+arrays sorted by (src, dst) with strictly positive multiplicities.
+Instances are treated as immutable once constructed.
 """
 
 from __future__ import annotations
@@ -118,14 +117,6 @@ class MultiDigraph:
         return int(self.mult[self.loop_mask].sum())
 
     @cached_property
-    def _indptr(self) -> np.ndarray:
-        """The n + 1 row offsets of the sorted arcs.
-
-        Vertex v's arcs are rows ``_indptr[v - 1]:_indptr[v]``; no sort is needed.
-        """
-        return np.cumsum(np.bincount(self.src, minlength=self.n + 1))
-
-    @cached_property
     def _degrees(self) -> np.ndarray:
         """Rows d_in, d_out, loops of vertices 1..n, as ``structure.degree_arrays`` defines them.
 
@@ -140,7 +131,7 @@ class MultiDigraph:
         """Number of arcs from v to u; 0 for an absent pair or a vertex outside 1..n."""
         if not (1 <= v <= self.n and 1 <= u <= self.n):
             return 0
-        # binary searches only: the (n + 1)-entry _indptr may not fit in memory
+        # binary searches only: no n + 1 row offsets, which may not fit in memory
         lo = int(self.src.searchsorted(v))
         hi = int(self.src.searchsorted(v, side="right"))
         i = lo + int(self.dst[lo:hi].searchsorted(u))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .sampler import oriented_sum_parts
 from .streams import derive_seed, stream
-from .structure import component_summary, forward_cluster_sizes
+from .structure import component_summary
 from .weights import MirroredCapacity, ParetoMarginal, WeightModel, moments, sample_weights
 
 __all__ = [
@@ -51,9 +51,12 @@ class ScalingResult:
 
     Statistics: ``weak`` and ``strong`` are the largest weak and strong
     components of the digraph, ``forward`` is the largest forward cluster
-    (maximized over the highest-capacity vertices plus a random sample of
-    roots, a lower bound sharing the growth exponent), ``constituent`` is
-    the largest component of one of the two summed one-sided graphs.
+    over the highest-capacity vertices plus a random sample of roots,
+    ``constituent`` is the largest component of one of the two summed
+    one-sided graphs.  ``forward`` is a lower bound, and its slope can fall
+    short of the exponent where the roots miss the large clusters: at
+    ``constant:1``, n = 2**14 ... 2**20 and 64 replicates, it read 0.557 and
+    0.565 at 64 sources and 0.659 at 1024, against 2/3.
     """
 
     n_values: tuple[int, ...]
@@ -124,14 +127,13 @@ def _one_replicate(
 ) -> tuple[int, int, int, int]:
     w = sample_weights(model, n, rep_seed)
     parts = oriented_sum_parts(w, rep_seed, l_n=mu * n)
-    g = parts.graph
-    summary = component_summary(g)
+    summary = component_summary(parts.graph)
     constituent = component_summary(parts.first).largest_weak
     k = min(sources, n)
     top = np.argpartition(w.w_in, n - k)[n - k :]
     rand = stream(rep_seed, "scaling-sources").integers(0, n, size=k)
     candidates = np.unique(np.concatenate([top, rand])) + 1
-    forward = int(forward_cluster_sizes(g, candidates).max())
+    forward = int(summary.forward_cluster_sizes(candidates).max())
     return summary.largest_weak, forward, summary.largest_strong, constituent
 
 

@@ -69,28 +69,27 @@ _BLOCK = 64
 _BITS = np.left_shift(np.uint64(1), np.arange(_BLOCK, dtype=np.uint64))
 
 
-def _roots0(g: MultiDigraph, roots) -> np.ndarray:
-    """0-based ids of 1-based ``roots``; ValueError on an id outside 1..n."""
-    roots = np.asarray(roots, dtype=np.int64).reshape(-1)
-    bad = roots[(roots < 1) | (roots > g.n)]
-    if bad.size:
-        raise ValueError(f"vertex {bad[0]} out of range 1..{g.n}")
-    return roots - 1
-
-
-def _cluster_sizes(indptr: np.ndarray, nbrs: np.ndarray, roots0: np.ndarray, n: int) -> np.ndarray:
-    """Number of vertices reachable from each 0-based root over a CSR, itself included.
+def _cluster_sizes(adjacency: csr_matrix, roots) -> np.ndarray:
+    """Number of vertices reachable from each 1-based root over a CSR, itself included.
 
     Multi-source BFS (Then et al., PVLDB 8(4), 2014), one block of up to
     64 roots per traversal: bit j of a vertex's uint64 mask means
     "reachable from root j".  Each level ORs the frontier's newly gained
     bits into its out-neighbours, and the next frontier is the vertices
-    whose mask changed, so a vertex gains each bit exactly once.
+    whose mask changed, so a vertex gains each bit exactly once.  Raises
+    ValueError on a root outside 1..n.
     """
-    sizes = np.zeros(roots0.size, dtype=np.int64)
-    for lo in range(0, roots0.size, _BLOCK):
+    n, nbrs = adjacency.shape[0], adjacency.indices
+    roots = np.asarray(roots, dtype=np.int64).reshape(-1)
+    bad = roots[(roots < 1) | (roots > n)]
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]} out of range 1..{n}")
+    # int32 offsets and targets widened once, not in every index operation
+    indptr = adjacency.indptr.astype(np.intp, copy=False)
+    sizes = np.zeros(roots.size, dtype=np.int64)
+    for lo in range(0, roots.size, _BLOCK):
         # a repeated root is one frontier entry per copy, each with its own bit
-        frontier = roots0[lo : lo + _BLOCK]
+        frontier = roots[lo : lo + _BLOCK] - 1
         k = frontier.size
         gained = _BITS[:k]
         mask = np.zeros(n, dtype=np.uint64)
@@ -104,6 +103,7 @@ def _cluster_sizes(indptr: np.ndarray, nbrs: np.ndarray, roots0: np.ndarray, n: 
                 break
             # gather the ragged adjacency slices of the whole frontier at once
             targets = nbrs[np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)]
+            targets = targets.astype(np.intp, copy=False)
             carried = np.repeat(gained, lengths)
             # OR the bits arriving at each distinct target in one pass
             order = np.argsort(targets)
@@ -127,12 +127,8 @@ def _cluster_sizes(indptr: np.ndarray, nbrs: np.ndarray, roots0: np.ndarray, n: 
 
 
 def forward_cluster_sizes(g: MultiDigraph, roots) -> np.ndarray:
-    """Forward-cluster size of every root (1-based ids), in the order given.
-
-    Exact; one bit-parallel traversal serves up to 64 roots, and working
-    memory is O(n) whatever the number of roots.
-    """
-    return _cluster_sizes(g._indptr, g.dst - 1, _roots0(g, roots), g.n)
+    """``component_summary(g).forward_cluster_sizes(roots)``."""
+    return component_summary(g).forward_cluster_sizes(roots)
 
 
 def forward_cluster_size(g: MultiDigraph, v: int) -> int:
@@ -141,15 +137,8 @@ def forward_cluster_size(g: MultiDigraph, v: int) -> int:
 
 
 def backward_cluster_sizes(g: MultiDigraph, roots) -> np.ndarray:
-    """Backward-cluster size of every root (1-based ids), in the order given.
-
-    Forward clusters over the reversed arcs: one sort by target builds
-    the reversed CSR once per call, whatever the number of roots.
-    """
-    roots0 = _roots0(g, roots)
-    order = np.argsort(g.dst)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(g.dst - 1, minlength=g.n))))
-    return _cluster_sizes(indptr, g.src[order] - 1, roots0, g.n)
+    """``component_summary(g).backward_cluster_sizes(roots)``."""
+    return component_summary(g).backward_cluster_sizes(roots)
 
 
 # -- components ---------------------------------------------------------------
@@ -163,7 +152,8 @@ class ComponentSummary:
     ``connected_components`` numbers them.  Weak labels read after the
     strong ones are the strong classes joined along the arcs between them.
     The adjacency must be a canonical (n, n) CSR matrix, as scipy's strong
-    routine loops forever on a row that repeats a column.
+    routine loops forever on a row that repeats a column.  Forward and
+    backward cluster sizes traverse the adjacency and its reverse.
     """
 
     n: int
@@ -172,6 +162,29 @@ class ComponentSummary:
     def __post_init__(self):
         if self.adjacency.shape != (self.n, self.n) or not self.adjacency.has_canonical_format:
             raise ValueError(f"adjacency must be a canonical {self.n} x {self.n} CSR matrix")
+
+    def forward_cluster_sizes(self, roots) -> np.ndarray:
+        """Forward-cluster size of every root (1-based ids), in the order given.
+
+        Exact; one bit-parallel traversal serves up to 64 roots, and working
+        memory is O(n) whatever the number of roots.
+        """
+        return _cluster_sizes(self.adjacency, roots)
+
+    def backward_cluster_sizes(self, roots) -> np.ndarray:
+        """Backward-cluster size of every root (1-based ids), in the order given.
+
+        Forward clusters over the reversed adjacency, built on first use.
+        """
+        return _cluster_sizes(self._reversed, roots)
+
+    @cached_property
+    def _reversed(self) -> csr_matrix:
+        """The adjacency of the reversed arcs; a stable sort by target keeps it canonical."""
+        indptr, indices = self.adjacency.indptr, self.adjacency.indices
+        order = np.argsort(indices, kind="stable")
+        sources = np.repeat(np.arange(self.n, dtype=indices.dtype), np.diff(indptr))[order]
+        return _adjacency(self.n, indices[order] + 1, sources)
 
     @cached_property
     def strong_labels(self) -> np.ndarray:

@@ -36,7 +36,7 @@ from .sampler import (
     sample_randomly_oriented_nr,
 )
 from .streams import derive_seed, stream
-from .structure import component_summary, forward_cluster_size
+from .structure import component_summary
 from .weights import (
     Constant,
     ConstantMarginal,
@@ -300,40 +300,30 @@ def _giant_fractions(seed: int, reps: int = 3, n: int = 100_000):
         weak.append(summary.largest_weak / n)
         strong.append(summary.largest_strong / n)
         labels = summary.strong_labels
-        giant_label = np.argmax(np.bincount(labels))
-        rep_vertex = int(np.flatnonzero(labels == giant_label)[0]) + 1
-        forward.append(forward_cluster_size(g, rep_vertex) / n)
+        # the giant strong class's first vertex
+        rep_vertex = np.argmax(labels == np.argmax(np.bincount(labels))) + 1
+        forward.append(int(summary.forward_cluster_sizes([rep_vertex])[0]) / n)
     return weak, strong, forward
 
 
 def _check_giant_mirrored(seed: int) -> list[CheckResult]:
     report = survival_fractions(Constant(2.0), "mirrored-sum")
     weak, strong, forward = _giant_fractions(seed)
-    strong_dev = max(abs(f - report.pi) for f in strong)
-    weak_dev = max(abs(f - report.zeta_weak) for f in weak)
-    forward_dev = max(abs(f - report.zeta) for f in forward)
+    # (check, fractions, tolerance, name and value of the prediction)
+    checks = (
+        ("giant-strong-vs-pi", strong, 0.015, "pi", report.pi),
+        ("giant-weak-vs-two-type-union", weak, 0.01, "zeta_weak", report.zeta_weak),
+        ("giant-forward-vs-zeta", forward, 0.01, "zeta", report.zeta),
+    )
     return [
         _below(
-            "giant-strong-vs-pi",
-            strong_dev,
-            0.015,
-            pi=report.pi,
-            fractions=[round(f, 5) for f in strong],
-        ),
-        _below(
-            "giant-weak-vs-two-type-union",
-            weak_dev,
-            0.01,
-            zeta_weak=report.zeta_weak,
-            fractions=[round(f, 5) for f in weak],
-        ),
-        _below(
-            "giant-forward-vs-zeta",
-            forward_dev,
-            0.01,
-            zeta=report.zeta,
-            fractions=[round(f, 5) for f in forward],
-        ),
+            name,
+            max(abs(f - value) for f in fractions),
+            tol,
+            **{key: value},
+            fractions=[round(f, 5) for f in fractions],
+        )
+        for name, fractions, tol, key, value in checks
     ]
 
 

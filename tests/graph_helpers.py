@@ -5,7 +5,8 @@ independent of the package's traversal, so tests can use them as an oracle.
 The batch helpers read per-block counts of a sampler's block graph through
 ``verify._decode_blocks`` and combine independent chi-square statistics into
 one p-value.  ``traced_peak`` measures a call's peak memory for the
-peak-memory tests.
+peak-memory tests.  ``assert_same_text`` compares multi-MB outputs exactly
+without pytest's diff of the whole strings, which can run for minutes.
 """
 
 import tracemalloc
@@ -90,3 +91,22 @@ def traced_peak(unit_bytes, call, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1] / unit_bytes
     finally:
         tracemalloc.stop()
+
+
+def assert_same_text(got, expected, window=40):
+    """Exact equality of two long strings (or bytes), reported in a few lines.
+
+    On a mismatch the message gives both lengths and the first differing
+    offset, with ``window`` characters of each side around it.
+    """
+    if got == expected:
+        return
+    # the first differing block of 4096, then the offset inside it
+    size, step = min(len(got), len(expected)), 4096
+    lo = next((i for i in range(0, size, step) if got[i : i + step] != expected[i : i + step]), size)
+    at = next((i for i in range(lo, min(lo + step, size)) if got[i] != expected[i]), size)
+    a, b = max(0, at - window), at + window
+    raise AssertionError(
+        f"lengths {len(got)} and {len(expected)}, first difference at offset {at}:"
+        f" {got[a:b]!r} != {expected[a:b]!r}"
+    )

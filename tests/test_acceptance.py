@@ -61,7 +61,7 @@ from poisson_digraph.sampler import (
 )
 from poisson_digraph.scaling import scaling_exponent_experiment
 from poisson_digraph.streams import derive_seed
-from poisson_digraph.structure import component_summary, forward_cluster_size
+from poisson_digraph.structure import component_summary
 from poisson_digraph.verify import _block_totals, _decode_blocks
 from poisson_digraph.weights import (
     Constant,
@@ -235,7 +235,7 @@ def _mirrored_giant_fractions():
         labels = s.strong_labels
         giant_label = int(np.argmax(np.bincount(labels)))
         rep_vertex = int(np.argmax(labels == giant_label)) + 1
-        forward[r] = forward_cluster_size(g, rep_vertex) / n
+        forward[r] = s.forward_cluster_sizes([rep_vertex])[0] / n
     return weak, strong, forward
 
 

@@ -33,7 +33,7 @@ from poisson_digraph.digraph import MultiDigraph, read_edge_list, write_edge_lis
 from poisson_digraph.structure import component_summary, degree_arrays
 from poisson_digraph.verify import check_graph_against_model
 from poisson_digraph.weights import parse_model
-from graph_helpers import traced_peak
+from graph_helpers import assert_same_text, traced_peak
 
 CMD = [sys.executable, "-m", "poisson_digraph"]
 
@@ -363,7 +363,7 @@ def test_outputs_past_one_writer_chunk_are_pinned(large_edge_list):
     for (command, *args), expected in LARGE_OUTPUTS.items():
         if command == "sample":
             res = run_cli(command, *args)
-            assert res.stdout == large_edge_list.read_text()
+            assert_same_text(res.stdout, large_edge_list.read_text())
         else:
             res = run_cli(command, "--in", str(large_edge_list), *args)
         digest = hashlib.sha256(res.stdout.encode()).hexdigest()

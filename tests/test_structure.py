@@ -26,7 +26,7 @@ from poisson_digraph.structure import (
 )
 from poisson_digraph import structure
 from poisson_digraph.weights import ParetoMirrored, moments, sample_weights
-from poisson_digraph.digraph import MultiDigraph
+from poisson_digraph.digraph import MultiDigraph, write_edge_list
 from graph_helpers import arc_dict, backward_cluster, forward_cluster, graph_from_arcs, traced_peak
 
 
@@ -96,6 +96,66 @@ def test_forward_cluster_sizes_edge_inputs():
         for bad in (0, g.n + 1, -1):
             with pytest.raises(ValueError, match="out of range"):
                 sizes(g, [1, bad])
+
+
+@pytest.mark.parametrize(
+    "n, arcs, indptr, reversed_indptr",
+    [
+        # a pair given on two rows is one entry, a loop included
+        (
+            4,
+            [(1, 2, 1), (4, 1, 1), (1, 3, 1), (2, 2, 1), (1, 2, 1), (2, 2, 2)],
+            [0, 2, 3, 3, 4],
+            [0, 1, 3, 4, 4],
+        ),
+        # trailing isolated vertices keep empty rows up to n
+        (6, [(2, 1, 1), (2, 3, 4)], [0, 0, 2, 2, 2, 2, 2], [0, 1, 1, 2, 2, 2, 2]),
+        (3, [], [0, 0, 0, 0], [0, 0, 0, 0]),
+    ],
+    ids=["repeated-arcs", "trailing-isolated", "empty"],
+)
+def test_adjacency_and_its_reverse_match_arcs(n, arcs, indptr, reversed_indptr):
+    src, dst, mult = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
+    s = component_summary(MultiDigraph(n, src, dst, mult))
+    pairs = set(zip(src.tolist(), dst.tolist()))
+    for adjacency, offsets, heads in (
+        (s.adjacency, indptr, pairs),
+        (s._reversed, reversed_indptr, {(d, t) for t, d in pairs}),
+    ):
+        assert adjacency.indptr.tolist() == offsets
+        assert adjacency.indptr.dtype == adjacency.indices.dtype == np.int32
+        # each row strictly increasing: canonical, as the flag says
+        for v in range(1, n + 1):
+            row = adjacency.indices[adjacency.indptr[v - 1] : adjacency.indptr[v]] + 1
+            assert row.tolist() == sorted(u for t, u in heads if t == v)
+    # the reversed adjacency is built once per summary
+    assert s._reversed is s._reversed
+
+
+def test_summary_read_from_a_file_traverses_as_the_graph(tmp_path):
+    g = _random_graph(60, 3)
+    writer = tmp_path / "writer.tsv"
+    write_edge_list(g, writer)
+    # the same reachability from shuffled rows, each pair given twice, and a
+    # zero count: the reader sorts and merges these
+    rows = [f"{t}\t{d}\t{m}\n" for t, d, m in zip(g.src, g.dst, g.mult)] * 2 + ["1\t1\t0\n"]
+    np.random.default_rng(0).shuffle(rows)
+    unsorted = tmp_path / "unsorted.tsv"
+    unsorted.write_text(f"# n={g.n}\n" + "".join(rows))
+    roots = np.arange(1, g.n + 1)
+    forward, backward = forward_cluster_sizes(g, roots), backward_cluster_sizes(g, roots)
+    for path in (writer, unsorted):
+        s = structure._read_summary(path)
+        np.testing.assert_array_equal(s.forward_cluster_sizes(roots), forward)
+        np.testing.assert_array_equal(s.backward_cluster_sizes(roots[::-1]), backward[::-1])
+        for bad in (0, g.n + 1, -1):
+            message = f"^vertex {bad} out of range 1..{g.n}$"
+            for sizes in (s.forward_cluster_sizes, s.backward_cluster_sizes):
+                with pytest.raises(ValueError, match=message):
+                    sizes([1, bad])
+            for sizes in (forward_cluster_sizes, backward_cluster_sizes):
+                with pytest.raises(ValueError, match=message):
+                    sizes(g, [1, bad])
 
 
 def test_reachability_is_reflexive_on_isolated_vertices():
