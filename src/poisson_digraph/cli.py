@@ -31,7 +31,6 @@ from .digraph import (
     _edge_list_chunks,
     _graph_rows,
     _read_degrees,
-    _write_in_slices,
     _write_text,
 )
 from .sampler import _arc_draw, _fast_arc_codes, evolve_chain
@@ -145,7 +144,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     layers = []
     if args.config_file:
         try:
-            text = Path(args.config_file).read_text()
+            text = Path(args.config_file).read_text(encoding="utf-8")
         except OSError as exc:
             raise IOFailure(f"cannot read config file: {exc}") from exc
         from_file = asdict(RunConfig.from_json(text))
@@ -176,14 +175,14 @@ def _model(cfg: RunConfig):
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write the strings of ``chunks``, in order and unjoined, to ``out`` or stdout.
+    """Write the UTF-8 bytes of ``chunks``, in order and unjoined, to ``out`` or stdout.
 
-    A file is written whole or not at all (``digraph._write_text``), a
-    chunk at a time; stdout gets every chunk rendered before the first is
-    written, so a failed render writes nothing there either.
+    A file gets the bytes, whole or not at all (``digraph._write_text``), a
+    chunk at a time; stdout gets every chunk rendered, then each decoded,
+    so a failed render writes nothing there either.
     """
     if out is None or out == "-":
-        _write_in_slices(sys.stdout, list(chunks))
+        sys.stdout.writelines(map(bytes.decode, list(chunks)))
         return
     try:
         _write_text(out, chunks)
@@ -205,7 +204,7 @@ def _read_input(cfg: RunConfig, reader):
 
 
 def _print_json(payload: dict, out: str | None) -> None:
-    _emit([json.dumps(payload, sort_keys=True, indent=2) + "\n"], out)
+    _emit([(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()], out)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -255,7 +254,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def cmd_components(cfg: RunConfig) -> int:
     # the adjacency is built from the reader's blocks, without the graph
     summary = _read_input(cfg, _read_summary)
-    _emit([summary.to_json(topk=5) + "\n"], cfg.out)
+    _emit([(summary.to_json(topk=5) + "\n").encode()], cfg.out)
     return 0
 
 
@@ -290,7 +289,7 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 def cmd_survival(cfg: RunConfig) -> int:
     report = survival_fractions(_model(cfg), cfg.configuration, tol=cfg.tol)
-    _emit([report.to_json() + "\n"], cfg.out)
+    _emit([(report.to_json() + "\n").encode()], cfg.out)
     return 0
 
 
@@ -315,7 +314,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
         bootstrap=cfg.bootstrap,
     )
     text = result.to_json() + "\n" if cfg.as_json else result.to_tsv()
-    _emit([text], cfg.out)
+    _emit([text.encode()], cfg.out)
     return 0
 
 

@@ -31,8 +31,6 @@ _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 # rows handled at a time by the writer and by the checks that walk whole
 # arc arrays: their transients stay a few MB, and the numpy calls are few
 _CHUNK_ROWS = 2**16
-# characters handed to a text file per write
-_WRITE_CHARS = 2**20
 # bytes the reader takes at a time; each block is cut at its last line end
 _BLOCK_BYTES = 2**18
 # MultiDigraph's checks on n and on arc rows, in the order they are applied
@@ -236,17 +234,18 @@ def edge_list_text(g: MultiDigraph, meta: dict | None = None) -> str:
     normalizer mode, L value) is passed through ``meta``.  An ``n`` in
     ``meta``, as ``read_edge_list`` returns it, is written once if it equals
     g.n and raises ValueError if it differs.  Output is byte-identical for
-    identical inputs.
+    identical inputs.  The text is the file's UTF-8 bytes, LF line ends
+    included, decoded a chunk at a time.
     """
-    return "".join(_edge_list_chunks(g.n, _graph_rows(g), meta))
+    return "".join(chunk.decode() for chunk in _edge_list_chunks(g.n, _graph_rows(g), meta))
 
 
 def _edge_list_chunks(n: int, rows, meta: dict | None = None):
-    """The text of ``edge_list_text``: the header, then the row chunks as they are rendered.
+    """The bytes of an edge-list file: the UTF-8 header, then the row chunks as they are rendered.
 
     ``rows`` yields the arc rows once, as ``_row_chunks`` takes them.  An
     error in ``meta`` is raised at the call; a bad row only when its chunk
-    is rendered, so a writer holds back the text before it.
+    is rendered, so a writer holds back the bytes before it.
     """
     lines = [f"# {_FORMAT_TAG}", f"# n={n}"]
     for key, value in (meta or {}).items():
@@ -260,7 +259,7 @@ def _edge_list_chunks(n: int, rows, meta: dict | None = None):
             value = json.dumps(value, sort_keys=True)
         lines.append(f"# {key}={value}")
     lines.append("# src\tdst\tmultiplicity")
-    return chain(["\n".join(lines) + "\n"], _row_chunks(n, rows))
+    return chain([("\n".join(lines) + "\n").encode()], _row_chunks(n, rows))
 
 
 def _graph_rows(g: MultiDigraph):
@@ -294,15 +293,16 @@ def _code_rows(n: int, codes: np.ndarray):
 
 
 def _row_chunks(n: int, rows):
-    """'src<TAB>dst<TAB>mult' text, one string per (src, dst, mult) int64 chunk of ``rows``.
+    """'src<TAB>dst<TAB>mult' lines, ASCII bytes per (src, dst, mult) int64 chunk of ``rows``.
 
     One pass: each chunk is checked as ``MultiDigraph`` checks arcs, with
     the total of the chunks before it, just before it is rendered.  Each
     column fills one contiguous row of byte cells per digit of its largest
     value in the chunk, digits right-aligned, then a row of tabs or
     newlines.  The cells left of each value's leading digit are NUL, and
-    are dropped from the bytes of the transposed matrix.  Chunks keep the
-    cells and digit arrays a few MB at any graph size.
+    are dropped from the bytes of the transposed matrix: the chunk's lines,
+    which a file gets as rendered, with no newline translation.  Chunks keep
+    the cells and digit arrays a few MB at any graph size.
     """
     total = 0
     for columns in rows:
@@ -325,30 +325,32 @@ def _row_chunks(n: int, rows):
                 live = q != 0
             cells[end + width] = sep
             end += width + 1
-        yield cells.T.tobytes().translate(None, b"\0").decode("ascii")
+        yield cells.T.tobytes().translate(None, b"\0")
 
 
 def write_edge_list(g: MultiDigraph, path: str | Path, meta: dict | None = None) -> None:
-    """Write the edge-list rendering of ``edge_list_text`` to ``path``.
+    """Write the edge list of ``edge_list_text`` to ``path``, as UTF-8 with LF line ends.
 
-    The text goes, a chunk at a time, to a temporary file beside ``path``
-    that then replaces it, so a failed render or write leaves the file
-    untouched and no temporary behind (``_write_text``).
+    The bytes go as they are rendered, a chunk at a time and with no
+    newline translation, to a temporary file beside ``path`` that then
+    replaces it, so a failed render or write leaves the file untouched and
+    no temporary behind (``_write_text``).
     """
     _write_text(path, _edge_list_chunks(g.n, _graph_rows(g), meta))
 
 
 def _write_text(path: str | Path, chunks) -> None:
-    """Write the strings of ``chunks`` to the file ``path``, whole or not at all.
+    """Write the UTF-8 bytes of ``chunks`` to the file ``path`` as rendered, whole or not at all.
 
-    A regular file, or a new one, is written as a temporary file beside it,
-    which then replaces it: only one chunk is held at a time, and a failed
-    render or write leaves the old file as it was.  A symbolic link is
-    followed, so its target is replaced and the link stays.  The new file
-    keeps an existing file's permission bits, but it is a new inode: a hard
-    link to the old file keeps the old text.  Any other target, such as
-    /dev/null or a FIFO, or one whose directory takes no new file, gets the
-    chunks all rendered first and then written in place.
+    The file is binary: no newline translation.  A regular file, or a new
+    one, is written as a temporary file beside it, which then replaces it:
+    only one chunk is held at a time, and a failed render or write leaves
+    the old file as it was.  A symbolic link is followed, so its target is
+    replaced and the link stays.  The new file keeps an existing file's
+    permission bits, but it is a new inode: a hard link to the old file
+    keeps the old text.  Any other target, such as /dev/null or a FIFO, or
+    one whose directory takes no new file, gets the chunks all rendered
+    first and then written in place.
     """
     real = os.path.realpath(path)
     try:
@@ -365,14 +367,14 @@ def _write_text(path: str | Path, chunks) -> None:
             pass
     if temp is None:
         chunks = list(chunks)
-        with open(path, "w") as f:
-            _write_in_slices(f, chunks)
+        with open(path, "wb") as f:
+            f.writelines(chunks)
         return
     try:
-        with open(fd, "w") as f:
+        with open(fd, "wb") as f:
             if mode is not None:
                 os.chmod(fd, stat.S_IMODE(mode))
-            _write_in_slices(f, chunks)
+            f.writelines(chunks)
         os.replace(temp, real)
     except BaseException:
         os.unlink(temp)
@@ -391,18 +393,6 @@ def _new_file_beside(path: str) -> tuple[int, str]:
             return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
         except FileExistsError:
             continue
-
-
-def _write_in_slices(f, chunks) -> None:
-    """Write each string of ``chunks`` to the text file ``f``, ``_WRITE_CHARS`` at a time.
-
-    A text file encodes each string it is given in one piece, so a whole
-    edge list written at once is held twice, as text and as its bytes;
-    writing the chunks one by one needs no joined copy of them either.
-    """
-    for text in chunks:
-        for lo in range(0, len(text), _WRITE_CHARS):
-            f.write(text[lo : lo + _WRITE_CHARS])
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph, dict]:

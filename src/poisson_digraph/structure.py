@@ -127,17 +127,27 @@ def _cluster_sizes(adjacency: csr_matrix, roots) -> np.ndarray:
 
 
 def forward_cluster_sizes(g: MultiDigraph, roots) -> np.ndarray:
-    """``component_summary(g).forward_cluster_sizes(roots)``."""
+    """``component_summary(g).forward_cluster_sizes(roots)``, with a new summary per call.
+
+    Each call builds the O(n + arcs) summary, 110 us of one root's 131 us at
+    n = 16,384; a caller who repeats the call should hold ``component_summary(g)``.
+    """
     return component_summary(g).forward_cluster_sizes(roots)
 
 
 def forward_cluster_size(g: MultiDigraph, v: int) -> int:
-    """Size of the forward cluster of v without materializing the set."""
+    """Size of the forward cluster of v without materializing the set.
+
+    Each call builds an O(n + arcs) summary; hold ``component_summary(g)`` to repeat it.
+    """
     return int(forward_cluster_sizes(g, [v])[0])
 
 
 def backward_cluster_sizes(g: MultiDigraph, roots) -> np.ndarray:
-    """``component_summary(g).backward_cluster_sizes(roots)``."""
+    """``component_summary(g).backward_cluster_sizes(roots)``, with a new summary per call.
+
+    Each call builds an O(n + arcs) summary; hold ``component_summary(g)`` to repeat it.
+    """
     return component_summary(g).backward_cluster_sizes(roots)
 
 

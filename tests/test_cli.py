@@ -1,8 +1,9 @@
 """End-to-end tests of the command-line interface.
 
 Most commands run in process through ``cli.main``; the version flag, the
-pipe test, the golden digests and the import test start ``python -m
-poisson_digraph`` as a subprocess, so the module entry stays covered.
+pipe test, the golden digests, the import test and the encoding test start
+``python -m poisson_digraph`` as a subprocess, so the module entry stays
+covered.
 
 Exit-code contract: 0 success, 1 a requested statistical check failed,
 2 usage error or a size that does not fit in memory, 3 input/output failure.
@@ -663,7 +664,7 @@ def test_a_state_that_does_not_fit_fails_only_a_clean_file(tmp_path, monkeypatch
 
 
 def _failing_rows(*args):
-    yield "1\t1\t1\n"
+    yield b"1\t1\t1\n"
     raise MemoryError("Unable to allocate the next chunk")
 
 
@@ -709,6 +710,34 @@ def test_out_replaces_the_target_through_a_symlink_with_its_mode(tmp_path):
 def test_out_to_a_device_writes_in_place():
     res = run_cli("sample", "--model", "constant:2", "--n", "100", "--out", "/dev/null")
     assert res.returncode == 0
+
+
+def test_commands_run_alike_when_a_default_encoding_is_an_error(tmp_path):
+    # a file opened in the locale's encoding warns under these flags, and
+    # fails the command; every open names its encoding, so none does
+    strict = [*CMD[:1], "-X", "warn_default_encoding", "-W", "error::EncodingWarning", *CMD[1:]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "constant:2", "kmax": 20}), encoding="utf-8")
+    plain, checked = tmp_path / "plain", tmp_path / "checked"
+    plain.mkdir()
+    checked.mkdir()
+    graph = str(plain / "g.tsv")
+    commands = {
+        "g.tsv": ["sample", "--model", "constant:2", "--n", "2000", "--seed", "4"],
+        "c.json": ["components", "--in", graph],
+        "s.json": ["stats", "--in", graph, "--config-file", str(cfg)],
+        "t.tsv": [
+            "scaling", "--tau", "3.5", "--critical", "--n-list", "128,256", "--reps", "4",
+            "--sources", "8", "--bootstrap", "20", "--threads", "2",
+        ],
+    }
+    for name, argv in commands.items():
+        expected = run_cli(*argv, "--out", str(plain / name)).returncode
+        res = subprocess.run(
+            [*strict, *argv, "--out", str(checked / name)], capture_output=True, text=True, timeout=300
+        )
+        assert (res.returncode, res.stderr) == (expected, ""), name
+        assert (checked / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 def test_sample_then_stats_round_trip(tmp_path):

@@ -213,6 +213,17 @@ def test_reader_meta_n_is_written_once_and_must_agree(tmp_path):
             edge_list_text(g, {"n": bad})
 
 
+def test_non_ascii_metadata_is_written_and_read_as_utf8(tmp_path):
+    g = graph_from_arcs(3, {(1, 2): 1, (3, 3): 2})
+    meta = {"note": "café"}
+    path = tmp_path / "g.tsv"
+    write_edge_list(g, path, meta)
+    header = path.read_bytes().split(b"# src", 1)[0]
+    assert "café".encode("utf-8") in header
+    assert read_edge_list(path)[1]["note"] == "café"
+    assert edge_list_text(g, meta).encode("utf-8") == path.read_bytes()
+
+
 def test_edge_list_text_is_deterministic():
     g = graph_from_arcs(3, {(2, 1): 1, (1, 3): 2})
     assert edge_list_text(g, {"seed": 0}) == edge_list_text(g, {"seed": 0})
@@ -277,8 +288,8 @@ def test_sorted_codes_render_as_the_graph_they_make(monkeypatch, chunk):
     src, dst = rng.integers(1, n + 1, (2, 40))
     codes = np.sort(np.concatenate((src * (n + 1) + dst, np.full(9, 3 * (n + 1) + 3))))
     g = _unit_arc_codes(n, codes.copy())
-    text = "".join(digraph._row_chunks(n, digraph._code_rows(n, codes)))
-    assert text == _row_loop_text(g).split("multiplicity\n", 1)[1]
+    text = b"".join(digraph._row_chunks(n, digraph._code_rows(n, codes)))
+    assert text == _row_loop_text(g).split("multiplicity\n", 1)[1].encode()
     # each chunk is as wide as its own largest values: one-digit ids in the
     # first chunks, seven-digit ones in the last
     n = 10**6 + 9
@@ -286,8 +297,8 @@ def test_sorted_codes_render_as_the_graph_they_make(monkeypatch, chunk):
     big = rng.integers(10**6, n + 1, (2, 7))
     codes = np.sort(np.concatenate((small[0] * (n + 1) + small[1], big[0] * (n + 1) + big[1])))
     g = _unit_arc_codes(n, codes.copy())
-    text = "".join(digraph._row_chunks(n, digraph._code_rows(n, codes)))
-    assert text == _row_loop_text(g).split("multiplicity\n", 1)[1]
+    text = b"".join(digraph._row_chunks(n, digraph._code_rows(n, codes)))
+    assert text == _row_loop_text(g).split("multiplicity\n", 1)[1].encode()
     # a multiplicity of 2**62 (19 digits) in one chunk only
     mult = np.ones(14, dtype=np.int64)
     mult[5] = 2**62
@@ -306,7 +317,7 @@ def test_a_bad_row_raises_when_its_chunk_is_rendered():
     ):
         rendered = digraph._row_chunks(3, (tuple(np.array([v]) for v in row) for row in chunks))
         s, d, m = chunks[0]
-        assert next(rendered) == f"{s}\t{d}\t{m}\n"
+        assert next(rendered) == f"{s}\t{d}\t{m}\n".encode()
         with pytest.raises(ValueError, match=message):
             next(rendered)
 
