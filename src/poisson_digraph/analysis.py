@@ -614,9 +614,12 @@ def product_poisson_chisquare(samples: np.ndarray, rates: np.ndarray) -> ChiSqua
 
 
 def empirical_tv(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Total variation between the empirical pmfs of two integer samples."""
+    """Total variation between the empirical pmfs of two nonempty integer samples."""
     xs = np.asarray(xs).reshape(-1)
     ys = np.asarray(ys).reshape(-1)
+    for name, sample in (("xs", xs), ("ys", ys)):
+        if sample.size == 0:
+            raise ValueError(f"empirical_tv needs two nonempty samples, {name} is empty")
     values = np.union1d(xs, ys)
     px = np.bincount(np.searchsorted(values, xs), minlength=values.size) / xs.size
     py = np.bincount(np.searchsorted(values, ys), minlength=values.size) / ys.size

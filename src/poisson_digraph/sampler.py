@@ -5,9 +5,10 @@ diagonal included, carries an independent Poisson(w_out(v) * w_in(u) / L)
 arc count.  Two samplers realize this law: a quadratic per-pair reference
 sampler and a near-linear sampler that draws the Poisson total arc count K and
 places the K arcs i.i.d. (valid by Poisson superposition).  Endpoints come
-from one inverse-CDF lookup of sorted uniforms; pairing that sorted sample
-with a uniformly shuffled independent one gives the same law of arc
-multisets as two i.i.d. sequences.
+from sorted uniforms merged into the weights' cumulative sums (inversion
+of a sorted sample, one linear pass); pairing that sorted sample with a
+uniformly shuffled independent one gives the same law of arc multisets as
+two i.i.d. sequences.
 
 Also provided: one-vertex growth via Poisson thinning, and the mirrored-sum
 constructions (two opposedly oriented undirected samples, or one doubled
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 NAIVE_DEFAULT_CAP = 10_000
+# sorted endpoint keys merged into the cdf at a time, and the longest merge
+# (keys plus cdf slice): its argsort and the values it sorts take 512 KiB
+_MERGE_KEYS = _CHUNK_ROWS // 8
+_MERGE_SPAN = 4 * _MERGE_KEYS
 
 
 def _check(l_n: float, reps: int = 1) -> None:
@@ -127,20 +132,45 @@ def _draw_vertices(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     """``size`` i.i.d. 1-based vertex ids with P(v) proportional to weight v, sorted.
 
     ``cdf`` holds the cumulative sums of the weights.  Inverse CDF of
-    sorted uniforms: the lookups walk the cumulative sums in order.
-    u * total < total for every u in [0, 1), so no id exceeds n.  The
-    uniforms are drawn into the ids' own buffer, sorted and scaled in
-    place, and each chunk of them is replaced by its ids.
+    sorted uniforms u: key u * total gets id 1 + #{cdf <= key}, as
+    ``np.searchsorted(cdf, keys, side="right") + 1`` would give it, and
+    u * total < total for every u in [0, 1), so no id exceeds n.  The keys
+    are merged into the cdf ``_MERGE_KEYS`` at a time: the chunk's cdf
+    slice ``cut`` runs from where the previous chunk's last key fell to
+    where its own last key falls, and one stable sort of the slice followed
+    by the keys, two sorted runs, merges them in linear time with every cdf
+    entry before an equal key.  Key j then sits after the j keys before it
+    and after the slice entries <= it.  A chunk of few keys, for which the
+    merge's fixed cost does not pay, or one whose slice would make the
+    merge more than ``_MERGE_SPAN`` values long (a draw of far fewer keys
+    than vertices), is looked up by one binary search per key in its slice
+    instead.  The uniforms are drawn into the ids' own buffer, sorted and
+    scaled in place, and each chunk of them is replaced by its ids.
     """
     ids = np.empty(size, dtype=np.int64)
     u = ids.view(np.float64)
     rng.random(out=u)
     u.sort()
     u *= cdf[-1]
-    for lo in range(0, size, _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
-        ids[rows] = np.searchsorted(cdf, u[rows], side="right")
-    ids += 1
+    start = 0  # cdf[:start] <= every key left
+    for lo in range(0, size, _MERGE_KEYS):
+        rows = slice(lo, lo + _MERGE_KEYS)
+        keys = u[rows]
+        # cdf[end:] > every key here; only the last chunk can be short, and it
+        # needs no end
+        short = keys.size < _MERGE_KEYS // 8
+        end = cdf.size if short else int(np.searchsorted(cdf, keys[-1], side="right"))
+        cut = cdf[start:end]
+        # each key's count of cut entries <= it
+        if short or cut.size + keys.size > _MERGE_SPAN:
+            at = np.searchsorted(cut, keys, side="right")
+        else:
+            merged = np.argsort(np.concatenate((cut, keys)), kind="stable")
+            at = np.flatnonzero(merged >= cut.size)
+            at -= np.arange(keys.size)
+        at += start + 1
+        ids[rows] = at
+        start = end
     return ids
 
 

@@ -435,3 +435,10 @@ def test_empirical_tv_edge_cases():
     assert empirical_tv(xs, np.ones(100, dtype=int)) == 1.0
     half = np.concatenate([np.zeros(50, dtype=int), np.ones(50, dtype=int)])
     assert empirical_tv(xs, half) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("empty", ["xs", "ys"])
+def test_empirical_tv_rejects_an_empty_sample(empty):
+    samples = {"xs": np.array([1, 2]), "ys": np.array([1, 2]), empty: np.array([], dtype=int)}
+    with pytest.raises(ValueError, match=f"{empty} is empty"):
+        empirical_tv(samples["xs"], samples["ys"])

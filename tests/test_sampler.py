@@ -180,6 +180,101 @@ def test_mirrored_draw_shares_one_cdf():
     assert cdf_out is not cdf_in and np.array_equal(cdf_out, cdf_in)
 
 
+class _Uniforms:
+    """A generator stub whose ``random(out=)`` writes chosen uniforms, in the order given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, out):
+        out[...] = self.u
+        return out
+
+
+def _assert_draw_is_inversion(cdf, u):
+    """``_draw_vertices`` gives each sorted uniform's id by a right-side search of the cdf."""
+    cdf = np.asarray(cdf)
+    expected = np.searchsorted(cdf, np.sort(u) * cdf[-1], side="right") + 1
+    got = sampler._draw_vertices(cdf, len(u), _Uniforms(u))
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+    return got
+
+
+CHUNK = sampler._MERGE_KEYS
+
+
+@pytest.mark.parametrize(
+    "size",
+    [0, 1, CHUNK // 8 - 1, CHUNK // 8, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 17],
+)
+def test_draw_vertices_sizes(size):
+    cdf = np.cumsum(np.random.default_rng(size).pareto(2.5, 3_000) + 1.0)
+    _assert_draw_is_inversion(cdf, np.random.default_rng(size + 1).random(size))
+
+
+@pytest.mark.parametrize(
+    "n, total, step", [(4_000, 2**13, 1), (250_000, 2**19, 61)], ids=["merged", "searched"]
+)
+def test_draw_vertices_keys_on_cdf_values(n, total, step):
+    # integer weights summing to a power of two, so u = k / total scales back
+    # to exactly k: keys on cdf values in merged chunks, or in chunks too
+    # sparse to merge, and in the short last chunk; a key equal to cdf[i]
+    # belongs to vertex i + 2
+    weights = np.random.default_rng(3).integers(1, 4, n)
+    weights[n // 2] += total - weights.sum()
+    cdf = np.cumsum(weights)
+    k = np.arange(0, total, step)
+    k = np.sort(np.concatenate([np.tile(k, 3), k[-100:]]))
+    got = _assert_draw_is_inversion(cdf, k / total)
+    on = np.isin(k, cdf)
+    assert on[:CHUNK].any() and on[-100:].any()
+    np.testing.assert_array_equal(got[on], np.searchsorted(cdf, k[on]) + 2)
+
+
+def test_draw_vertices_repeated_cdf_values():
+    # a weight below half an ulp of the running sum leaves the sum unchanged
+    cdf = np.cumsum([1e20, 1.0, 1.0])
+    assert cdf[0] == cdf[-1]
+    u = np.random.default_rng(4).random(CHUNK + 5)
+    u[:3] = 0.0
+    assert (_assert_draw_is_inversion(cdf, u) == 1).all()
+    # a run of equal cdf values in the middle, with keys on the repeated value:
+    # they go past the whole run
+    cdf = np.cumsum([1.0, 1e-17, 1e-17, 1.0])
+    assert cdf[0] == cdf[2] < cdf[3]
+    u = np.full(2 * CHUNK, 0.5)
+    u[::2] = np.random.default_rng(5).random(CHUNK)
+    got = _assert_draw_is_inversion(cdf, u)
+    assert (got[np.sort(u) == 0.5] == 4).all()
+
+
+@pytest.mark.parametrize("size", [1, CHUNK + 1])
+def test_draw_vertices_single_vertex(size):
+    u = np.random.default_rng(size).random(size)
+    u[0] = 0.0
+    assert (_assert_draw_is_inversion(np.array([2.5]), u) == 1).all()
+
+
+def test_draw_vertices_all_keys_in_one_heavy_vertex():
+    weights = np.ones(1_000)
+    weights[500] = 1e12
+    cdf = np.cumsum(weights)
+    lo, hi = cdf[499] / cdf[-1], cdf[500] / cdf[-1]
+    u = lo + (hi - lo) * np.random.default_rng(6).uniform(0.01, 0.99, 3 * CHUNK + 9)
+    assert (_assert_draw_is_inversion(cdf, u) == 501).all()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_draw_vertices_random_pareto_cdfs(seed):
+    # vertex counts from one to far more than the keys, so some chunks merge
+    # and some (a long cdf slice per chunk) search key by key
+    rng = np.random.default_rng(seed)
+    for n in (1, 7, 5_000, 300_000):
+        cdf = np.cumsum(rng.pareto(rng.uniform(0.5, 3.0), n) + 1e-3)
+        _assert_draw_is_inversion(cdf, rng.random(int(rng.integers(0, 4 * CHUNK))))
+
+
 def test_total_arcs_poisson_law():
     w = _const_pair(50)
     reps = 4_000

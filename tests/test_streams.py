@@ -90,8 +90,9 @@ def test_single_vertex_graph_is_one_loop(name):
 
 
 def test_alias_table_rejects_bad_weights():
-    # The endpoint draw (an alias table before the inverse-CDF draw) gets its
-    # weights only through WeightSequence, which rejects them on either side.
+    # The endpoint draw (sorted uniforms merged into the weights' cumulative
+    # sums) gets its weights only through WeightSequence, which rejects them
+    # on either side.
     for bad in ([], [-1.0, 2.0], [np.inf, 1.0], [0.0, 0.0]):
         bad = np.array(bad, dtype=np.float64)
         good = np.ones(bad.size)
