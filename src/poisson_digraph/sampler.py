@@ -140,10 +140,9 @@ def _draw_vertices(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     where its own last key falls, and one stable sort of the slice followed
     by the keys, two sorted runs, merges them in linear time with every cdf
     entry before an equal key.  Key j then sits after the j keys before it
-    and after the slice entries <= it.  A chunk of few keys, for which the
-    merge's fixed cost does not pay, or one whose slice would make the
+    and after the slice entries <= it.  A chunk whose slice would make the
     merge more than ``_MERGE_SPAN`` values long (a draw of far fewer keys
-    than vertices), is looked up by one binary search per key in its slice
+    than vertices) is looked up by one binary search per key in its slice
     instead.  The uniforms are drawn into the ids' own buffer, sorted and
     scaled in place, and each chunk of them is replaced by its ids.
     """
@@ -156,13 +155,11 @@ def _draw_vertices(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     for lo in range(0, size, _MERGE_KEYS):
         rows = slice(lo, lo + _MERGE_KEYS)
         keys = u[rows]
-        # cdf[end:] > every key here; only the last chunk can be short, and it
-        # needs no end
-        short = keys.size < _MERGE_KEYS // 8
-        end = cdf.size if short else int(np.searchsorted(cdf, keys[-1], side="right"))
+        # cdf[end:] > every key here
+        end = int(np.searchsorted(cdf, keys[-1], side="right"))
         cut = cdf[start:end]
         # each key's count of cut entries <= it
-        if short or cut.size + keys.size > _MERGE_SPAN:
+        if cut.size + keys.size > _MERGE_SPAN:
             at = np.searchsorted(cut, keys, side="right")
         else:
             merged = np.argsort(np.concatenate((cut, keys)), kind="stable")
