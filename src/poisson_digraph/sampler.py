@@ -55,10 +55,12 @@ __all__ = [
 ]
 
 NAIVE_DEFAULT_CAP = 10_000
-# sorted endpoint keys merged into the cdf at a time, and the longest merge
-# (keys plus cdf slice): its argsort and the values it sorts take 512 KiB
+# sorted endpoint keys merged into the cdf at a time, and the most cdf
+# entries per key a chunk merges with: past about three, one binary search
+# per key is as fast, and a merge of a full chunk (keys plus cdf slice) then
+# takes at most 512 KiB for its argsort and the values it sorts
 _MERGE_KEYS = _CHUNK_ROWS // 8
-_MERGE_SPAN = 4 * _MERGE_KEYS
+_MERGE_SPREAD = 3
 
 
 def _check(l_n: float, reps: int = 1) -> None:
@@ -140,9 +142,9 @@ def _draw_vertices(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     where its own last key falls, and one stable sort of the slice followed
     by the keys, two sorted runs, merges them in linear time with every cdf
     entry before an equal key.  Key j then sits after the j keys before it
-    and after the slice entries <= it.  A chunk whose slice would make the
-    merge more than ``_MERGE_SPAN`` values long (a draw of far fewer keys
-    than vertices) is looked up by one binary search per key in its slice
+    and after the slice entries <= it.  A chunk whose slice holds more than
+    ``_MERGE_SPREAD`` entries per key (a draw of fewer keys than a third of
+    the vertices) is looked up by one binary search per key in its slice
     instead.  The uniforms are drawn into the ids' own buffer, sorted and
     scaled in place, and each chunk of them is replaced by its ids.
     """
@@ -159,7 +161,7 @@ def _draw_vertices(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.n
         end = int(np.searchsorted(cdf, keys[-1], side="right"))
         cut = cdf[start:end]
         # each key's count of cut entries <= it
-        if cut.size + keys.size > _MERGE_SPAN:
+        if cut.size > _MERGE_SPREAD * keys.size:
             at = np.searchsorted(cut, keys, side="right")
         else:
             merged = np.argsort(np.concatenate((cut, keys)), kind="stable")
