@@ -232,8 +232,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     del w
     codes = _fast_arc_codes(cfg.n, draw, cfg.seed)
     del draw
-    # the rows are rendered from the sorted codes; no graph is built
-    codes.sort()
+    # the rows are rendered from the codes; no graph is built
     meta = _header_meta(model, cfg, l_n=float(l_n))
     _emit(_edge_list_chunks(cfg.n, _code_rows(cfg.n, codes), meta), cfg.out)
     return 0

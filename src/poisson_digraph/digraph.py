@@ -1,8 +1,12 @@
 """Directed multigraph container and the tab-separated edge-list format.
 
 Vertices are indexed 1..n.  Arcs are held as parallel (src, dst, mult)
-arrays sorted by (src, dst) with strictly positive multiplicities.
-Instances are treated as immutable once constructed.
+arrays with strictly positive multiplicities, in the order of the arc
+code src * (n + 1) + dst, which is (src, dst) order.  This module alone
+makes, sorts and decodes the codes: ``_arc_codes`` encodes arc rows,
+``MultiDigraph._from_codes`` builds the graph of unit-arc codes, and
+``_code_rows`` sorts codes and streams their rows.  Instances are
+treated as immutable once constructed.
 """
 
 from __future__ import annotations
@@ -78,8 +82,7 @@ class MultiDigraph:
         if _last_increasing_code(n, src, dst, -1) is None:
             # merge duplicates in the canonical (src, dst) order; the ids are
             # read back off the sorted codes, so src and dst need not follow them
-            codes = src * (n + 1)
-            codes += dst
+            codes = _arc_codes(n, src, dst, out=src)
             del src, dst
             order = np.argsort(codes)
             codes = codes[order]
@@ -94,6 +97,31 @@ class MultiDigraph:
         self.src = src
         self.dst = dst
         self.mult = mult
+
+    @classmethod
+    def _from_codes(cls, n: int, codes: np.ndarray) -> "MultiDigraph":
+        """The graph with one arc per code of ``_arc_codes``, built in the buffer of ``codes``.
+
+        ``codes``, a fresh int64 array that the caller hands over, is sorted in place;
+        each run of equal codes becomes one row, with three K-row arrays at most alive.
+        """
+        codes.sort()
+        run_start = np.empty(codes.size, dtype=bool)
+        run_start[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
+        start = np.flatnonzero(run_start)
+        del run_start
+        mult = np.empty_like(start)
+        np.subtract(start[1:], start[:-1], out=mult[:-1])
+        mult[-1:] = codes.size - start[-1:]
+        # the distinct codes, gathered chunk by chunk into the starts' own buffer
+        for lo in range(0, start.size, _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            start[rows] = codes[start[rows]]
+        codes.resize(start.size, refcheck=False)
+        src = np.floor_divide(start, n + 1, out=codes)
+        dst = np.remainder(start, n + 1, out=start)
+        return cls._adopt(n, src, dst, mult)
 
     @classmethod
     def empty(cls, n: int) -> "MultiDigraph":
@@ -184,15 +212,24 @@ def _raise_fault(fault: int | None, n: int) -> None:
         raise ValueError(_ARC_FAULTS[fault].format(n=n))
 
 
+def _arc_codes(n: int, src, dst, out: np.ndarray | None = None) -> np.ndarray:
+    """The int64 arc codes src * (n + 1) + dst on n vertices, into ``out`` (may be ``src``) if given.
+
+    They sort as (src, dst) and decode by divmod by n + 1, 0-based targets too.
+    """
+    codes = np.multiply(src, n + 1, out=out, dtype=np.int64)
+    codes += dst
+    return codes
+
+
 def _last_increasing_code(n: int, src: np.ndarray, dst: np.ndarray, last: int) -> int | None:
-    """The last of the codes src * (n + 1) + dst if they strictly increase from above ``last``.
+    """The last of the codes of ``_arc_codes`` if they strictly increase from above ``last``.
 
     ``last`` is the code of the rows before, or -1 for none; None means the
     codes do not increase.  The codes are made a chunk at a time.
     """
     for lo in range(0, src.size, _CHUNK_ROWS):
-        codes = src[lo : lo + _CHUNK_ROWS] * (n + 1)
-        codes += dst[lo : lo + _CHUNK_ROWS]
+        codes = _arc_codes(n, src[lo : lo + _CHUNK_ROWS], dst[lo : lo + _CHUNK_ROWS])
         if codes[0] <= last or np.any(codes[1:] <= codes[:-1]):
             return None
         last = int(codes[-1])
@@ -270,12 +307,13 @@ def _graph_rows(g: MultiDigraph):
 
 
 def _code_rows(n: int, codes: np.ndarray):
-    """The arc rows of sorted codes src * (n + 1) + dst: one row per run of equal codes.
+    """The arc rows of codes of ``_arc_codes``, sorted in place: one row per run of equal codes.
 
     Yields (src, dst, mult) chunks, each the whole runs that start among
     ``_CHUNK_ROWS`` consecutive codes, so a run's multiplicity is its
     length and no chunk makes a transient longer than ``_CHUNK_ROWS``.
     """
+    codes.sort()
     lo = 0
     while lo < codes.size:
         chunk = codes[lo : lo + _CHUNK_ROWS]
@@ -518,14 +556,17 @@ def _row_blocks(path: str | Path, meta: dict):
     TAB, TAB, LF in turn after its leading comment lines, is parsed as one
     string of numbers; any other goes through ``np.loadtxt``.  Comments
     are read in file order; after a malformed data line only comments are,
-    and that line's error is raised at the end.
+    and that line's error is raised at the end.  A UTF-8 byte-order mark
+    is skipped at byte 0 only.
     """
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
         size = info.st_size if stat.S_ISREG(info.st_mode) else 0
         lines = done = 0
         bad = None
-        rest = []  # the start of a line that no block has ended yet
+        rest = [f.read(3)]  # the start of a line that no block has ended yet
+        if rest[0] == b"\xef\xbb\xbf":
+            rest, done = [], 3
         while True:
             chunk = f.read(_BLOCK_BYTES)
             if chunk:

@@ -13,7 +13,9 @@ two i.i.d. sequences.
 Also provided: one-vertex growth via Poisson thinning, and the mirrored-sum
 constructions (two opposedly oriented undirected samples, or one doubled
 undirected sample with uniform orientation) that reproduce the direct law
-exactly, diagonal included.
+exactly, diagonal included.  The fast sampler and the sum constructions hold
+their arcs as codes (``digraph._arc_codes``) until ``MultiDigraph._from_codes``
+builds the graph.
 
 Each sampler is one function with a keyword-only replicate count ``reps``
 (default 1).  It returns ``reps`` independent samples as the blocks of one
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .digraph import _CHUNK_ROWS, MultiDigraph
+from .digraph import _CHUNK_ROWS, MultiDigraph, _arc_codes
 from .streams import stream
 from .weights import (
     Marginal,
@@ -68,43 +70,6 @@ def _check(l_n: float, reps: int = 1) -> None:
         raise ValueError(f"normalizer L must be positive and finite, got {l_n}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-
-
-def _unit_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> MultiDigraph:
-    """The graph with one arc per (src, dst) row, duplicates merged."""
-    return _unit_arc_codes(n, src * (n + 1) + dst)
-
-
-def _unit_arc_codes(n: int, codes: np.ndarray) -> MultiDigraph:
-    """The graph with one arc per code src * (n + 1) + dst, built in the buffer of ``codes``.
-
-    ``codes`` is a fresh int64 array that the caller hands over.  One
-    in-place value sort orders it by the key ``MultiDigraph`` orders by;
-    each distinct code's multiplicity is the length of its run.  The
-    distinct codes are gathered into the run starts' buffer, and the sources
-    are decoded into the codes' own buffer, cut to their count, so three
-    K-row arrays at most live at once.  The graph adopts the decoded rows,
-    and its check sees strictly increasing codes, so it skips its own sort.
-    """
-    codes.sort()
-    run_start = np.empty(codes.size, dtype=bool)
-    run_start[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
-    start = np.flatnonzero(run_start)
-    del run_start
-    mult = np.empty_like(start)
-    np.subtract(start[1:], start[:-1], out=mult[:-1])
-    mult[-1:] = codes.size - start[-1:]
-    # the distinct codes, gathered chunk by chunk into the starts' own buffer
-    for lo in range(0, start.size, _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
-        start[rows] = codes[start[rows]]
-    distinct = start
-    del start
-    codes.resize(distinct.size, refcheck=False)
-    src = np.floor_divide(distinct, n + 1, out=codes)
-    dst = np.remainder(distinct, n + 1, out=distinct)
-    return MultiDigraph._adopt(n, src, dst, mult)
 
 
 def sample_graph_naive(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1) -> MultiDigraph:
@@ -184,7 +149,7 @@ def sample_graph_fast(w: WeightSequence, l_n: float, seed: int, *, reps: int = 1
     i.i.d. sequence independent of the sources, so pairing them with the
     sorted sources gives the same arc multiset law as two i.i.d. sequences.
     """
-    return _unit_arc_codes(reps * w.n, _fast_arc_codes(w.n, _arc_draw(w, l_n, reps), seed, reps))
+    return MultiDigraph._from_codes(reps * w.n, _fast_arc_codes(w.n, _arc_draw(w, l_n, reps), seed, reps))
 
 
 def _arc_draw(w: WeightSequence, l_n: float, reps: int = 1) -> tuple[float, np.ndarray, np.ndarray]:
@@ -201,11 +166,10 @@ def _arc_draw(w: WeightSequence, l_n: float, reps: int = 1) -> tuple[float, np.n
 
 
 def _fast_arc_codes(n: int, draw: tuple, seed: int, reps: int = 1) -> np.ndarray:
-    """The arcs of ``sample_graph_fast``: K codes src * (reps n + 1) + dst, unsorted.
+    """The arcs of ``sample_graph_fast``: K unsorted codes on reps * n vertices.
 
     ``draw`` is ``_arc_draw(w, l_n, reps)``, so a caller can drop the
-    weights before the arcs are drawn; ``_unit_arc_codes(reps * n, codes)``
-    makes the codes the graph.
+    weights before the arcs are drawn.
     """
     mean, cdf_out, cdf_in = draw
     rng = stream(seed, "fast")
@@ -217,10 +181,7 @@ def _fast_arc_codes(n: int, draw: tuple, seed: int, reps: int = 1) -> np.ndarray
     if reps > 1:
         # targets join their source's block
         dst += (src - 1) // n * n
-    # the codes, built in the source buffer
-    src *= reps * n + 1
-    src += dst
-    return src
+    return _arc_codes(reps * n, src, dst, out=src)
 
 
 # -- growth by one vertex -----------------------------------------------------
@@ -306,8 +267,8 @@ def evolve_chain(
 
 def _nr_oriented_arcs(
     cap: np.ndarray, l_n: float, orientation: str, rng: np.random.Generator, reps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arc endpoints (1-based) of ``reps`` undirected inhomogeneous samples.
+) -> np.ndarray:
+    """The arc codes, on reps * cap.size vertices, of ``reps`` undirected inhomogeneous samples.
 
     Unordered pair {v, w}, v != w, carries Poisson(cap_v cap_w / l_n) edges
     and the diagonal Poisson(cap_v^2 / (2 l_n)), realized by drawing the
@@ -323,39 +284,42 @@ def _nr_oriented_arcs(
     shift = np.repeat(np.arange(reps) * cap.size, k)
     ids = _draw_vertices(np.cumsum(cap), 2 * int(k.sum()), rng)
     rng.shuffle(ids)
-    a, b = ids.reshape(2, -1) + shift
+    ids = ids.reshape(2, -1)
+    ids += shift
+    a, b = ids
     if orientation == "higher":
-        return np.minimum(a, b), np.maximum(a, b)
-    if orientation == "lower":
-        return np.maximum(a, b), np.minimum(a, b)
-    if orientation == "uniform":
-        return a, b
-    raise ValueError(f"unknown orientation {orientation!r}")
+        a, b = np.minimum(a, b), np.maximum(a, b)
+    elif orientation == "lower":
+        a, b = np.maximum(a, b), np.minimum(a, b)
+    elif orientation != "uniform":
+        raise ValueError(f"unknown orientation {orientation!r}")
+    return _arc_codes(reps * cap.size, a, b)
 
 
 @dataclass(frozen=True, eq=False)
 class SumParts:
     """A sum-construction sample together with its two constituents.
 
-    Holds the constituents' (src, dst) endpoint arrays; ``graph``, ``first``
-    and ``second`` are each built on first access.
+    Holds each constituent's unsorted arc codes on n vertices; ``graph``,
+    ``first`` and ``second`` are each built on first access, from a copy,
+    so the codes stay as drawn.
     """
 
     n: int
-    first_arcs: tuple[np.ndarray, np.ndarray]
-    second_arcs: tuple[np.ndarray, np.ndarray]
+    first_codes: np.ndarray
+    second_codes: np.ndarray
 
     @cached_property
     def graph(self) -> MultiDigraph:
-        return _unit_arcs(self.n, *map(np.concatenate, zip(self.first_arcs, self.second_arcs)))
+        return MultiDigraph._from_codes(self.n, np.concatenate((self.first_codes, self.second_codes)))
 
     @cached_property
     def first(self) -> MultiDigraph:
-        return _unit_arcs(self.n, *self.first_arcs)
+        return MultiDigraph._from_codes(self.n, self.first_codes.copy())
 
     @cached_property
     def second(self) -> MultiDigraph:
-        return _unit_arcs(self.n, *self.second_arcs)
+        return MultiDigraph._from_codes(self.n, self.second_codes.copy())
 
 
 def _capacities(w: WeightSequence, l_n: float | None, reps: int) -> tuple[np.ndarray, float]:
@@ -378,8 +342,8 @@ def _sum_parts(
     """
     return SumParts(
         n=reps * cap1.size,
-        first_arcs=_nr_oriented_arcs(cap1, l_n, "higher", stream(seed, tag, 1), reps),
-        second_arcs=_nr_oriented_arcs(cap2, l_n, "lower", stream(seed, tag, 2), reps),
+        first_codes=_nr_oriented_arcs(cap1, l_n, "higher", stream(seed, tag, 1), reps),
+        second_codes=_nr_oriented_arcs(cap2, l_n, "lower", stream(seed, tag, 2), reps),
     )
 
 
@@ -417,8 +381,8 @@ def sample_randomly_oriented_nr(
     flip on a loop has no observable effect.
     """
     cap, l_n = _capacities(capacity_weights, l_n, reps)
-    arcs = _nr_oriented_arcs(2.0 * cap, 2.0 * l_n, "uniform", stream(seed, "randomly-oriented"), reps)
-    return _unit_arcs(reps * cap.size, *arcs)
+    codes = _nr_oriented_arcs(2.0 * cap, 2.0 * l_n, "uniform", stream(seed, "randomly-oriented"), reps)
+    return MultiDigraph._from_codes(reps * cap.size, codes)
 
 
 # -- independent-sum construction ---------------------------------------------

@@ -17,7 +17,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .digraph import _CHUNK_ROWS, MultiDigraph, _code_rows, _Columns, _fold_blocks, _last_increasing_code
+from .digraph import (
+    _CHUNK_ROWS, MultiDigraph, _arc_codes, _code_rows, _Columns, _fold_blocks, _last_increasing_code,
+)
 
 __all__ = [
     "DegreeArrays",
@@ -393,9 +395,8 @@ def _read_summary(path, n: int | None = None) -> ComponentSummary:
     The blocks go straight into the adjacency (``_fold_blocks``, with its
     checks, errors and blocks held until n is known), two narrow id columns
     of the rows with a nonzero count; no graph is built.  A file whose arc
-    codes src * (n + 1) + dst strictly increase, as the writer's do, is
-    already the adjacency's order; any other is sorted and merged from
-    those columns.
+    codes strictly increase, as the writer's do, is already the adjacency's
+    order; any other is sorted and merged from those columns.
     """
     return _fold_blocks(path, n, {}, _AdjacencyRows, _AdjacencyRows.add)[2].summary()
 
@@ -427,19 +428,13 @@ class _AdjacencyRows:
         n, columns = self.n, self.columns
         del self.columns
         if self.last is None:
-            # sort the codes, then write each run of equal ones back as one row
-            src, indices = columns.arrays
-            codes = src[: columns.used].astype(np.int64)
-            codes *= n + 1
-            codes += indices[: columns.used]
-            codes += 1
-            del src, indices
-            codes.sort()
+            # each run of equal rows goes back as one row, in code order; the
+            # 0-based targets decode as they were encoded, and the merged rows
+            # are no more than the columns hold
+            rows = _code_rows(n, _arc_codes(n, *(column[: columns.used] for column in columns.arrays)))
             columns.used = 0
-            # the merged rows are no more than the columns hold
-            for src, dst, _ in _code_rows(n, codes):
-                columns.append((src, dst - 1), 1.0)
-            del codes
+            for src, dst, _ in rows:
+                columns.append((src, dst), 1.0)
         src, indices = columns.take()
         if indices.dtype != _index_type(n, src.size):
             indices = indices.astype(np.int64)

@@ -111,6 +111,23 @@ def test_comment_that_is_not_utf8_names_its_line(tmp_path):
     assert res.stderr == f"error: {bad}: line 2: comment is not UTF-8 (byte 0xe9)\n"
 
 
+@pytest.mark.parametrize("command", ["components", "stats"])
+@pytest.mark.parametrize("header", [b"# n=3\n", b""], ids=["header", "headerless"])
+def test_byte_order_mark_at_the_first_byte_reads_as_no_data(tmp_path, command, header):
+    n_flag = [] if header else ["--n", "3"]
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_bytes(header + b"1\t2\t1\n2\t3\t1\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    res = run_cli(command, "--in", str(marked), *n_flag)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli(command, "--in", str(plain), *n_flag).stdout
+    # after the first byte it is data, and malformed
+    marked.write_bytes(header + b"\n\xef\xbb\xbf" + plain.read_bytes()[len(header):])
+    res = run_cli(command, "--in", str(marked), *n_flag)
+    assert res.returncode == 3
+    assert f"line {2 + bool(header)}: '\\ufeff1' is not an integer" in res.stderr
+
+
 def test_free_comment_of_any_bytes_reads(tmp_path):
     plain, latin1 = tmp_path / "plain.tsv", tmp_path / "latin1.tsv"
     plain.write_bytes(b"# n=3\n1\t2\t1\n")

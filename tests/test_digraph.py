@@ -16,7 +16,7 @@ from poisson_digraph.digraph import (
     read_edge_list,
     write_edge_list,
 )
-from poisson_digraph.sampler import _unit_arc_codes, sample_graph_fast
+from poisson_digraph.sampler import sample_graph_fast
 from poisson_digraph.weights import ParetoMirrored, moments, sample_weights
 from graph_helpers import arc_dict, assert_same_text, graph_from_arcs, traced_peak
 
@@ -281,24 +281,27 @@ def test_edge_list_text_matches_row_loop(g, tmp_path):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
 def test_sorted_codes_render_as_the_graph_they_make(monkeypatch, chunk):
-    # runs of equal codes that straddle chunk ends, and one longer than a chunk
+    # runs of equal codes that straddle chunk ends, and one longer than a
+    # chunk; _code_rows sorts the codes, so they are given sorted and shuffled
     monkeypatch.setattr(digraph, "_CHUNK_ROWS", chunk)
     n = 6
     rng = np.random.default_rng(chunk)
+
+    def assert_rows_render(n, codes):
+        g = MultiDigraph._from_codes(n, codes.copy())
+        expected = _row_loop_text(g).split("multiplicity\n", 1)[1].encode()
+        for given in (codes, rng.permutation(codes)):
+            assert b"".join(digraph._row_chunks(n, digraph._code_rows(n, given))) == expected
+            assert np.array_equal(given, codes)
+
     src, dst = rng.integers(1, n + 1, (2, 40))
-    codes = np.sort(np.concatenate((src * (n + 1) + dst, np.full(9, 3 * (n + 1) + 3))))
-    g = _unit_arc_codes(n, codes.copy())
-    text = b"".join(digraph._row_chunks(n, digraph._code_rows(n, codes)))
-    assert text == _row_loop_text(g).split("multiplicity\n", 1)[1].encode()
+    assert_rows_render(n, np.sort(np.concatenate((src * (n + 1) + dst, np.full(9, 3 * (n + 1) + 3)))))
     # each chunk is as wide as its own largest values: one-digit ids in the
     # first chunks, seven-digit ones in the last
     n = 10**6 + 9
     small = rng.integers(1, 10, (2, 7))
     big = rng.integers(10**6, n + 1, (2, 7))
-    codes = np.sort(np.concatenate((small[0] * (n + 1) + small[1], big[0] * (n + 1) + big[1])))
-    g = _unit_arc_codes(n, codes.copy())
-    text = b"".join(digraph._row_chunks(n, digraph._code_rows(n, codes)))
-    assert text == _row_loop_text(g).split("multiplicity\n", 1)[1].encode()
+    assert_rows_render(n, np.sort(np.concatenate((small[0] * (n + 1) + small[1], big[0] * (n + 1) + big[1]))))
     # a multiplicity of 2**62 (19 digits) in one chunk only
     mult = np.ones(14, dtype=np.int64)
     mult[5] = 2**62
@@ -355,6 +358,27 @@ def test_read_headerless_file_given_n(tmp_path):
     g, meta = read_edge_list(path, n=2)
     assert arc_dict(g) == {(1, 2): 1, (2, 1): 3}
     assert meta == {}
+
+
+@pytest.mark.parametrize("header", [b"# n=3\n", b""], ids=["header", "headerless"])
+def test_read_skips_a_byte_order_mark_at_the_first_byte_only(tmp_path, monkeypatch, header):
+    n = None if header else 3
+    rows = b"1\t2\t1\n2\t3\t4\n"
+    path = tmp_path / "g.tsv"
+    path.write_bytes(header + rows)
+    plain = read_edge_list(path, n)
+    path.write_bytes(b"\xef\xbb\xbf" + header + rows)
+    assert read_edge_list(path, n) == plain
+    # anywhere else, a block start included, it is part of a data line
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", 4)
+    for text, line in (
+        (b"\xef\xbb\xbf\xef\xbb\xbf" + header + rows, 1),
+        (header + b"\n\xef\xbb\xbf" + rows, 2 + bool(header)),
+        (header + rows + b"\xef\xbb\xbf3\t1\t1\n", 3 + bool(header)),
+    ):
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            read_edge_list(path, n)
 
 
 @pytest.mark.parametrize(

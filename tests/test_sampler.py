@@ -15,7 +15,7 @@ import pytest
 
 from poisson_digraph import sampler
 from poisson_digraph.analysis import poisson_chisquare, product_poisson_chisquare
-from poisson_digraph.digraph import MultiDigraph
+from poisson_digraph.digraph import MultiDigraph, _arc_codes
 from poisson_digraph.sampler import (
     _sum_parts,
     evolve,
@@ -155,7 +155,7 @@ def test_fast_tracked_pair_counts_follow_the_exact_law():
 def test_unit_arcs_match_the_constructor(n, src, dst):
     src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
     expected = MultiDigraph(n, src, dst, np.ones(src.size, dtype=np.int64))
-    assert sampler._unit_arcs(n, src, dst) == expected
+    assert MultiDigraph._from_codes(n, _arc_codes(n, src, dst)) == expected
 
 
 def test_sample_graph_fast_peak_memory():
@@ -389,6 +389,37 @@ def test_oriented_sum_graph_is_part_sum():
             merged[pair] = merged.get(pair, 0) + mult
     assert arc_dict(parts.graph) == merged
     assert parts.graph.total_arcs == parts.first.total_arcs + parts.second.total_arcs
+
+
+@pytest.mark.parametrize("construction", ["oriented", "independent"])
+def test_sum_parts_build_from_their_codes_in_any_order(construction):
+    # each build sorts a buffer in place; the codes the parts hold stay as drawn
+    def draw():
+        if construction == "oriented":
+            return oriented_sum_parts(sample_weights(ParetoMirrored(3.5, 1.0), 300, seed=4), seed=5)
+        return independent_sum_parts(ConstantMarginal(2.0), ParetoMarginal(3.5, 1.2), 300, seed=5)
+
+    drawn = draw()
+    first_codes, second_codes = drawn.first_codes.copy(), drawn.second_codes.copy()
+    n = drawn.n
+
+    def decoded(codes):
+        src, dst = np.divmod(codes, n + 1)
+        return MultiDigraph(n, src, dst, np.ones(codes.size, dtype=np.int64))
+
+    expected = {
+        "first": decoded(first_codes),
+        "second": decoded(second_codes),
+        "graph": decoded(np.concatenate((first_codes, second_codes))),
+    }
+    for names in (("first", "graph", "second"), ("second", "graph", "first")):
+        parts = draw()
+        # each read twice, the second time rebuilt from the codes
+        for name in names + names:
+            vars(parts).pop(name, None)
+            assert getattr(parts, name) == expected[name]
+        assert np.array_equal(parts.first_codes, first_codes)
+        assert np.array_equal(parts.second_codes, second_codes)
 
 
 def test_sum_constructions_need_mirrored_weights():
