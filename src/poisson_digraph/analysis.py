@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import _CHUNK_ROWS, MultiDigraph
+from .digraph import MultiDigraph, _chunks
 from .structure import DegreeArrays, degree_arrays
 from .streams import stream
 from .weights import (
@@ -331,10 +331,10 @@ def _degree_fit(
     # kmax + 1, counted a vertex chunk at a time
     side = kmax + 2
     counts = np.zeros(side**2, dtype=np.int64)
-    for lo in range(0, n, _CHUNK_ROWS):
-        cells = np.minimum(arr.d_in[lo : lo + _CHUNK_ROWS], side - 1)
+    for rows in _chunks(n):
+        cells = np.minimum(arr.d_in[rows], side - 1)
         cells *= side
-        cells += np.minimum(arr.d_out[lo : lo + _CHUNK_ROWS], side - 1)
+        cells += np.minimum(arr.d_out[rows], side - 1)
         counts += np.bincount(cells, minlength=side**2)
     emp = counts.reshape(side, side) / n
     emp_grid = emp[: kmax + 1, : kmax + 1]
@@ -500,15 +500,10 @@ def loop_test(model: WeightModel, n: int, reps: int = 10_000, seed: int = 0) -> 
         rate = w.sum_products / l_n
         totals[:] = rng.poisson(rate, size=reps)
     else:
-        chunk = max(1, 2_000_000 // n)
-        for lo in range(0, reps, chunk):
-            hi = min(reps, lo + chunk)
-            u = rng.random((hi - lo, n, 2))
-            rates = np.empty(hi - lo)
-            for r in range(hi - lo):
-                w = WeightSequence(*_pairs_from_uniforms(model, u[r]))
-                rates[r] = w.sum_products / l_n
-            totals[lo:hi] = rng.poisson(rates)
+        for rows in _chunks(reps, max(1, 2_000_000 // n)):
+            u = rng.random((rows.stop - rows.start, n, 2))
+            sums = [WeightSequence(*_pairs_from_uniforms(model, ur)).sum_products for ur in u]
+            totals[rows] = rng.poisson(np.divide(sums, l_n))
     chi2 = poisson_chisquare(totals, expected)
     sd = float(totals.std(ddof=1)) if reps > 1 else float("nan")
     z = (float(totals.mean()) - expected) / (sd / math.sqrt(reps)) if sd > 0 else 0.0

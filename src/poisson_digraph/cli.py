@@ -8,13 +8,14 @@ configuration and seed produces byte-identical output.
 
 Exit codes: 0 success or all checks passed, 1 check failure, 2 usage or
 configuration error (a size that does not fit in memory included), 3 I/O
-or file-format error.
+or file-format error, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields, replace
@@ -183,6 +184,8 @@ def _emit(chunks, out: str | None) -> None:
     """
     if out is None or out == "-":
         sys.stdout.writelines(map(bytes.decode, list(chunks)))
+        # a reader that has gone fails the flush here, not at exit
+        sys.stdout.flush()
         return
     try:
         _write_text(out, chunks)
@@ -482,6 +485,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(_merge_config(args))
+    except BrokenPipeError:
+        # the recipe of Python's signal documentation: no flush at exit reaches the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

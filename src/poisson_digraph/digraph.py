@@ -32,8 +32,8 @@ _INT64_MAX = 2**63 - 1
 # fit in int64 (about 3.04e9)
 MAX_N = math.isqrt(_INT64_MAX + 1) - 1
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
-# rows handled at a time by the writer and by the checks that walk whole
-# arc arrays: their transients stay a few MB, and the numpy calls are few
+# rows handled at a time by every chunked loop of the package, bound here
+# only: their transients stay a few MB, and the numpy calls are few
 _CHUNK_ROWS = 2**16
 # bytes the reader takes at a time; each block is cut at its last line end
 _BLOCK_BYTES = 2**18
@@ -58,22 +58,24 @@ class MultiDigraph:
         self._build(n, src, dst, mult, np.array)
 
     @classmethod
-    def _adopt(cls, n: int, src: np.ndarray, dst: np.ndarray, mult: np.ndarray) -> "MultiDigraph":
+    def _adopt(cls, n: int, src: np.ndarray, dst: np.ndarray, mult: np.ndarray, as_int64=np.asarray):
         """The constructor on fresh int64 arrays, which the graph takes over uncopied.
 
-        Same checks, merging and errors as ``MultiDigraph(n, src, dst, mult)``;
-        the caller must neither write nor keep the arrays it hands over.
+        Same checks, merging and errors as ``MultiDigraph(n, src, dst, mult)``,
+        or none with ``as_int64=None``, for rows that passed them already; the
+        caller must neither write nor keep the arrays it hands over.
         """
         g = cls.__new__(cls)
-        g._build(n, src, dst, mult, np.asarray)
+        g._build(n, src, dst, mult, as_int64)
         return g
 
     def _build(self, n: int, src, dst, mult, as_int64) -> None:
-        """The body of both entry points; ``as_int64`` copies (np.array) or adopts (np.asarray)."""
-        src, dst, mult = (as_int64(a, dtype=np.int64) for a in (src, dst, mult))
-        if not (src.shape == dst.shape == mult.shape) or src.ndim != 1:
-            raise ValueError("src, dst, mult must be 1-d arrays of equal length")
-        _raise_fault(_arc_fault(n, src, dst, mult)[0], n)
+        """The body of every entry point: check the rows ``as_int64`` makes, unless None, then merge."""
+        if as_int64 is not None:
+            src, dst, mult = (as_int64(a, dtype=np.int64) for a in (src, dst, mult))
+            if not (src.shape == dst.shape == mult.shape) or src.ndim != 1:
+                raise ValueError("src, dst, mult must be 1-d arrays of equal length")
+            _raise_fault(_arc_fault(n, src, dst, mult)[0], n)
         if src.size and mult.min() == 0:
             keep = mult > 0
             src, dst, mult = src[keep], dst[keep], mult[keep]
@@ -88,15 +90,12 @@ class MultiDigraph:
             codes = codes[order]
             mult = mult[order]
             del order
-            start = np.flatnonzero(np.diff(codes, prepend=-1))
+            start = _run_starts(codes)
             if start.size != codes.size:
                 mult = np.add.reduceat(mult, start)
                 codes = codes[start]
             src, dst = np.divmod(codes, n + 1)
-        self.n = int(n)
-        self.src = src
-        self.dst = dst
-        self.mult = mult
+        self.n, self.src, self.dst, self.mult = int(n), src, dst, mult
 
     @classmethod
     def _from_codes(cls, n: int, codes: np.ndarray) -> "MultiDigraph":
@@ -104,24 +103,23 @@ class MultiDigraph:
 
         ``codes``, a fresh int64 array that the caller hands over, is sorted in place;
         each run of equal codes becomes one row, with three K-row arrays at most alive.
+        The rows are canonical and in 1..n by construction, so only n is checked.
         """
+        _raise_fault(_n_fault(n), n)
         codes.sort()
-        run_start = np.empty(codes.size, dtype=bool)
-        run_start[:1] = True
-        np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
-        start = np.flatnonzero(run_start)
-        del run_start
+        start = _run_starts(codes)
         mult = np.empty_like(start)
         np.subtract(start[1:], start[:-1], out=mult[:-1])
         mult[-1:] = codes.size - start[-1:]
         # the distinct codes, gathered chunk by chunk into the starts' own buffer
-        for lo in range(0, start.size, _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
+        for rows in _chunks(start.size):
             start[rows] = codes[start[rows]]
         codes.resize(start.size, refcheck=False)
-        src = np.floor_divide(start, n + 1, out=codes)
-        dst = np.remainder(start, n + 1, out=start)
-        return cls._adopt(n, src, dst, mult)
+        g = cls.__new__(cls)
+        g.n, g.mult = int(n), mult
+        g.src = np.floor_divide(start, n + 1, out=codes)
+        g.dst = np.remainder(start, n + 1, out=start)
+        return g
 
     @classmethod
     def empty(cls, n: int) -> "MultiDigraph":
@@ -177,6 +175,20 @@ class MultiDigraph:
         )
 
 
+def _chunks(size: int, step: int | None = None):
+    """Slices that cut range(size) into runs of ``step`` (default ``_CHUNK_ROWS``, read at the call)."""
+    step = _CHUNK_ROWS if step is None else step
+    return (slice(lo, min(lo + step, size)) for lo in range(0, size, step))
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """The indices where a run of equal entries of sorted ``values`` starts."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def _n_fault(n: int) -> int | None:
     """The index into ``_ARC_FAULTS`` of the check that n fails, or None for n in 1..MAX_N."""
     return None if 1 <= n <= MAX_N else int(n > MAX_N)
@@ -228,8 +240,8 @@ def _last_increasing_code(n: int, src: np.ndarray, dst: np.ndarray, last: int) -
     ``last`` is the code of the rows before, or -1 for none; None means the
     codes do not increase.  The codes are made a chunk at a time.
     """
-    for lo in range(0, src.size, _CHUNK_ROWS):
-        codes = _arc_codes(n, src[lo : lo + _CHUNK_ROWS], dst[lo : lo + _CHUNK_ROWS])
+    for rows in _chunks(src.size):
+        codes = _arc_codes(n, src[rows], dst[rows])
         if codes[0] <= last or np.any(codes[1:] <= codes[:-1]):
             return None
         last = int(codes[-1])
@@ -301,9 +313,7 @@ def _edge_list_chunks(n: int, rows, meta: dict | None = None):
 
 def _graph_rows(g: MultiDigraph):
     """The arc rows of g as (src, dst, mult) chunks of ``_CHUNK_ROWS`` rows."""
-    for lo in range(0, g.src.size, _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
-        yield g.src[rows], g.dst[rows], g.mult[rows]
+    return ((g.src[rows], g.dst[rows], g.mult[rows]) for rows in _chunks(g.src.size))
 
 
 def _code_rows(n: int, codes: np.ndarray):
@@ -317,11 +327,7 @@ def _code_rows(n: int, codes: np.ndarray):
     lo = 0
     while lo < codes.size:
         chunk = codes[lo : lo + _CHUNK_ROWS]
-        first = np.empty(chunk.size, dtype=bool)
-        first[0] = True
-        np.not_equal(chunk[1:], chunk[:-1], out=first[1:])
-        start = np.flatnonzero(first)
-        del first
+        start = _run_starts(chunk)
         # the last run may go on past the chunk
         end = int(codes.searchsorted(chunk[-1], side="right"))
         mult = np.diff(start, append=end - lo)
@@ -444,11 +450,12 @@ def read_edge_list(path: str | Path, n: int | None = None) -> tuple[MultiDigraph
     Malformed data lines, metadata that is not UTF-8, and an ``n`` that is
     not an integer or disagrees with an earlier one, raise ValueError naming
     the line number.  The file is read once, in blocks (``_fold_blocks``),
-    so a pipe or /dev/stdin reads alike; the graph takes over the columns.
+    so a pipe or /dev/stdin reads alike; the graph takes over the columns,
+    which the blocks' checks have passed.
     """
     meta: dict[str, str] = {}
     n, _, columns = _fold_blocks(path, n, meta, lambda n: _Columns(3, np.int64), _Columns.append)
-    return MultiDigraph._adopt(n, *columns.take()), meta
+    return MultiDigraph._adopt(n, *columns.take(), None), meta
 
 
 def _read_degrees(path: str | Path, n: int | None = None) -> tuple[int, int, int, np.ndarray]:

@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .digraph import _CHUNK_ROWS, MultiDigraph, _arc_codes
+from . import digraph
+from .digraph import MultiDigraph, _arc_codes, _chunks
 from .streams import stream
 from .weights import (
     Marginal,
@@ -57,11 +58,10 @@ __all__ = [
 ]
 
 NAIVE_DEFAULT_CAP = 10_000
-# sorted endpoint keys merged into the cdf at a time, and the most cdf
-# entries per key a chunk merges with: past about three, one binary search
-# per key is as fast, and a merge of a full chunk (keys plus cdf slice) then
-# takes at most 512 KiB for its argsort and the values it sorts
-_MERGE_KEYS = _CHUNK_ROWS // 8
+# the most cdf entries per endpoint key that a chunk of keys merges with:
+# past about three, one binary search per key is as fast, and a merge of a
+# full chunk (keys plus cdf slice) then takes at most 512 KiB for its
+# argsort and the values it sorts
 _MERGE_SPREAD = 3
 
 
@@ -85,10 +85,9 @@ def sample_graph_naive(w: WeightSequence, l_n: float, seed: int, *, reps: int = 
     _check(l_n, reps)
     n = w.n
     rng = stream(seed, "naive")
-    rows_per_block = max(1, 4_000_000 // n)
     parts = []  # (src, dst, mult) of each row block
-    for lo in range(0, reps * n, rows_per_block):
-        rows = np.arange(lo, min(reps * n, lo + rows_per_block))
+    for block in _chunks(reps * n, max(1, 4_000_000 // n)):
+        rows = np.arange(block.start, block.stop)
         counts = rng.poisson(np.outer(w.w_out[rows % n], w.w_in) / l_n)
         r, c = np.nonzero(counts)
         parts.append((rows[r] + 1, rows[r] // n * n + c + 1, counts[r, c]))
@@ -102,9 +101,10 @@ def _draw_vertices(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     sorted uniforms u: key u * total gets id 1 + #{cdf <= key}, as
     ``np.searchsorted(cdf, keys, side="right") + 1`` would give it, and
     u * total < total for every u in [0, 1), so no id exceeds n.  The keys
-    are merged into the cdf ``_MERGE_KEYS`` at a time: the chunk's cdf
-    slice ``cut`` runs from where the previous chunk's last key fell to
-    where its own last key falls, and one stable sort of the slice followed
+    are merged into the cdf an eighth of ``digraph._CHUNK_ROWS`` (8,192 by
+    default) at a time: the chunk's cdf slice ``cut`` runs from where the
+    previous chunk's last key fell to where its own last key falls, and
+    one stable sort of the slice followed
     by the keys, two sorted runs, merges them in linear time with every cdf
     entry before an equal key.  Key j then sits after the j keys before it
     and after the slice entries <= it.  A chunk whose slice holds more than
@@ -119,8 +119,7 @@ def _draw_vertices(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     u.sort()
     u *= cdf[-1]
     start = 0  # cdf[:start] <= every key left
-    for lo in range(0, size, _MERGE_KEYS):
-        rows = slice(lo, lo + _MERGE_KEYS)
+    for rows in _chunks(size, max(1, digraph._CHUNK_ROWS // 8)):
         keys = u[rows]
         # cdf[end:] > every key here
         end = int(np.searchsorted(cdf, keys[-1], side="right"))

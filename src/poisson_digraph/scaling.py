@@ -201,14 +201,10 @@ def scaling_exponent_experiment(
         raise ValueError("need at least two sizes to fit a slope")
     if len(set(n_values)) != len(n_values):
         raise ValueError("sizes must be distinct")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if sources < 1:
-        raise ValueError(f"sources must be >= 1, got {sources}")
-    if bootstrap < 1:
-        raise ValueError(f"bootstrap must be >= 1, got {bootstrap}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    counts = (("reps", reps), ("sources", sources), ("bootstrap", bootstrap), ("threads", threads))
+    for name, count in counts:
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     tasks = [(n, derive_seed(seed, "scaling", n, r)) for n in n_values for r in range(reps)]
     replicate = partial(_one_replicate, model, moments(model).mu, sources)
     values = np.array(_run_replicates(replicate, tasks, threads), dtype=np.float64)
@@ -217,9 +213,7 @@ def scaling_exponent_experiment(
     }
 
     log_n = np.log(np.array(n_values, dtype=np.float64))
-    medians = {}
-    means = {}
-    slopes = {}
+    medians, means, slopes = {}, {}, {}
     boot_rng = stream(seed, "scaling-bootstrap")
     for stat in STATISTICS:
         med = np.median(sizes[stat], axis=1)

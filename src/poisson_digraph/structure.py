@@ -17,8 +17,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from . import digraph
 from .digraph import (
-    _CHUNK_ROWS, MultiDigraph, _arc_codes, _code_rows, _Columns, _fold_blocks, _last_increasing_code,
+    MultiDigraph, _arc_codes, _chunks, _code_rows, _Columns, _fold_blocks, _last_increasing_code,
+    _run_starts,
 )
 
 __all__ = [
@@ -49,8 +51,7 @@ class DegreeArrays:
     def max_total(self) -> int:
         """The largest entry of ``total``, summed a vertex chunk at a time."""
         best = 0
-        for lo in range(0, self.d_in.size, _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
+        for rows in _chunks(self.d_in.size):
             best = max(best, int((self.d_in[rows] + self.d_out[rows] + self.loops[rows]).max()))
         return best
 
@@ -89,9 +90,9 @@ def _cluster_sizes(adjacency: csr_matrix, roots) -> np.ndarray:
     # int32 offsets and targets widened once, not in every index operation
     indptr = adjacency.indptr.astype(np.intp, copy=False)
     sizes = np.zeros(roots.size, dtype=np.int64)
-    for lo in range(0, roots.size, _BLOCK):
+    for block in _chunks(roots.size, _BLOCK):
         # a repeated root is one frontier entry per copy, each with its own bit
-        frontier = roots[lo : lo + _BLOCK] - 1
+        frontier = roots[block] - 1
         k = frontier.size
         gained = _BITS[:k]
         mask = np.zeros(n, dtype=np.uint64)
@@ -110,10 +111,7 @@ def _cluster_sizes(adjacency: csr_matrix, roots) -> np.ndarray:
             # OR the bits arriving at each distinct target in one pass
             order = np.argsort(targets)
             targets, carried = targets[order], carried[order]
-            first = np.empty(targets.size, dtype=bool)
-            first[0] = True
-            np.not_equal(targets[1:], targets[:-1], out=first[1:])
-            first = np.flatnonzero(first)
+            first = _run_starts(targets)
             targets = targets[first]
             gained = np.bitwise_or.reduceat(carried, first) & ~mask[targets]
             changed = gained != 0
@@ -124,7 +122,7 @@ def _cluster_sizes(adjacency: csr_matrix, roots) -> np.ndarray:
         # bit j in column j whatever the host byte order
         reached = np.concatenate(levels).astype("<u8").view(np.uint8).reshape(-1, 8)
         bits = np.unpackbits(reached, axis=1, count=k, bitorder="little")
-        sizes[lo : lo + k] = bits.sum(axis=0)
+        sizes[block] = bits.sum(axis=0)
     return sizes
 
 
@@ -223,9 +221,8 @@ class ComponentSummary:
         del parent
         # scipy numbers weak classes in the order of their smallest vertex
         first = np.full(roots.size, self.n, dtype=_index_type(self.n, 0))
-        for lo in range(0, self.n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, self.n)
-            np.minimum.at(first, roots[strong[lo:hi]], np.arange(lo, hi, dtype=first.dtype))
+        for rows in _chunks(self.n):
+            np.minimum.at(first, roots[strong[rows]], np.arange(rows.start, rows.stop, dtype=first.dtype))
         top = np.flatnonzero(first < self.n)
         rank = np.empty(roots.size, dtype=strong.dtype)
         rank[top[np.argsort(first[top])]] = np.arange(top.size)
@@ -238,7 +235,7 @@ class ComponentSummary:
         """The arcs between strong classes as (tail class, head class) chunks.
 
         A chunk is the arcs out of consecutive vertices, about
-        ``_CHUNK_ROWS`` of them (more only where one vertex has more).
+        ``digraph._CHUNK_ROWS`` of them (more only where one vertex has more).
         """
         indptr, indices = self.adjacency.indptr, self.adjacency.indices
         lo = 0
@@ -246,7 +243,7 @@ class ComponentSummary:
             # the target in the offsets' own type, as a Python int would have
             # searchsorted copy them to int64; past the last offset, any
             # target finds what the last one does
-            end = min(int(indptr[lo]) + _CHUNK_ROWS, int(indptr[-1]))
+            end = min(int(indptr[lo]) + digraph._CHUNK_ROWS, int(indptr[-1]))
             cut = np.searchsorted(indptr, indptr.dtype.type(end), side="right")
             hi = max(lo + 1, int(cut) - 1)
             tails = np.repeat(strong[lo:hi], np.diff(indptr[lo : hi + 1]))
@@ -315,8 +312,8 @@ def _adjacency(n: int, src: np.ndarray, indices: np.ndarray) -> csr_matrix:
     sources at a time, so no arc-length array is made.
     """
     indptr = np.zeros(n + 1, dtype=indices.dtype)
-    for lo in range(0, src.size, _CHUNK_ROWS):
-        ids = src[lo : lo + _CHUNK_ROWS]
+    for rows in _chunks(src.size):
+        ids = src[rows]
         low = int(ids[0])
         indptr[low : int(ids[-1]) + 1] += np.bincount(ids - low)
     np.cumsum(indptr, out=indptr)
@@ -335,8 +332,8 @@ def _class_sizes(labels: np.ndarray) -> np.ndarray:
     ``np.bincount`` would first copy int32 labels to int64.
     """
     sizes = np.zeros(int(labels.max()) + 1, dtype=np.int64)
-    for lo in range(0, labels.size, _CHUNK_ROWS):
-        np.add.at(sizes, labels[lo : lo + _CHUNK_ROWS], 1)
+    for rows in _chunks(labels.size):
+        np.add.at(sizes, labels[rows], 1)
     return sizes
 
 

@@ -140,18 +140,22 @@ def test_criterion_2_sum_construction_equivalence():
     l3 = float(cap3.sum_in)
     tracked = [(1, 2), (2, 1), (1, 1)]
     track_rates = [float(cap3.w_out[v - 1] * cap3.w_in[u - 1] / l3) for v, u in tracked]
+    # the column of each in-block code (src - 1) * n3 + dst - 1: a tracked
+    # pair's index, or len(tracked) for the rest of the total
+    column = np.full(n3 * n3, len(tracked))
+    column[[(v - 1) * n3 + u - 1 for v, u in tracked]] = range(len(tracked))
+    side = len(tracked) + 1
     chunks, chunk_reps = 10, 2_000  # 20,000 replicates, about 3.3e6 arcs per chunk
     for route, sampler in routes.items():
         counts = []
         for c in range(chunks):
             g = sampler(cap3, l3, derive_seed(102, "criterion-2", route, n3, c), chunk_reps)
             block, src, dst, mult = _decode_blocks(g, chunk_reps)
-            pairs = [
-                np.bincount(block, mult * ((src == v) & (dst == u)), chunk_reps) for v, u in tracked
-            ]
-            total = np.bincount(block, mult, chunk_reps)
-            counts.append(np.column_stack(pairs + [total - sum(pairs)]).astype(np.int64))
-        counts = np.concatenate(counts)
+            # one weighted count of the keys block * side + column
+            keys = column[(src - 1) * n3 + dst - 1]
+            keys += side * block
+            counts.append(np.bincount(keys, mult, side * chunk_reps).reshape(chunk_reps, side))
+        counts = np.concatenate(counts).astype(np.int64)
         for j, rate in enumerate(track_rates + [l3 - sum(track_rates)]):
             cells.append(poisson_chisquare(counts[:, j], rate))
     p = summed_pvalue(cells)

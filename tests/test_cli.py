@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface.
 
 Most commands run in process through ``cli.main``; the version flag, the
-pipe test, the golden digests, the import test and the encoding test start
+pipe tests, the golden digests, the import test and the encoding test start
 ``python -m poisson_digraph`` as a subprocess, so the module entry stays
 covered.
 
 Exit-code contract: 0 success, 1 a requested statistical check failed,
-2 usage error or a size that does not fit in memory, 3 input/output failure.
+2 usage error or a size that does not fit in memory, 3 input/output failure,
+141 stdout closed by its reader.
 """
 
 import ast
@@ -310,6 +311,18 @@ def test_pipe_input_reads_like_the_file(tmp_path):
         assert (from_pipe.returncode, from_pipe.stdout) == (from_file.returncode, from_file.stdout)
 
 
+def test_closed_stdout_exits_141_quietly():
+    # the reader stops after the first line, as `sample ... | head -1` does;
+    # the 2 MB of output cannot all fit in the pipe before it closes
+    sample = ["sample", "--model", "pareto-mirrored:3.5,1", "--n", "100000", "--seed", "1"]
+    with subprocess.Popen(CMD + sample, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert (code, first, err) == (141, b"# poisson-digraph edge list v1\n", b"")
+
+
 def _golden_edge_list():
     """A 3000-vertex edge list from fixed integer arithmetic, no random draws.
 
@@ -340,14 +353,25 @@ GOLDEN_OUTPUTS = {
 }
 
 
-def test_outputs_on_golden_edge_list_are_pinned(tmp_path):
-    unsorted = tmp_path / "golden.tsv"
+@pytest.fixture(scope="module")
+def golden_edge_lists(tmp_path_factory):
+    """The golden edge list as written, and the same graph as the writer renders it."""
+    folder = tmp_path_factory.mktemp("golden")
+    unsorted, ordered = folder / "golden.tsv", folder / "ordered.tsv"
     unsorted.write_text(_golden_edge_list())
-    # the same graph as the writer renders it: sorted rows, no duplicates
-    ordered = tmp_path / "ordered.tsv"
+    # sorted rows, no duplicates
     g, meta = read_edge_list(unsorted)
     write_edge_list(g, ordered, meta)
-    for path in (unsorted, ordered):
+    return unsorted, ordered
+
+
+def _outcome(res):
+    """(exit code, SHA-256 of stdout) of a ``run_cli`` result."""
+    return res.returncode, hashlib.sha256(res.stdout.encode()).hexdigest()
+
+
+def test_outputs_on_golden_edge_list_are_pinned(golden_edge_lists):
+    for path in golden_edge_lists:
         for (command, *args), expected in GOLDEN_OUTPUTS.items():
             res = subprocess.run(
                 CMD + [command, "--in", str(path), *args], capture_output=True, timeout=300
@@ -377,15 +401,98 @@ def large_edge_list(tmp_path_factory):
     return path
 
 
-def test_outputs_past_one_writer_chunk_are_pinned(large_edge_list):
+def _assert_large_outputs(path):
+    """``LARGE_OUTPUTS``, with sample's stdout the text of ``path``."""
     for (command, *args), expected in LARGE_OUTPUTS.items():
         if command == "sample":
             res = run_cli(command, *args)
-            assert_same_text(res.stdout, large_edge_list.read_text())
+            assert_same_text(res.stdout, path.read_text())
         else:
-            res = run_cli(command, "--in", str(large_edge_list), *args)
-        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
-        assert (res.returncode, digest) == expected, command
+            res = run_cli(command, "--in", str(path), *args)
+        assert _outcome(res) == expected, command
+
+
+def test_outputs_past_one_writer_chunk_are_pinned(large_edge_list):
+    _assert_large_outputs(large_edge_list)
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """Set ``digraph._CHUNK_ROWS`` and ``digraph._BLOCK_BYTES``, which size every chunked loop."""
+
+    def set_sizes(rows, block):
+        monkeypatch.setattr(digraph, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(digraph, "_BLOCK_BYTES", block)
+
+    return set_sizes
+
+
+# (exit code, SHA-256 of stdout) of commands that draw, build and traverse
+# graphs of at most 3000 vertices
+CHUNKED_OUTPUTS = {
+    ("sample", "--model", "pareto-mirrored:3.5,1", "--n", "3000", "--seed", "4"): (
+        0,
+        "16b9ade95a5a08fd4ef1eb25fc56e5cc26507d8a1099aabeb6a0145bc2021bae",
+    ),
+    (
+        "sample", "--model", "independent-product:constant:2|pareto:3.5,1.2",
+        "--n", "3000", "--seed", "4",
+    ): (
+        0,
+        "32a8bec877bca67d82573442ade555d800c088209e7d670afc2dc162dbec8a04",
+    ),
+    ("evolve", "--model", "pareto-mirrored:3.5,1", "--from", "3", "--to", "300", "--seed", "4"): (
+        0,
+        "7e8f07fa245364358c2102b3e01469c31a728963d50ee10661e3b9e91a76e0e9",
+    ),
+    (
+        "scaling", "--tau", "3.5", "--critical", "--n-list", "256,512",
+        "--reps", "3", "--sources", "8", "--bootstrap", "20", "--seed", "4",
+    ): (0, "8fe1085d0778576e7835264520a0f70f37c3f0f145fc3a1d57168b123a6cd91b"),
+}
+
+
+@pytest.mark.parametrize("sizes", [None, (3, 7)], ids=["default", "small"])
+def test_outputs_do_not_depend_on_chunk_sizes(golden_edge_lists, chunk_sizes, sizes, tmp_path):
+    # 3 rows and 7 bytes cut every chunked loop, the reader's blocks and the
+    # draw's merge (one key at a time) many times over
+    if sizes:
+        chunk_sizes(*sizes)
+    unsorted, ordered = golden_edge_lists
+    g, meta = read_edge_list(unsorted)
+    rewritten = tmp_path / "rewritten.tsv"
+    write_edge_list(g, rewritten, meta)
+    assert rewritten.read_bytes() == ordered.read_bytes()
+    for path in golden_edge_lists:
+        for (command, *args), expected in GOLDEN_OUTPUTS.items():
+            res = run_cli(command, "--in", str(path), *args)
+            assert _outcome(res) == expected, (path.name, command)
+    for args, expected in CHUNKED_OUTPUTS.items():
+        assert _outcome(run_cli(*args)) == expected, args
+
+
+def test_outputs_past_one_writer_chunk_do_not_depend_on_chunk_sizes(large_edge_list, chunk_sizes):
+    # far below the defaults, so the 331,325 rows and 4.6 MB make hundreds of chunks and blocks
+    chunk_sizes(1001, 4099)
+    _assert_large_outputs(large_edge_list)
+
+
+def test_swapped_id_columns_swap_in_and_out_degrees(large_edge_list, tmp_path):
+    # reversing every arc keeps the strong and weak classes and swaps the
+    # degrees; the swapped rows are unsorted, so the readers sort them
+    swapped = tmp_path / "swapped.tsv"
+    with large_edge_list.open() as lines, swapped.open("w") as out:
+        for line in lines:
+            out.write(line if line.startswith("#") else "{1}\t{0}\t{2}".format(*line.split("\t")))
+    paths = (large_edge_list, swapped)
+    components = [run_cli("components", "--in", str(path)) for path in paths]
+    assert components[1].returncode == 0
+    assert components[1].stdout == components[0].stdout
+    stats = [json.loads(run_cli("stats", "--in", str(path)).stdout) for path in paths]
+    assert stats[0]["max_in_degree"] != stats[0]["max_out_degree"]
+    for a, b in (("mean_in_degree", "mean_out_degree"), ("max_in_degree", "max_out_degree")):
+        stats[1][a], stats[1][b] = stats[1][b], stats[1][a]
+    assert stats[1] == stats[0]
 
 
 @pytest.mark.parametrize("command", ["sample", "components", "stats"])

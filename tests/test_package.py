@@ -33,3 +33,16 @@ def test_package_all_is_the_module_lists_concatenated():
     namespace = {}
     exec("from poisson_digraph import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(expected)
+
+
+def test_chunk_sizes_are_bound_only_in_digraph():
+    # so that one monkeypatch of digraph moves every chunked loop
+    package = Path(poisson_digraph.__file__).parent
+    sizes = {"_CHUNK_ROWS", "_BLOCK_BYTES", "_MERGE_KEYS"}
+    bound = {}
+    for path in package.glob("*.py"):
+        name = "poisson_digraph" if path.stem == "__init__" else f"poisson_digraph.{path.stem}"
+        found = sizes & vars(importlib.import_module(name)).keys()
+        if found:
+            bound[path.stem] = found
+    assert bound == {"digraph": {"_CHUNK_ROWS", "_BLOCK_BYTES"}}

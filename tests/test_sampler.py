@@ -13,7 +13,7 @@ the acceptance module run the same laws at 1e5 replicates.
 import numpy as np
 import pytest
 
-from poisson_digraph import sampler
+from poisson_digraph import digraph, sampler
 from poisson_digraph.analysis import poisson_chisquare, product_poisson_chisquare
 from poisson_digraph.digraph import MultiDigraph, _arc_codes
 from poisson_digraph.sampler import (
@@ -201,7 +201,8 @@ def _assert_draw_is_inversion(cdf, u):
     return got
 
 
-CHUNK = sampler._MERGE_KEYS
+# keys merged into the cdf at a time
+CHUNK = digraph._CHUNK_ROWS // 8
 
 
 @pytest.mark.parametrize(

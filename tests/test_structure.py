@@ -24,7 +24,7 @@ from poisson_digraph.structure import (
     strong_components,
     weak_components,
 )
-from poisson_digraph import structure
+from poisson_digraph import digraph, structure
 from poisson_digraph.weights import ParetoMirrored, moments, sample_weights
 from poisson_digraph.digraph import MultiDigraph, write_edge_list
 from graph_helpers import arc_dict, backward_cluster, forward_cluster, graph_from_arcs, traced_peak
@@ -315,7 +315,7 @@ def test_weak_labels_equal_scipy_whichever_partition_is_read_first(g):
 @pytest.mark.parametrize("seed", range(4))
 def test_weak_labels_join_classes_across_many_chunks(monkeypatch, seed):
     # a few arcs per chunk, so the union-find joins classes across chunks
-    monkeypatch.setattr(structure, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(digraph, "_CHUNK_ROWS", 3)
     g = _loopy_multigraph(200, seed)
     reference = csr_matrix((np.ones(g.src.size), (g.src - 1, g.dst - 1)), shape=(g.n, g.n))
     s = component_summary(g)
